@@ -392,6 +392,20 @@ def validate(model: GoalModel) -> List[Violation]:
             if nid not in reachable:
                 bad(nid, "unreachable-node", "node is not reachable from the root")
 
+    # Distinct ids must own distinct parameters: ``T.1`` and ``T_1`` would
+    # otherwise share ``r_T_1``/``f_T_1``/``w_T_1`` and compile as one leaf.
+    table = ParamTable(model)
+    leaf_ids = [n.id for n in model.nodes.values() if n.is_executable]
+    for ids, name_of in ((leaf_ids, table.reliability), (model.contexts, table.context)):
+        owners: Dict[str, List[str]] = {}
+        for i in ids:
+            owners.setdefault(name_of(i).name, []).append(i)
+        for name, group in owners.items():
+            if len(group) > 1:
+                for i in group:
+                    bad(i, "param-name-collision",
+                        f"ids {sorted(group)} share the parameter name {name!r}")
+
     for cid, ctx in model.contexts.items():
         if ctx.kind == ContextKind.BOOLEAN and ctx.condition is not None:
             bad(cid, "context-condition", "Boolean contexts take no range condition")

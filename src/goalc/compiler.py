@@ -11,7 +11,9 @@ Every node of a model gets a triple of polynomials:
 node's corrected cost is not the same thing as its weight-times-reliability,
 and parents only ever consume the weight).
 
-Composition is a depth-first left fold over each node's children.  Reliability
+Composition is depth-first; each node composes all its children in one
+n-ary step (:func:`compose_children`), equal to a left fold of the pairwise
+rows but with the weight summed once and the cost built once.  Reliability
 composition is order-independent; cost composition of Or/runtime-decision
 nodes is not, so the fold order is fixed: the node's ``dm`` order when
 present, the ``children`` order otherwise.
@@ -52,6 +54,11 @@ def _ctx_product(ctx: Sequence[Parameter]) -> SymExpr:
     return expr
 
 
+def _gated(ctx: Sequence[Parameter], expr: SymExpr) -> SymExpr:
+    """``expr`` times the context factor of ``ctx`` (``expr`` itself if none)."""
+    return _ctx_product(ctx) * expr if ctx else expr
+
+
 def atomic_forms(model: GoalModel, leaf_id: str, params: Optional[ParamTable] = None) -> NodeForms:
     """Formulae of a single executable leaf.
 
@@ -67,8 +74,9 @@ def atomic_forms(model: GoalModel, leaf_id: str, params: Optional[ParamTable] = 
     r = symexpr.param(params.reliability(leaf_id))
     f = symexpr.param(params.frequency(leaf_id))
     w = symexpr.param(params.cost_weight(leaf_id))
-    ctx = _ctx_product([params.context(c) for c in node.contexts])
-    return NodeForms(reliability=ctx * r * f, weight=w, cost=ctx * w * r * f)
+    ctx = [params.context(c) for c in node.contexts]
+    rf = r * f
+    return NodeForms(reliability=_gated(ctx, rf), weight=w, cost=_gated(ctx, w * rf))
 
 
 def compose_pair(
@@ -85,11 +93,6 @@ def compose_pair(
     of composition; operand formulae that already carry their own context
     factors are unaffected because binary parameters are idempotent.
     """
-    cl = _ctx_product(ctx_left)
-    cr = _ctx_product(ctx_right)
-    p1 = cl * left.reliability
-    w1 = cl * left.weight
-
     if kind == CompositionKind.INCOMPLETENESS:
         if right is not None:
             raise ModelError("incompleteness wraps a single subtree")
@@ -97,30 +100,62 @@ def compose_pair(
             raise ModelError("incompleteness requires an OPT parameter")
         o = symexpr.param(opt)
         return NodeForms(
-            reliability=p1 * o,
+            reliability=_gated(ctx_left, left.reliability) * o,
             weight=left.weight,
-            cost=cl * left.weight * left.reliability * o,
+            cost=_gated(ctx_left, left.weight * left.reliability) * o,
         )
+    items = [(left, ctx_left)]
+    if right is not None:
+        items.append((right, ctx_right))
+    return compose_children(kind, items)
 
-    if right is None:
+
+def compose_children(
+    kind: CompositionKind,
+    items: Sequence[Tuple[NodeForms, Sequence[Parameter]]],
+) -> NodeForms:
+    """Compose all children of a node, each given with its context parameters.
+
+    Equal to the pairwise left fold of the binary rows over ``items``, but
+    the weight is one n-ary sum and the cost is built once, from the final
+    accumulator:
+
+    * And:   R = prod(P_i),                    cost = W*R
+    * Or/DM: R_k = R_{k-1} + P_k - R_{k-1}*P_k, cost = W*R_n - W_n*R_{n-1}
+
+    where ``P_i``/``W_i`` are the context-gated child reliability/weight and
+    ``W = sum(W_i)``.
+    """
+    if kind not in (CompositionKind.AND, CompositionKind.OR, CompositionKind.DM):
+        raise ModelError(f"cannot compose children with kind {kind!r}")
+    gated = [
+        (_gated(ctx, forms.reliability), _gated(ctx, forms.weight))
+        for forms, ctx in items
+    ]
+
+    if len(items) == 1:
         # Single-operand composition.  For a runtime-decision node the
         # binary row with the second operand's context set to zero leaves
         # C1*P1 and cost (C1*W1)*(C1*P1); And/Or of one child pass through.
+        p1, w1 = gated[0]
         if kind == CompositionKind.DM:
             return NodeForms(reliability=p1, weight=w1, cost=w1 * p1)
-        return NodeForms(reliability=p1, weight=w1, cost=cl * left.cost)
+        forms, ctx = items[0]
+        return NodeForms(reliability=p1, weight=w1, cost=_gated(ctx, forms.cost))
 
-    p2 = cr * right.reliability
-    w2 = cr * right.weight
-    weight = w1 + w2
-
+    weight = symexpr.sum_exprs(w for _, w in gated)
+    rel = gated[0][0]
     if kind == CompositionKind.AND:
-        rel = p1 * p2
+        for p, _ in gated[1:]:
+            rel = rel * p
         return NodeForms(reliability=rel, weight=weight, cost=weight * rel)
-    if kind in (CompositionKind.OR, CompositionKind.DM):
-        rel = p1 + p2 - p1 * p2
-        return NodeForms(reliability=rel, weight=weight, cost=weight * rel - w2 * p1)
-    raise ModelError(f"cannot compose pair with kind {kind!r}")
+    for p, _ in gated[1:]:
+        prev = rel
+        rel = prev + p - prev * p
+    w_last = gated[-1][1]
+    return NodeForms(
+        reliability=rel, weight=weight, cost=weight * rel - w_last * prev
+    )
 
 
 _DECOMP_KIND = {
@@ -193,15 +228,7 @@ def compose_node_form(
         child_forms = compose_node_form(model, child_id, params, memo)
         items.append((child_forms, [params.context(c) for c in child.contexts]))
 
-    if len(items) == 1:
-        forms = compose_pair(kind, items[0][0], None, ctx_left=items[0][1])
-    else:
-        acc = compose_pair(
-            kind, items[0][0], items[1][0], ctx_left=items[0][1], ctx_right=items[1][1]
-        )
-        for child_forms, child_ctx in items[2:]:
-            acc = compose_pair(kind, acc, child_forms, ctx_left=(), ctx_right=child_ctx)
-        forms = acc
+    forms = compose_children(kind, items)
     memo[node_id] = forms
     return forms
 

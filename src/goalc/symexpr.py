@@ -78,36 +78,14 @@ class SymExpr:
         terms: Iterable[Tuple[Number, Iterable[str]]],
         registry: Mapping[str, Parameter],
     ) -> None:
-        self._registry: Dict[str, Parameter] = dict(registry)
-        self._terms: Tuple[Term, ...] = self._normalize(terms)
+        reg = registry if isinstance(registry, dict) else dict(registry)
+        self._terms: Tuple[Term, ...] = _normalize(terms, reg)
         # Keep only parameters that actually occur with nonzero coefficient.
-        used = {name for _, mono in self._terms for name in mono}
-        self._registry = {n: p for n, p in self._registry.items() if n in used}
-
-    def _normalize(
-        self, terms: Iterable[Tuple[Number, Iterable[str]]]
-    ) -> Tuple[Term, ...]:
-        acc: Dict[Tuple[str, ...], Fraction] = {}
-        for coeff, monomial in terms:
-            coeff = _as_fraction(coeff)
-            mono = self._canonical_monomial(monomial)
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-        out = tuple(
-            (c, m) for m, c in sorted(acc.items(), key=lambda kv: kv[0]) if c != 0
-        )
-        return out
-
-    def _canonical_monomial(self, names: Iterable[str]) -> Tuple[str, ...]:
-        ordered = sorted(names)
-        out = []
-        for name in ordered:
-            if name not in self._registry:
-                raise ExprError(f"unregistered parameter in monomial: {name!r}")
-            kind = self._registry[name].kind
-            if kind in BINARY_KINDS and out and out[-1] == name:
-                continue  # idempotent: collapse repeated binary factors
-            out.append(name)
-        return tuple(out)
+        used = set().union(*(mono for _, mono in self._terms))
+        if len(used) == len(reg):  # every name occurs: keep the registry order
+            self._registry: Dict[str, Parameter] = dict(reg)
+        else:
+            self._registry = {n: p for n, p in reg.items() if n in used}
 
     # -- accessors ---------------------------------------------------------
 
@@ -173,6 +151,41 @@ class SymExpr:
         return bool(self._terms)
 
 
+def _normalize(
+    terms: Iterable[Tuple[Number, Iterable[str]]], reg: Dict[str, Parameter]
+) -> Tuple[Term, ...]:
+    """Sort each monomial, collapse binary powers, merge like terms, drop zeros."""
+    names = reg.keys()
+    acc: Dict[Tuple[str, ...], Fraction] = {}
+    for coeff, monomial in terms:
+        coeff = _as_fraction(coeff)
+        mono = tuple(sorted(monomial))
+        distinct = set(mono)
+        if not names >= distinct:
+            missing = next(n for n in mono if n not in reg)
+            raise ExprError(f"unregistered parameter in monomial: {missing!r}")
+        if len(distinct) != len(mono):
+            mono = _collapse_binary(mono, reg)
+        if mono in acc:
+            acc[mono] += coeff
+        else:
+            acc[mono] = coeff
+    return tuple((acc[m], m) for m in sorted(acc) if acc[m] != 0)
+
+
+def _collapse_binary(mono: Tuple[str, ...], reg: Dict[str, Parameter]) -> Tuple[str, ...]:
+    """Drop repeats of binary (idempotent) names from a sorted monomial.
+
+    Only names that actually repeat have their kind looked up.
+    """
+    out = [mono[0]]
+    for name in mono[1:]:
+        if name == out[-1] and reg[name].kind in BINARY_KINDS:
+            continue
+        out.append(name)
+    return tuple(out)
+
+
 def _as_fraction(value: Number) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -202,16 +215,14 @@ def param(p: Parameter) -> SymExpr:
     return SymExpr([(1, (p.name,))], {p.name: p})
 
 
-def add(a: SymExpr, b: SymExpr) -> SymExpr:
-    return a + b
-
-
-def sub(a: SymExpr, b: SymExpr) -> SymExpr:
-    return a - b
-
-
-def mul(a: SymExpr, b: SymExpr) -> SymExpr:
-    return a * b
+def sum_exprs(exprs: Iterable[SymExpr]) -> SymExpr:
+    """The sum of ``exprs``, normalized once rather than once per addition."""
+    terms = []
+    reg: Dict[str, Parameter] = {}
+    for e in exprs:
+        terms.extend(e._terms)
+        reg.update(e._registry)
+    return SymExpr(terms, reg)
 
 
 # -- evaluation and substitution ---------------------------------------------

@@ -214,6 +214,45 @@ class TestValidate:
         m = model("T", leaf("T", ["C1", "C2"]), contexts=[bad_bool, bad_double])
         assert self.rules(m) == ["context-condition", "context-condition"]
 
+    def test_leaf_ids_that_mangle_alike_collide(self):
+        doc = {"actor": "a", "root": "G",
+               "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",
+                          "children": ["T.1", "T_1"]},
+                         {"id": "T.1", "kind": "LeafTask"},
+                         {"id": "T_1", "kind": "LeafTask"}]}
+        with pytest.raises(ValidationError, match="r_T_1") as err:
+            parse_model(json.dumps(doc))
+        hits = [v for v in err.value.violations if v.rule == "param-name-collision"]
+        assert [v.node_id for v in hits] == ["T.1", "T_1"]
+
+    def test_placeholder_and_leaf_ids_collide(self):
+        doc = {"actor": "a", "root": "G",
+               "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",
+                          "children": ["T.X", "T_X"]},
+                         {"id": "T.X", "kind": "Task", "placeholder": True},
+                         {"id": "T_X", "kind": "LeafTask"}]}
+        with pytest.raises(ValidationError, match="param-name-collision"):
+            parse_model(json.dumps(doc))
+
+    def test_context_ids_that_mangle_alike_collide(self):
+        doc = {"actor": "a", "root": "G",
+               "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",
+                          "children": ["T", "U"]},
+                         {"id": "T", "kind": "LeafTask", "contexts": ["K.1"]},
+                         {"id": "U", "kind": "LeafTask", "contexts": ["K_1"]}],
+               "contexts": [{"id": "K.1"}, {"id": "K_1"}]}
+        with pytest.raises(ValidationError, match="C_K_1") as err:
+            parse_model(json.dumps(doc))
+        hits = [v for v in err.value.violations if v.rule == "param-name-collision"]
+        assert [v.node_id for v in hits] == ["K.1", "K_1"]
+
+    def test_only_parameter_owners_collide(self, bsn):
+        # Inner goals own no parameters, so a goal may share a leaf's mangled id.
+        g = Node("G.1", "", NodeKind.GOAL, Decomposition.AND, ("G_1", "T1.1"))
+        m = model("G.1", g, leaf("G_1"), leaf("T1.1"))
+        assert "param-name-collision" not in self.rules(m)
+        assert "param-name-collision" not in self.rules(bsn)
+
     def test_pure_and_ordered(self, bsn):
         g = Node("G", "", NodeKind.GOAL, Decomposition.NONE, ())
         m = model("Z", g, leaf("T"))

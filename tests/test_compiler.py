@@ -25,7 +25,8 @@ from goalc.compiler import (
     forms_to_json,
     param_growth_report,
 )
-from goalc.symexpr import evaluate, parse_expr, render, substitute
+from goalc.oracle import random_model
+from goalc.symexpr import SymExpr, evaluate, parse_expr, render, substitute
 
 
 def leaf(nid, contexts=()):
@@ -292,3 +293,119 @@ class TestCompileModel:
         assert back["G3"]["cost"] == forms["G3"].cost
         parsed = json.loads(doc)
         assert parsed["G3"]["params"] == sorted(parsed["G3"]["params"])
+
+
+def pairwise_fold(m):
+    """Every node's forms by a left fold of ``compose_pair`` over its children."""
+    params = ParamTable(m)
+    out = {}
+
+    def walk(nid):
+        node = m.node(nid)
+        if node.is_executable:
+            out[nid] = compose_node_form(m, nid, params)
+            return out[nid]
+        if node.dm_order is not None:
+            kind, order = CompositionKind.DM, node.dm_order
+        elif node.decomposition == Decomposition.OR:
+            kind, order = CompositionKind.OR, node.children
+        else:
+            kind, order = CompositionKind.AND, node.children
+        items = [
+            (walk(c), [params.context(k) for k in m.node(c).contexts]) for c in order
+        ]
+        if len(items) == 1:
+            acc = compose_pair(kind, items[0][0], ctx_left=items[0][1])
+        else:
+            acc = compose_pair(kind, items[0][0], items[1][0],
+                               ctx_left=items[0][1], ctx_right=items[1][1])
+            for forms, ctx in items[2:]:
+                acc = compose_pair(kind, acc, forms, ctx_right=ctx)
+        out[nid] = acc
+        return acc
+
+    walk(m.root)
+    return out
+
+
+class TestNaryFold:
+    """The n-ary fold equals the pairwise fold it replaces, node by node."""
+
+    @staticmethod
+    def features(m):
+        seen = set()
+        for node in m.nodes.values():
+            if node.kind == NodeKind.PLACEHOLDER:
+                seen.add("placeholder")
+            if node.contexts:
+                seen.add("context")
+            if node.is_executable:
+                continue
+            if node.dm_order is not None:
+                seen.add("dm")
+            elif node.decomposition == Decomposition.OR:
+                seen.add("or")
+            else:
+                seen.add("and")
+            if len(node.children) == 1:
+                seen.add("single-child")
+            if len(node.children) >= 3:
+                seen.add(f"wide-{'and' if node.decomposition != Decomposition.OR else 'or'}")
+        return seen
+
+    @staticmethod
+    def assert_same(m):
+        want = pairwise_fold(m)
+        got = compile_model(m)
+        assert sorted(got) == sorted(want)
+        for nid, forms in got.items():
+            assert forms.reliability == want[nid].reliability, nid
+            assert forms.weight == want[nid].weight, nid
+            assert forms.cost == want[nid].cost, nid
+
+    def test_random_models(self):
+        covered = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            m = random_model(rng, max_leaves=rng.randint(2, 8))
+            covered |= self.features(m)
+            self.assert_same(m)
+        assert covered == {
+            "placeholder", "context", "dm", "or", "and", "single-child",
+            "wide-and", "wide-or",
+        }
+
+    @pytest.mark.parametrize("n,decomposition,contexts,dm", [
+        (6, Decomposition.AND, False, False),
+        (7, Decomposition.AND, True, False),
+        (5, Decomposition.OR, False, False),
+        (6, Decomposition.OR, True, True),
+    ])
+    def test_wide_nodes(self, n, decomposition, contexts, dm):
+        self.assert_same(chain_model(n, decomposition, leaf_contexts=contexts, dm=dm))
+
+    def test_bundled_model(self, bsn):
+        self.assert_same(bsn)
+
+
+def test_and_chain_compiles_in_linear_constructions(monkeypatch):
+    """Constructions and their output terms grow linearly along an And chain.
+
+    A per-step cost product or pairwise weight sum makes the term count
+    quadratic, and adds several constructions per leaf.
+    """
+    n = 400
+    m = chain_model(n, Decomposition.AND)
+    built = {"exprs": 0, "terms": 0}
+    init = SymExpr.__init__
+
+    def counted_init(obj, *args, **kwargs):
+        init(obj, *args, **kwargs)
+        built["exprs"] += 1
+        built["terms"] += len(obj.terms)
+
+    monkeypatch.setattr(SymExpr, "__init__", counted_init)
+    forms = compile_model(m)
+    assert len(forms["G"].cost.terms) == n
+    assert built["exprs"] <= 10 * n
+    assert built["terms"] <= 10 * n

@@ -22,6 +22,7 @@ from goalc.symexpr import (
     rename_params,
     size_bytes,
     substitute,
+    sum_exprs,
 )
 
 
@@ -80,6 +81,90 @@ class TestCanonicalForm:
             constant(float("nan"))
         with pytest.raises(ExprError, match="non-finite"):
             constant(float("inf"))
+
+
+def reference_terms(terms, registry):
+    """Plain normal form: sorted multiset, binary-only collapse, merge, drop zeros."""
+    acc = {}
+    for coeff, names in terms:
+        mono = []
+        for name in sorted(names):
+            if name not in registry:
+                raise ExprError(f"unregistered parameter in monomial: {name!r}")
+            if mono and mono[-1] == name and registry[name].kind in BINARY_KINDS:
+                continue
+            mono.append(name)
+        mono = tuple(mono)
+        acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
+    return tuple((c, m) for m, c in sorted(acc.items()) if c != 0)
+
+
+class TestKernelNormalForm:
+    """The constructor against :func:`reference_terms` on random term lists."""
+
+    NAMES = ["r_a", "r_b", "f_a", "w_a", "C_x", "C_y", "OPT_z_X"]
+
+    def random_coeff(self, rng):
+        return rng.choice([
+            rng.randint(-3, 3),
+            rng.choice([0.5, -0.25, 1.5, 0.1]),
+            Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+        ])
+
+    def random_terms(self, rng):
+        terms = []
+        for _ in range(rng.randint(0, 8)):
+            # Draw with replacement, so binary and non-binary names repeat.
+            names = [rng.choice(self.NAMES) for _ in range(rng.randint(0, 6))]
+            terms.append((self.random_coeff(rng), names))
+            if rng.random() < 0.3:  # a cancelling copy, names permuted
+                coeff, names = terms[-1]
+                terms.append((-coeff, rng.sample(names, len(names))))
+        rng.shuffle(terms)
+        return terms
+
+    def test_matches_reference(self):
+        rng = random.Random(41)
+        registry = {n: P(n) for n in self.NAMES}
+        for _ in range(500):
+            terms = self.random_terms(rng)
+            want = reference_terms(terms, registry)
+            got = SymExpr(terms, registry)
+            assert got.terms == want
+            assert all(type(c) is Fraction for c, _ in got.terms)
+            assert got.parameter_names() == tuple(
+                sorted({n for _, m in want for n in m})
+            )
+
+    def test_binary_repeats_collapse_and_others_do_not(self):
+        registry = {n: P(n) for n in self.NAMES}
+        e = SymExpr([(1, ["C_x", "r_a", "C_x", "r_a", "OPT_z_X", "OPT_z_X"])], registry)
+        assert e.terms == ((Fraction(1), ("C_x", "OPT_z_X", "r_a", "r_a")),)
+
+    def test_unregistered_name_in_any_position(self):
+        rng = random.Random(43)
+        registry = {n: P(n) for n in self.NAMES}
+        for _ in range(200):
+            terms = self.random_terms(rng) or [(1, [])]
+            i = rng.randrange(len(terms))
+            coeff, names = terms[i]
+            names = list(names)
+            names.insert(rng.randint(0, len(names)), "r_ghost")
+            terms[i] = (coeff, names)
+            with pytest.raises(ExprError, match="unregistered.*r_ghost"):
+                SymExpr(terms, registry)
+
+    def test_sum_exprs_matches_pairwise_sums(self):
+        rng = random.Random(47)
+        tl = TestRingLaws()
+        for _ in range(100):
+            exprs = [tl.random_expr(rng, self.NAMES) for _ in range(rng.randint(0, 5))]
+            want = ZERO
+            for e in exprs:
+                want = want + e
+            got = sum_exprs(exprs)
+            assert got == want
+            assert got.registry() == want.registry()
 
 
 class TestRingLaws:
