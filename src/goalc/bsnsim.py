@@ -5,8 +5,8 @@ cost, battery-driven sensor availability, a random walk over patient vitals —
 while the controller only ever sees telemetry.  Each tick every active leaf
 attempts a configured number of executions (Bernoulli draws for both the
 attempt and its success), batteries drain per execution and recharge per
-tick, and the reliability/cost recorded in the trace is the compiled formula
-evaluated at the true parameters of the configuration in force.
+tick, and the reliability/cost recorded in the trace is the goal's formula
+circuit evaluated at the true parameters of the configuration in force.
 
 Three disturbance scenarios are built in: stepwise degradation of the
 central hub's reliability, a mis-commissioned initial frequency profile, and
@@ -23,8 +23,8 @@ from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import runtime, symexpr
-from .cgm import Condition, GoalModel, _mangle
-from .compiler import NodeForms, compile_model
+from .cgm import Condition, GoalModel, ParamTable
+from .compiler import NodeForms
 
 
 class ConfigError(ValueError):
@@ -352,17 +352,10 @@ class World:
 
     def truth_bindings(self) -> Dict[str, float]:
         """Bind every formula parameter from the true state of the world."""
-        out: Dict[str, float] = {}
-        for leaf in self.reliability:
-            m = _mangle(leaf)
-            out[f"r_{m}"] = self.reliability[leaf]
-            out[f"f_{m}"] = self.frequency[leaf]
-            out[f"w_{m}"] = self.cost[leaf]
-        for ctx, truth in self.contexts.items():
-            out[f"C_{_mangle(ctx)}"] = truth
-        for node, flag in self.config.opt_flags.items():
-            out[f"OPT_{_mangle(node)}"] = flag
-        return out
+        return ParamTable.bindings(
+            self.reliability, self.frequency, self.cost,
+            self.contexts, self.config.opt_flags,
+        )
 
 
 # -- traces ---------------------------------------------------------------------
@@ -424,10 +417,11 @@ def run(
 
     The untamed mode never ingests telemetry, so its controller acts on the
     static priors for the whole run while the world drifts underneath it.
+    Controller and truth both evaluate the policy goals' circuits, built from
+    ``model`` once per run; ``forms``, the expanded formulae of callers that
+    compiled the model already, is accepted but not needed.
     """
-    forms = forms if forms is not None else compile_model(model)
-    goals = {prop.goal for prop in policy.properties}
-    goal_forms = {g: forms[g] for g in goals}
+    goals = sorted({prop.goal for prop in policy.properties})
     conditioned = {
         ctx: define.condition
         for ctx, define in model.contexts.items()
@@ -437,7 +431,7 @@ def run(
     world = World.from_config(config, policy, conditioned)
     state = runtime.initial_state(
         model,
-        goal_forms,
+        goals,
         frequencies=dict(world.frequency),
         reliability_priors=config.estimate_reliability,
         cost_priors=config.estimate_cost,
@@ -469,7 +463,7 @@ def run(
         world.inject(t)
         events = world.step(t)
         rows.append(
-            (t,) + _achieved(world, policy, goal_forms)
+            (t,) + _achieved(world, policy, state.formulae)
             + tuple(float(world.contexts.get(c, 0)) for c in context_ids)
             + tuple(float(knob_values[k]) for k in knob_ids)
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .symexpr import Parameter, ParamKind
@@ -156,7 +157,8 @@ class GoalModel:
 # -- parameter naming ---------------------------------------------------------
 
 
-def _mangle(node_id: str) -> str:
+def mangle(node_id: str) -> str:
+    """Identifier form of a node or context id: dots become underscores."""
     return node_id.replace(".", "_")
 
 
@@ -165,27 +167,60 @@ class ParamTable:
 
     Every executable leaf owns three parameters (``r_<id>``, ``f_<id>``,
     ``w_<id>``), every referenced context one truth parameter (``C_<id>``),
-    and every placeholder one existence flag (``OPT_<id>``).  Dots in ids
-    are replaced by underscores.
+    and every placeholder one existence flag (``OPT_<id>``).  Ids pass
+    through :func:`mangle`.  Naming needs no model, so the naming methods
+    and :meth:`bindings` can also be called on the class.  The naming
+    methods are memoized: the feedback loop binds every parameter every
+    tick, and the oracle looks names up per leaf per check.
     """
 
     def __init__(self, model: GoalModel):
         self._model = model
 
-    def reliability(self, leaf_id: str) -> Parameter:
-        return Parameter(f"r_{_mangle(leaf_id)}", ParamKind.RELIABILITY, leaf_id)
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def reliability(leaf_id: str) -> Parameter:
+        return Parameter(f"r_{mangle(leaf_id)}", ParamKind.RELIABILITY, leaf_id)
 
-    def frequency(self, leaf_id: str) -> Parameter:
-        return Parameter(f"f_{_mangle(leaf_id)}", ParamKind.FREQUENCY, leaf_id)
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def frequency(leaf_id: str) -> Parameter:
+        return Parameter(f"f_{mangle(leaf_id)}", ParamKind.FREQUENCY, leaf_id)
 
-    def cost_weight(self, leaf_id: str) -> Parameter:
-        return Parameter(f"w_{_mangle(leaf_id)}", ParamKind.COST, leaf_id)
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def cost_weight(leaf_id: str) -> Parameter:
+        return Parameter(f"w_{mangle(leaf_id)}", ParamKind.COST, leaf_id)
 
-    def context(self, context_id: str) -> Parameter:
-        return Parameter(f"C_{_mangle(context_id)}", ParamKind.CONTEXT, context_id)
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def context(context_id: str) -> Parameter:
+        return Parameter(f"C_{mangle(context_id)}", ParamKind.CONTEXT, context_id)
 
-    def opt(self, node_id: str) -> Parameter:
-        return Parameter(f"OPT_{_mangle(node_id)}", ParamKind.OPT, node_id)
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def opt(node_id: str) -> Parameter:
+        return Parameter(f"OPT_{mangle(node_id)}", ParamKind.OPT, node_id)
+
+    @staticmethod
+    def bindings(
+        reliability: Mapping[str, float],
+        frequency: Mapping[str, float],
+        cost: Mapping[str, float],
+        contexts: Optional[Mapping[str, int]] = None,
+        opt_flags: Optional[Mapping[str, int]] = None,
+    ) -> Dict[str, float]:
+        """Parameter values by name, for every leaf of ``reliability``."""
+        out: Dict[str, float] = {}
+        for leaf, r in reliability.items():
+            out[ParamTable.reliability(leaf).name] = r
+            out[ParamTable.frequency(leaf).name] = frequency[leaf]
+            out[ParamTable.cost_weight(leaf).name] = cost[leaf]
+        for ctx, truth in (contexts or {}).items():
+            out[ParamTable.context(ctx).name] = truth
+        for node, flag in (opt_flags or {}).items():
+            out[ParamTable.opt(node).name] = flag
+        return out
 
     def all_parameters(self) -> List[Parameter]:
         out: List[Parameter] = []

@@ -29,15 +29,20 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import __version__, bsnsim, oracle, prismgen, runtime, symexpr
 from .bsnsim import ConfigError
-from .cgm import ModelError, ParseError, parse_model, validate
+from .cgm import ModelError, ParseError, mangle, parse_model
 from .compiler import compile_model
 from .prismgen import EmitError
-from .runtime import PlanError, PolicyError
+from .runtime import PlanError, PolicyError, StateError
 from .symexpr import ExprError
 
+
+class InputError(ValueError):
+    """Raised for an input file the command cannot read as its format."""
+
+
 DOMAIN_ERRORS = (
-    ParseError, ModelError, EmitError, PolicyError, PlanError,
-    ConfigError, ExprError, ValueError,
+    ParseError, ModelError, EmitError, PolicyError, PlanError, StateError,
+    ConfigError, ExprError, InputError,
 )
 
 
@@ -46,8 +51,11 @@ def _diag(message: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -77,13 +85,7 @@ def _write_manifest(
 
 
 def _load_model(path: str):
-    model = parse_model(_read(path))
-    violations = validate(model)
-    if violations:
-        for v in violations:
-            _diag(f"{v.node_id}: {v.rule}: {v.message}")
-        raise ModelError(f"model has {len(violations)} rule violations")
-    return model
+    return parse_model(_read(path))
 
 
 # -- compile --------------------------------------------------------------------
@@ -123,7 +125,7 @@ def _cmd_emit_prism(args: argparse.Namespace) -> int:
     mdp = prismgen.emit_model(model, goal)
     queries = prismgen.emit_properties(model, goal)
     os.makedirs(args.out_dir, exist_ok=True)
-    base = os.path.join(args.out_dir, goal.replace(".", "_"))
+    base = os.path.join(args.out_dir, mangle(goal))
     _write(f"{base}.pm", mdp)
     _write(f"{base}.pctl", queries)
     _write_manifest("emit-prism", [args.model], [f"{base}.pm", f"{base}.pctl"])
@@ -135,16 +137,23 @@ def _cmd_emit_prism(args: argparse.Namespace) -> int:
 # -- eval -----------------------------------------------------------------------
 
 
+def _read_json(path: str) -> object:
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not JSON: {exc.msg} (line {exc.lineno})") from None
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    doc = json.loads(_read(args.formulas))
+    doc = _read_json(args.formulas)
     if not isinstance(doc, dict) or "formulas" not in doc:
-        raise ValueError("formula file must be the output of 'compile'")
+        raise InputError("formula file must be the output of 'compile'")
     goal = args.goal or doc.get("goal")
     if goal not in doc["formulas"]:
-        raise ValueError(f"no formulas for goal {goal!r} in {args.formulas}")
-    binding = json.loads(_read(args.bind))
+        raise InputError(f"no formulas for goal {goal!r} in {args.formulas}")
+    binding = _read_json(args.bind)
     if not isinstance(binding, dict):
-        raise ValueError("binding file must be a JSON object of parameter values")
+        raise InputError("binding file must be a JSON object of parameter values")
     entry = doc["formulas"][goal]
     reliability_expr = symexpr.parse_expr(entry["reliability"])
     cost_expr = symexpr.parse_expr(entry["cost"])
@@ -200,11 +209,6 @@ def _worker_count() -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     model_text = _read(args.model)
     model = parse_model(model_text)
-    violations = validate(model)
-    if violations:
-        for v in violations:
-            _diag(f"{v.node_id}: {v.rule}: {v.message}")
-        raise ModelError(f"model has {len(violations)} rule violations")
     goal = args.goal or model.root
     compile_model(model, goal)  # fail fast on unknown goals
 

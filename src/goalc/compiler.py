@@ -1,6 +1,6 @@
 """Closed-form compilation of goal models into symbolic formulae.
 
-Every node of a model gets a triple of polynomials:
+Every node of a model gets a triple of formulae:
 
 * ``reliability`` — probability that the node's goal is satisfied,
 * ``weight``      — the accumulated raw cost-weight sum of its subtree,
@@ -17,18 +17,24 @@ rows but with the weight summed once and the cost built once.  Reliability
 composition is order-independent; cost composition of Or/runtime-decision
 nodes is not, so the fold order is fixed: the node's ``dm`` order when
 present, the ``children`` order otherwise.
+
+The fold is written once, over an *algebra*: anything with ``param(p)`` and
+``sum(values)`` whose values support ``+``, ``-`` and ``*``.
+:data:`EXPANDED` yields canonical polynomials (:func:`compile_model`, the
+export and verification format); a :class:`symexpr.CircuitBuilder` records
+the same arithmetic as straight-line programs (:func:`compile_circuits`, what
+the feedback loop evaluates).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symexpr
 from .cgm import Decomposition, GoalModel, ModelError, Node, NodeKind, ParamTable
-from .symexpr import ONE, Parameter, SymExpr
+from .symexpr import Parameter
 
 
 class CompositionKind(Enum):
@@ -38,28 +44,46 @@ class CompositionKind(Enum):
     INCOMPLETENESS = "Incompleteness"
 
 
+class Algebra(NamedTuple):
+    """The value type a fold computes in: a parameter's value and an n-ary sum."""
+
+    param: Callable[[Parameter], Any]
+    sum: Callable[[Iterable[Any]], Any]
+
+
+#: Canonical polynomials.
+EXPANDED = Algebra(symexpr.param, symexpr.sum_exprs)
+
+
 @dataclass(frozen=True)
 class NodeForms:
-    """The (reliability, weight, cost) formula triple of one node."""
+    """The (reliability, weight, cost) formula triple of one node.
 
-    reliability: SymExpr
-    weight: SymExpr
-    cost: SymExpr
+    The fields are :class:`SymExpr` from :func:`compile_model` and
+    :class:`Circuit` from :func:`compile_circuits`.
+    """
 
-
-def _ctx_product(ctx: Sequence[Parameter]) -> SymExpr:
-    expr = ONE
-    for p in ctx:
-        expr = expr * symexpr.param(p)
-    return expr
+    reliability: Any
+    weight: Any
+    cost: Any
 
 
-def _gated(ctx: Sequence[Parameter], expr: SymExpr) -> SymExpr:
+def _gated(algebra: Algebra, ctx: Sequence[Parameter], expr):
     """``expr`` times the context factor of ``ctx`` (``expr`` itself if none)."""
-    return _ctx_product(ctx) * expr if ctx else expr
+    if not ctx:
+        return expr
+    factor = algebra.param(ctx[0])
+    for p in ctx[1:]:
+        factor = factor * algebra.param(p)
+    return factor * expr
 
 
-def atomic_forms(model: GoalModel, leaf_id: str, params: Optional[ParamTable] = None) -> NodeForms:
+def atomic_forms(
+    model: GoalModel,
+    leaf_id: str,
+    params: Optional[ParamTable] = None,
+    algebra: Algebra = EXPANDED,
+) -> NodeForms:
     """Formulae of a single executable leaf.
 
     reliability = C * r * f, weight = w, cost = C * w * r * f, where the
@@ -71,12 +95,14 @@ def atomic_forms(model: GoalModel, leaf_id: str, params: Optional[ParamTable] = 
     node = model.node(leaf_id)
     if not node.is_executable:
         raise ModelError(f"node {leaf_id!r} is not an executable leaf")
-    r = symexpr.param(params.reliability(leaf_id))
-    f = symexpr.param(params.frequency(leaf_id))
-    w = symexpr.param(params.cost_weight(leaf_id))
+    r = algebra.param(params.reliability(leaf_id))
+    f = algebra.param(params.frequency(leaf_id))
+    w = algebra.param(params.cost_weight(leaf_id))
     ctx = [params.context(c) for c in node.contexts]
     rf = r * f
-    return NodeForms(reliability=_gated(ctx, rf), weight=w, cost=_gated(ctx, w * rf))
+    return NodeForms(
+        reliability=_gated(algebra, ctx, rf), weight=w, cost=_gated(algebra, ctx, w * rf)
+    )
 
 
 def compose_pair(
@@ -86,6 +112,7 @@ def compose_pair(
     ctx_left: Sequence[Parameter] = (),
     ctx_right: Sequence[Parameter] = (),
     opt: Optional[Parameter] = None,
+    algebra: Algebra = EXPANDED,
 ) -> NodeForms:
     """Compose two sibling subtrees (or wrap one, for incompleteness).
 
@@ -98,21 +125,22 @@ def compose_pair(
             raise ModelError("incompleteness wraps a single subtree")
         if opt is None:
             raise ModelError("incompleteness requires an OPT parameter")
-        o = symexpr.param(opt)
+        o = algebra.param(opt)
         return NodeForms(
-            reliability=_gated(ctx_left, left.reliability) * o,
+            reliability=_gated(algebra, ctx_left, left.reliability) * o,
             weight=left.weight,
-            cost=_gated(ctx_left, left.weight * left.reliability) * o,
+            cost=_gated(algebra, ctx_left, left.weight * left.reliability) * o,
         )
     items = [(left, ctx_left)]
     if right is not None:
         items.append((right, ctx_right))
-    return compose_children(kind, items)
+    return compose_children(kind, items, algebra)
 
 
 def compose_children(
     kind: CompositionKind,
     items: Sequence[Tuple[NodeForms, Sequence[Parameter]]],
+    algebra: Algebra = EXPANDED,
 ) -> NodeForms:
     """Compose all children of a node, each given with its context parameters.
 
@@ -129,7 +157,7 @@ def compose_children(
     if kind not in (CompositionKind.AND, CompositionKind.OR, CompositionKind.DM):
         raise ModelError(f"cannot compose children with kind {kind!r}")
     gated = [
-        (_gated(ctx, forms.reliability), _gated(ctx, forms.weight))
+        (_gated(algebra, ctx, forms.reliability), _gated(algebra, ctx, forms.weight))
         for forms, ctx in items
     ]
 
@@ -141,9 +169,9 @@ def compose_children(
         if kind == CompositionKind.DM:
             return NodeForms(reliability=p1, weight=w1, cost=w1 * p1)
         forms, ctx = items[0]
-        return NodeForms(reliability=p1, weight=w1, cost=_gated(ctx, forms.cost))
+        return NodeForms(reliability=p1, weight=w1, cost=_gated(algebra, ctx, forms.cost))
 
-    weight = symexpr.sum_exprs(w for _, w in gated)
+    weight = algebra.sum(w for _, w in gated)
     rel = gated[0][0]
     if kind == CompositionKind.AND:
         for p, _ in gated[1:]:
@@ -170,6 +198,7 @@ def compose_node_form(
     node_id: str,
     params: Optional[ParamTable] = None,
     _memo: Optional[Dict[str, NodeForms]] = None,
+    algebra: Algebra = EXPANDED,
 ) -> NodeForms:
     """Compile the subtree rooted at ``node_id`` into its formula triple.
 
@@ -185,25 +214,23 @@ def compose_node_form(
     node = model.node(node_id)
 
     if node.kind == NodeKind.PLACEHOLDER:
-        core = NodeForms(
-            reliability=symexpr.param(params.reliability(node_id))
-            * symexpr.param(params.frequency(node_id)),
-            weight=symexpr.param(params.cost_weight(node_id)),
-            cost=symexpr.param(params.cost_weight(node_id))
-            * symexpr.param(params.reliability(node_id))
-            * symexpr.param(params.frequency(node_id)),
-        )
+        r = algebra.param(params.reliability(node_id))
+        f = algebra.param(params.frequency(node_id))
+        w = algebra.param(params.cost_weight(node_id))
+        rf = r * f
+        core = NodeForms(reliability=rf, weight=w, cost=w * rf)
         forms = compose_pair(
             CompositionKind.INCOMPLETENESS,
             core,
             ctx_left=[params.context(c) for c in node.contexts],
             opt=params.opt(node_id),
+            algebra=algebra,
         )
         memo[node_id] = forms
         return forms
 
     if node.is_executable:
-        forms = atomic_forms(model, node_id, params)
+        forms = atomic_forms(model, node_id, params, algebra)
         memo[node_id] = forms
         return forms
 
@@ -225,10 +252,10 @@ def compose_node_form(
     items: List[Tuple[NodeForms, List[Parameter]]] = []
     for child_id in order:
         child = model.node(child_id)
-        child_forms = compose_node_form(model, child_id, params, memo)
+        child_forms = compose_node_form(model, child_id, params, memo, algebra)
         items.append((child_forms, [params.context(c) for c in child.contexts]))
 
-    forms = compose_children(kind, items)
+    forms = compose_children(kind, items, algebra)
     memo[node_id] = forms
     return forms
 
@@ -252,6 +279,24 @@ def compile_model(
     return {nid: memo[nid] for nid in subtree_ids(root)}
 
 
+def compile_circuits(model: GoalModel, goals: Iterable[str]) -> Dict[str, NodeForms]:
+    """Circuit triples of ``goals``, recorded from one fold over the model.
+
+    Each circuit computes the same formula as :func:`compile_model`'s
+    polynomial for that node; subtrees shared by several goals are folded
+    once.
+    """
+    builder = symexpr.CircuitBuilder()
+    params = ParamTable(model)
+    memo: Dict[str, NodeForms] = {}
+    out: Dict[str, NodeForms] = {}
+    for goal in goals:
+        wires = compose_node_form(model, goal, params, memo, builder)
+        out[goal] = NodeForms(*(builder.circuit(w) for w in
+                                (wires.reliability, wires.weight, wires.cost)))
+    return out
+
+
 def param_growth_report(
     model: GoalModel, goal: Optional[str] = None
 ) -> Dict[str, Dict[str, int]]:
@@ -269,31 +314,3 @@ def param_growth_report(
         }
         for nid, f in forms.items()
     }
-
-
-# -- formula file I/O ---------------------------------------------------------
-
-
-def forms_to_json(forms: Mapping[str, NodeForms]) -> str:
-    doc = {
-        nid: {
-            "reliability": symexpr.render(f.reliability),
-            "cost": symexpr.render(f.cost),
-            "params": sorted(
-                set(f.reliability.parameter_names()) | set(f.cost.parameter_names())
-            ),
-        }
-        for nid, f in forms.items()
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def forms_from_json(text: str) -> Dict[str, Dict[str, SymExpr]]:
-    doc = json.loads(text)
-    out: Dict[str, Dict[str, SymExpr]] = {}
-    for nid, entry in doc.items():
-        out[nid] = {
-            "reliability": symexpr.parse_expr(entry["reliability"]),
-            "cost": symexpr.parse_expr(entry["cost"]),
-        }
-    return out

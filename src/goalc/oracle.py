@@ -109,8 +109,7 @@ class LeafOutcome:
     skipped: Number
 
 
-def _leaf_value(binding: ConcreteBinding, prefix: str, leaf_id: str) -> Number:
-    name = f"{prefix}_{leaf_id.replace('.', '_')}"
+def _leaf_value(binding: ConcreteBinding, name: str) -> Number:
     if name not in binding.values:
         raise ModelError(f"binding missing value for {name!r}")
     return binding.values[name]
@@ -139,8 +138,8 @@ def leaf_outcomes(
         if node.kind == NodeKind.PLACEHOLDER:
             gate = gate * binding.opt(node_id)
         if node.is_executable:
-            r = _leaf_value(binding, "r", node_id)
-            f = _leaf_value(binding, "f", node_id)
+            r = _leaf_value(binding, ParamTable.reliability(node_id).name)
+            f = _leaf_value(binding, ParamTable.frequency(node_id).name)
             execp = gate * f
             out.append(
                 LeafOutcome(node_id, execp * r, execp * (one - r), one - execp)
@@ -240,7 +239,7 @@ def cost_reach(
             f"goal {goal_id!r} has {len(leaves)} leaves; cost oracle caps at 12"
         )
     index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
-    weights = [_leaf_value(binding, "w", lo.leaf_id) for lo in leaves]
+    weights = [_leaf_value(binding, ParamTable.cost_weight(lo.leaf_id).name) for lo in leaves]
     exact = leaves and isinstance(leaves[0].success, Fraction)
     one = Fraction(1) if exact else 1.0
     zero = one - one
@@ -329,7 +328,7 @@ def cost_comparable(model: GoalModel, goal_id: str, binding: ConcreteBinding) ->
     if not all(and_only(c, allow_placeholder=False) for c in goal.children):
         return False
     return all(
-        _leaf_value(binding, "f", leaf) == 1
+        _leaf_value(binding, ParamTable.frequency(leaf).name) == 1
         for leaf in model.leaves_under(goal_id)
     )
 
@@ -466,10 +465,9 @@ def random_binding(
 ) -> ConcreteBinding:
     values: Dict[str, Number] = {}
     for leaf in (n.id for n in model.nodes.values() if n.is_executable):
-        m = leaf.replace(".", "_")
-        values[f"r_{m}"] = rng.random()
-        values[f"f_{m}"] = 1 if unit_frequencies else rng.random()
-        values[f"w_{m}"] = rng.uniform(0.0, 2.0)
+        values[ParamTable.reliability(leaf).name] = rng.random()
+        values[ParamTable.frequency(leaf).name] = 1 if unit_frequencies else rng.random()
+        values[ParamTable.cost_weight(leaf).name] = rng.uniform(0.0, 2.0)
     contexts = {
         cid: (1 if rng.random() < context_true_bias else 0) for cid in model.contexts
     }

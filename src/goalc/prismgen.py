@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cgm import Decomposition, GoalModel, ModelError, Node, NodeKind
+from .cgm import Decomposition, GoalModel, ModelError, Node, NodeKind, mangle
 
 #: Largest runtime-decision fan-out we will enumerate (2^k - 1 constants).
 MAX_DM_ALTERNATIVES = 12
@@ -36,10 +36,6 @@ MAX_DM_ALTERNATIVES = 12
 
 class EmitError(ModelError):
     """Raised when a model cannot be rendered to PRISM text."""
-
-
-def _mangle(node_id: str) -> str:
-    return node_id.replace(".", "_")
 
 
 @dataclass
@@ -120,7 +116,7 @@ def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPl
             return
         if node.dm_order is not None:
             plan.dm_prefix[node_id] = (
-                "CTX" if dm_count[0] == 1 else f"CTX_{_mangle(node_id)}"
+                "CTX" if dm_count[0] == 1 else f"CTX_{mangle(node_id)}"
             )
             enable_slots = []
             for child_id in node.dm_order:
@@ -151,7 +147,7 @@ def _subtree_ids(model: GoalModel, node_id: str) -> List[str]:
 
 
 def _ctx_const(context_id: str) -> str:
-    return _mangle(context_id)
+    return mangle(context_id)
 
 
 def _guard(plan: EmissionPlan, leaf_id: str, slot: int) -> str:
@@ -172,7 +168,7 @@ def emit_leaf_module(model: GoalModel, leaf_id: str, plan: EmissionPlan) -> str:
     x = plan.slots[leaf_id]
     guard = _guard(plan, leaf_id, x)
     lines = [
-        f"module {_mangle(leaf_id)}",
+        f"module {mangle(leaf_id)}",
         f"  s{x} : [0..4] init 0; // 0 init, 1 running, 2 success, 3 skipped, 4 failure",
         f"  [next{x}] s{x} = 0 -> {guard} : (s{x}'=1) + (1 - {guard}) : (s{x}'=3);",
         f"  [] s{x} = 1 -> r{x} : (s{x}'=2) + (1 - r{x}) : (s{x}'=4);",
@@ -204,7 +200,7 @@ def emit_dm_module(model: GoalModel, node_id: str, plan: EmissionPlan) -> str:
     prefix = plan.dm_prefix[node_id]
     enables = plan.dm_enables[node_id]
     name = "NonDeterminism" if prefix == "CTX" else (
-        f"NonDeterminism_{_mangle(node_id)}"
+        f"NonDeterminism_{mangle(node_id)}"
     )
     lines = [
         f"module {name}",

@@ -2,10 +2,11 @@
 
 The knowledge state carries windowed per-leaf estimates (success rate, mean
 cost sample) next to commanded frequencies, context truths, and placeholder
-flags — enough to bind every parameter of the compiled formula triples.  The
+flags — enough to bind every parameter of the goals' formula circuits.  The
 planner is an exhaustive, deterministic grid search over frequency knobs,
-where one knob fans out to a whole group of leaves (e.g. "all sensor tasks")
-and the group's frequency parameters collapse to a single search variable.
+where one knob fans out to a whole group of leaves (e.g. "all sensor tasks"):
+each grid point binds the knob's value to the frequency of every leaf it
+drives and evaluates the circuits.
 """
 
 from __future__ import annotations
@@ -17,21 +18,20 @@ from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import symexpr
-from .cgm import GoalModel
-from .compiler import NodeForms
-from .symexpr import ParamKind, Parameter
+from .cgm import GoalModel, ParamTable
+from .compiler import NodeForms, compile_circuits
 
 
 class PolicyError(ValueError):
     """Raised for an ill-formed policy document."""
 
 
+class StateError(ValueError):
+    """Raised for a knowledge state out of range or unable to bind its goals."""
+
+
 class PlanError(RuntimeError):
     """Raised when the planner cannot search the configured action space."""
-
-
-def _mangle(node_id: str) -> str:
-    return node_id.replace(".", "_")
 
 
 # -- policy -------------------------------------------------------------------
@@ -84,10 +84,6 @@ class Knob:
     def values(self) -> List[float]:
         """The grid points of this knob's domain, ascending."""
         return [round(self.minimum + i * self.step, 10) for i in range(self.grid_size)]
-
-    @property
-    def param_name(self) -> str:
-        return f"f_{_mangle(self.id)}"
 
 
 @dataclass(frozen=True)
@@ -159,9 +155,8 @@ def load_policy(text: str, model: GoalModel) -> Policy:
             if key not in raw:
                 raise PolicyError(f"property missing {key!r}")
         model.node(str(raw["goal"]))  # unknown-goal check
-        properties.append(PropertyTarget(
-            metric, str(raw["goal"]), float(raw["setpoint"]), float(raw["margin"]),
-        ))
+        setpoint, margin = _numbers(raw, ("setpoint", "margin"), "property")
+        properties.append(PropertyTarget(metric, str(raw["goal"]), setpoint, margin))
 
     knobs = []
     for raw in doc.get("knobs", []):
@@ -176,9 +171,20 @@ def load_policy(text: str, model: GoalModel) -> Policy:
         for leaf in leaves:
             if not model.node(leaf).is_executable:
                 raise PolicyError(f"knob {kid!r}: {leaf!r} is not an executable leaf")
-        knobs.append(Knob(kid, leaves, float(raw["min"]), float(raw["max"]), float(raw["step"])))
+        knobs.append(Knob(kid, leaves, *_numbers(raw, ("min", "max", "step"), f"knob {kid!r}")))
 
     return Policy(tuple(properties), tuple(knobs), doc.get("combination", "and"))
+
+
+def _numbers(raw: Mapping, keys: Sequence[str], owner: str) -> List[float]:
+    """``raw[key]`` as floats, or a :class:`PolicyError` naming the bad key."""
+    out = []
+    for key in keys:
+        try:
+            out.append(float(raw[key]))
+        except (TypeError, ValueError):
+            raise PolicyError(f"{owner}: {key!r} must be a number, got {raw[key]!r}") from None
+    return out
 
 
 # -- knowledge ----------------------------------------------------------------
@@ -193,7 +199,7 @@ class KnowledgeState:
     ingests telemetry therefore acts on its static priors forever.
     """
 
-    formulae: Mapping[str, NodeForms]  # goal id -> compiled triple
+    formulae: Mapping[str, NodeForms]  # goal id -> circuit triple
     prior_reliability: Mapping[str, float]
     prior_cost: Mapping[str, float]
     frequency: Mapping[str, float]
@@ -207,18 +213,18 @@ class KnowledgeState:
 
     def __post_init__(self) -> None:
         if self.window_size < 1:
-            raise ValueError("window size must be at least 1")
+            raise StateError("window size must be at least 1")
         for name, table in (("reliability", self.prior_reliability),
                             ("frequency", self.frequency)):
             for leaf, value in table.items():
                 if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"{name} of {leaf!r} outside [0, 1]: {value}")
+                    raise StateError(f"{name} of {leaf!r} outside [0, 1]: {value}")
         for leaf, value in self.prior_cost.items():
             if value < 0:
-                raise ValueError(f"cost of {leaf!r} is negative: {value}")
+                raise StateError(f"cost of {leaf!r} is negative: {value}")
         for ctx, truth in self.context_truth.items():
             if truth not in (0, 1):
-                raise ValueError(f"context {ctx!r} truth must be 0 or 1")
+                raise StateError(f"context {ctx!r} truth must be 0 or 1")
 
     def reliability_estimate(self, leaf: str) -> float:
         window = self.exec_windows.get(leaf)
@@ -234,17 +240,14 @@ class KnowledgeState:
 
     def param_bindings(self) -> Dict[str, float]:
         """Bind every formula parameter from the current beliefs."""
-        out: Dict[str, float] = {}
-        for leaf in self.prior_reliability:
-            m = _mangle(leaf)
-            out[f"r_{m}"] = self.reliability_estimate(leaf)
-            out[f"f_{m}"] = self.frequency[leaf]
-            out[f"w_{m}"] = self.cost_estimate(leaf)
-        for ctx, truth in self.context_truth.items():
-            out[f"C_{_mangle(ctx)}"] = truth
-        for node, flag in self.opt_flags.items():
-            out[f"OPT_{_mangle(node)}"] = flag
-        return out
+        leaves = self.prior_reliability
+        return ParamTable.bindings(
+            {leaf: self.reliability_estimate(leaf) for leaf in leaves},
+            self.frequency,
+            {leaf: self.cost_estimate(leaf) for leaf in leaves},
+            self.context_truth,
+            self.opt_flags,
+        )
 
     def with_frequencies(self, assignments: Mapping[str, float]) -> "KnowledgeState":
         merged = dict(self.frequency)
@@ -254,7 +257,7 @@ class KnowledgeState:
 
 def initial_state(
     model: GoalModel,
-    formulae: Mapping[str, NodeForms],
+    goals: Iterable[str],
     *,
     frequencies: Mapping[str, float],
     reliability_priors: Mapping[str, float],
@@ -263,12 +266,17 @@ def initial_state(
     opt_flags: Optional[Mapping[str, int]] = None,
     window_size: int = 100,
 ) -> KnowledgeState:
-    """Build a knowledge state and check it resolves every formula parameter."""
+    """Build a knowledge state and check it resolves every formula parameter.
+
+    The state holds a circuit triple for each of ``goals``, built from
+    ``model``.  Any iterable of goal ids will do; the mapping
+    :func:`compiler.compile_model` returns gives its node ids.
+    """
     opts = dict(opt_flags) if opt_flags is not None else {
         p: 0 for p in model.placeholders()
     }
     state = KnowledgeState(
-        formulae=dict(formulae),
+        formulae=compile_circuits(model, goals),
         prior_reliability=dict(reliability_priors),
         prior_cost=dict(cost_priors),
         frequency=dict(frequencies),
@@ -281,7 +289,7 @@ def initial_state(
         for expr in (forms.reliability, forms.cost):
             missing = [p for p in expr.parameter_names() if p not in bindings]
             if missing:
-                raise ValueError(
+                raise StateError(
                     f"goal {goal!r}: unresolved formula parameters {missing}"
                 )
     return state
@@ -361,11 +369,11 @@ class AnalysisReport:
     satisfied: bool
 
 
-def _goal_expr(state: KnowledgeState, prop: PropertyTarget) -> symexpr.SymExpr:
+def _goal_expr(state: KnowledgeState, prop: PropertyTarget) -> symexpr.Circuit:
     try:
         forms = state.formulae[prop.goal]
     except KeyError:
-        raise ValueError(f"no compiled formulae for goal {prop.goal!r}") from None
+        raise StateError(f"no compiled formulae for goal {prop.goal!r}") from None
     return forms.reliability if prop.metric == Metric.RELIABILITY else forms.cost
 
 
@@ -443,29 +451,19 @@ def plan(
         raise PlanError(f"knob grid holds {total} candidates (cap {grid_cap})")
     grids = [knob.values() for knob in knobs]
 
-    # Collapse each knob group's frequency parameters to one search variable
-    # and freeze everything else, leaving tiny polynomials to evaluate per
-    # grid point.
-    renames: Dict[str, Parameter] = {}
-    for knob in knobs:
-        target = Parameter(knob.param_name, ParamKind.FREQUENCY, knob.id)
-        for leaf in knob.leaves:
-            renames[f"f_{_mangle(leaf)}"] = target
-    fixed = {
-        name: value
-        for name, value in state.param_bindings().items()
-        if name not in renames
-    }
-    reduced = []
-    for prop in policy.properties:
-        expr = symexpr.rename_params(_goal_expr(state, prop), renames)
-        reduced.append(symexpr.substitute(expr, fixed))
+    # A grid point binds each knob's value to the frequency of every leaf the
+    # knob drives, over the current beliefs; later knobs win shared leaves.
+    driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
+    beliefs = state.param_bindings()
+    exprs = [_goal_expr(state, prop) for prop in policy.properties]
 
     best_feasible: Optional[Tuple[float, Tuple[float, ...], List[float]]] = None
     best_any: Optional[Tuple[float, Tuple[float, ...], List[float]]] = None
     for values in itertools.product(*grids):
-        binding = {knob.param_name: v for knob, v in zip(knobs, values)}
-        currents = [symexpr.evaluate(expr, binding) for expr in reduced]
+        binding = dict(beliefs)
+        for names, v in zip(driven, values):
+            binding.update(dict.fromkeys(names, v))
+        currents = [symexpr.evaluate(expr, binding) for expr in exprs]
         flags = [p.in_margin(c) for p, c in zip(policy.properties, currents)]
         candidate = (_objective(policy.properties, currents), values, currents)
         if best_any is None or candidate[0] < best_any[0]:

@@ -1,4 +1,4 @@
-"""Canonical multivariate polynomials over named parameters.
+"""Canonical multivariate polynomials over named parameters, and circuits.
 
 Expressions are kept in a normal form: a sorted tuple of (coefficient,
 monomial) terms with exact rational coefficients and monomials stored as
@@ -7,6 +7,10 @@ truth, optional-resource flags) are idempotent: any power collapses to the
 first, so ``C*C*r`` and ``C*r`` are the same expression.  Two expressions
 are semantically equal iff their normal forms compare equal, which makes
 polynomial identities checkable with ``==``.
+
+A :class:`Circuit` is the same formula left unexpanded: the straight-line
+float program of the arithmetic that built it, linear in model size where
+the canonical form can grow exponentially.  :func:`evaluate` takes either.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -236,13 +240,25 @@ def _check_binary(p: Parameter, value: Number) -> None:
         )
 
 
-def evaluate(expr: SymExpr, binding: Mapping[str, Number]) -> float:
+def evaluate(expr: Union[SymExpr, "Circuit"], binding: Mapping[str, Number]) -> float:
     """Evaluate ``expr`` under a full binding, deterministically.
 
-    Terms are accumulated in canonical order so repeated evaluation of the
-    same expression and binding yields bit-identical floats.  Raises
-    :class:`ExprError` for missing parameters or out-of-domain binary values.
+    Terms are accumulated in canonical order, and a circuit runs its
+    instructions in order, so repeated evaluation of the same expression and
+    binding yields bit-identical floats.  Raises :class:`ExprError` for
+    missing parameters or out-of-domain binary values.
     """
+    if isinstance(expr, Circuit):
+        try:
+            for p in expr._binary:
+                if binding[p.name] not in (0, 1):
+                    _check_binary(p, binding[p.name])
+            return float(expr._program(binding))
+        except KeyError:
+            missing = expr._names - binding.keys()
+            if not missing:
+                raise
+            raise ExprError(f"missing binding for parameter {min(missing)!r}") from None
     reg = expr.registry()
     for name, p in reg.items():
         if name not in binding:
@@ -292,6 +308,158 @@ def rename_params(expr: SymExpr, mapping: Mapping[str, Parameter]) -> SymExpr:
             (coeff, tuple(mapping[n].name if n in mapping else n for n in mono))
         )
     return SymExpr(new_terms, reg)
+
+
+# -- circuits -------------------------------------------------------------------
+
+
+class Wire:
+    """One register of a :class:`CircuitBuilder`.
+
+    ``+``, ``-`` and ``*`` between wires of one builder record an
+    instruction and return the wire of its result.
+    """
+
+    __slots__ = ("_builder", "index")
+
+    def __init__(self, builder: "CircuitBuilder", index: int) -> None:
+        self._builder = builder
+        self.index = index
+
+    def __add__(self, other: "Wire") -> "Wire":
+        return self._builder._emit(("+", self.index, other.index))
+
+    def __sub__(self, other: "Wire") -> "Wire":
+        return self._builder._emit(("-", self.index, other.index))
+
+    def __mul__(self, other: "Wire") -> "Wire":
+        return self._builder._emit(("*", self.index, other.index))
+
+
+class CircuitBuilder:
+    """Records arithmetic on wires as one shared straight-line program.
+
+    ``param`` and ``sum`` stand in for :func:`param` and :func:`sum_exprs`,
+    so code written against those builds a circuit when handed a builder.
+    Each parameter is loaded once.  :meth:`circuit` cuts out the program of
+    one result.
+    """
+
+    def __init__(self) -> None:
+        self._code: List[tuple] = []
+        self._loads: Dict[str, Wire] = {}
+
+    def _emit(self, instruction: tuple) -> Wire:
+        self._code.append(instruction)
+        return Wire(self, len(self._code) - 1)
+
+    def param(self, p: Parameter) -> Wire:
+        wire = self._loads.get(p.name)
+        if wire is None:
+            wire = self._loads[p.name] = self._emit(("load", p))
+        return wire
+
+    def sum(self, wires: Iterable[Wire]) -> Wire:
+        return self._emit(("sum", tuple(w.index for w in wires)))
+
+    def circuit(self, out: Wire) -> "Circuit":
+        """The instructions ``out`` depends on, renumbered, as a circuit."""
+        needed = set()
+        stack = [out.index]
+        while stack:
+            i = stack.pop()
+            if i in needed:
+                continue
+            needed.add(i)
+            op, *args = self._code[i]
+            if op == "sum":
+                stack.extend(args[0])
+            elif op != "load":
+                stack.extend(args)
+        order = sorted(needed)
+        new = {old: k for k, old in enumerate(order)}
+        code = []
+        for old in order:
+            op, *args = self._code[old]
+            if op == "load":
+                code.append((op, args[0]))
+            elif op == "sum":
+                code.append((op, tuple(new[i] for i in args[0])))
+            else:
+                code.append((op, new[args[0]], new[args[1]]))
+        return Circuit(code)
+
+
+class Circuit:
+    """A formula as a straight-line float program.
+
+    Instruction ``i`` sets register ``i`` and is one of ``("load",
+    Parameter)``, ``("*", a, b)``, ``("+", a, b)``, ``("-", a, b)`` or
+    ``("sum", (a, b, ...))`` over earlier registers; the last register is
+    the result.  Binary parameters evaluate at 0 or 1, where repeated
+    factors are already idempotent, so nothing needs collapsing.  The
+    program is compiled to a Python function on first evaluation.
+    """
+
+    __slots__ = ("code", "_params", "_names", "_binary", "_compiled")
+
+    def __init__(self, code: Iterable[tuple]) -> None:
+        self.code: Tuple[tuple, ...] = tuple(code)
+        if not self.code:
+            raise ExprError("a circuit needs at least one instruction")
+        self._params = {ins[1].name: ins[1] for ins in self.code if ins[0] == "load"}
+        self._names = frozenset(self._params)
+        self._binary = tuple(
+            self._params[n] for n in sorted(self._params)
+            if self._params[n].kind in BINARY_KINDS
+        )
+        self._compiled: Optional[Callable[[Mapping[str, Number]], Number]] = None
+
+    def parameter_names(self) -> Tuple[str, ...]:
+        """Names of the parameters the program loads, sorted."""
+        return tuple(sorted(self._params))
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    @property
+    def _program(self) -> Callable[[Mapping[str, Number]], Number]:
+        if self._compiled is None:
+            self._compiled = _compile_program(self.code)
+        return self._compiled
+
+
+_SUM_CHUNK = 256
+
+
+def _compile_program(code: Tuple[tuple, ...]) -> Callable[[Mapping[str, Number]], Number]:
+    """Python function of a circuit: one assignment per instruction.
+
+    Parameter names enter the source only as ``repr`` string literals and
+    registers as generated identifiers, so no name can inject code.
+    """
+    lines = ["def program(b):"]
+    for i, ins in enumerate(code):
+        op = ins[0]
+        if op == "load":
+            rhs = f"b[{ins[1].name!r}]"
+        elif op == "sum":
+            # Left to right, in chunks: Python's compiler recurses once per
+            # operator of a chained expression.
+            terms = [f"x{j}" for j in ins[1]]
+            for k in range(0, len(terms), _SUM_CHUNK):
+                head = [f"x{i}"] if k else []
+                lines.append(f"    x{i} = {' + '.join(head + terms[k:k + _SUM_CHUNK])}")
+            continue
+        elif op in ("+", "-", "*"):
+            rhs = f"x{ins[1]} {op} x{ins[2]}"
+        else:
+            raise ExprError(f"unknown circuit instruction {op!r}")
+        lines.append(f"    x{i} = {rhs}")
+    lines.append(f"    return x{len(code) - 1}")
+    namespace: Dict[str, object] = {}
+    exec(compile("\n".join(lines), "<circuit>", "exec"), namespace)
+    return namespace["program"]  # type: ignore[return-value]
 
 
 # -- textual form -------------------------------------------------------------

@@ -1,0 +1,273 @@
+"""Circuit tests: the fold as a float program agrees with its expansion.
+
+The feedback loop evaluates circuits (``compiler.compile_circuits``) where
+the export and verification paths use the expanded polynomials
+(``compiler.compile_model``).  Both come from the same fold, so they must
+agree on value, parameter set and binding errors, and the planner must pick
+the plans the expanded polynomials pick.
+"""
+
+import itertools
+import json
+import random
+
+import pytest
+
+from goalc import bsnsim, bundled, symexpr
+from goalc.cgm import Decomposition, NodeKind, ParamTable
+from goalc.compiler import compile_circuits, compile_model
+from goalc.oracle import param_map, random_binding, random_model
+from goalc.runtime import (
+    Actuation,
+    analyze,
+    expand_assignments,
+    initial_state,
+    load_policy,
+    plan,
+)
+from goalc.symexpr import Circuit, CircuitBuilder, ExprError, Parameter, ParamKind
+
+from test_compiler import chain_model
+
+
+def features(m):
+    seen = set()
+    for node in m.nodes.values():
+        if node.kind == NodeKind.PLACEHOLDER:
+            seen.add("placeholder")
+        if node.contexts:
+            seen.add("context")
+        if node.is_executable:
+            continue
+        if node.dm_order is not None:
+            seen.add("dm")
+        elif node.decomposition == Decomposition.OR:
+            seen.add("or")
+        else:
+            seen.add("and")
+    return seen
+
+
+def error_of(expr, binding):
+    with pytest.raises(ExprError) as info:
+        symexpr.evaluate(expr, binding)
+    return str(info.value)
+
+
+class TestAgainstExpansion:
+    def test_random_models_node_by_node(self):
+        covered = set()
+        nodes = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            m = random_model(rng, max_leaves=rng.randint(2, 8))
+            covered |= features(m)
+            expanded = compile_model(m)
+            circuits = compile_circuits(m, expanded)
+            for _ in range(3):
+                binding = param_map(m, random_binding(rng, m))
+                for nid, forms in expanded.items():
+                    if m.node(nid).kind == NodeKind.PLACEHOLDER:
+                        continue
+                    nodes += 1
+                    for part in ("reliability", "cost"):
+                        want = getattr(forms, part)
+                        got = getattr(circuits[nid], part)
+                        assert got.parameter_names() == want.parameter_names(), (seed, nid)
+                        assert abs(symexpr.evaluate(got, binding)
+                                   - symexpr.evaluate(want, binding)) <= 1e-12, (seed, nid)
+                        names = want.parameter_names()
+                        if not names:
+                            continue
+                        partial = dict(binding)
+                        del partial[rng.choice(names)]
+                        assert error_of(got, partial) == error_of(want, partial)
+                        binary = [n for n in names if n.startswith(("C_", "OPT_"))]
+                        if binary:
+                            bad = dict(binding, **{rng.choice(binary): 0.5})
+                            assert error_of(got, bad) == error_of(want, bad)
+        assert covered == {"placeholder", "context", "dm", "or", "and"}
+        assert nodes > 2000
+
+    def test_bundled_model(self, bsn):
+        expanded = compile_model(bsn)
+        circuits = compile_circuits(bsn, expanded)
+        rng = random.Random(7)
+        for _ in range(5):
+            binding = param_map(bsn, random_binding(rng, bsn))
+            for nid, forms in expanded.items():
+                for part in ("reliability", "weight", "cost"):
+                    want = getattr(forms, part)
+                    got = getattr(circuits[nid], part)
+                    assert got.parameter_names() == want.parameter_names()
+                    assert symexpr.evaluate(got, binding) == pytest.approx(
+                        symexpr.evaluate(want, binding), abs=1e-12)
+
+
+class TestCircuit:
+    def test_size_is_linear_where_the_expansion_is_not(self):
+        """A 12-way context-gated Or expands to 2^12-1 reliability terms."""
+        n = 12
+        m = chain_model(n, Decomposition.OR, leaf_contexts=True)
+        g = compile_circuits(m, ["G"])["G"]
+        assert len(g.reliability) <= 10 * n
+        assert len(g.cost) <= 15 * n
+        assert len(g.reliability.parameter_names()) == 3 * n
+
+    def test_builder_loads_each_parameter_once_and_cuts_dead_code(self):
+        b = CircuitBuilder()
+        x = b.param(Parameter("r_a", ParamKind.RELIABILITY))
+        y = b.param(Parameter("r_b", ParamKind.RELIABILITY))
+        x * y  # recorded, but the result below does not use it
+        out = b.sum([x, b.param(Parameter("r_a", ParamKind.RELIABILITY)), y]) - x
+        c = b.circuit(out)
+        assert c.code == (
+            ("load", Parameter("r_a", ParamKind.RELIABILITY)),
+            ("load", Parameter("r_b", ParamKind.RELIABILITY)),
+            ("sum", (0, 0, 1)),
+            ("-", 2, 0),
+        )
+        assert symexpr.evaluate(c, {"r_a": 2, "r_b": 5}) == 7.0
+        assert isinstance(symexpr.evaluate(c, {"r_a": 2, "r_b": 5}), float)
+
+    def test_wide_sum_adds_left_to_right(self):
+        n = 3000  # one chained expression this long overflows Python's compiler
+        b = CircuitBuilder()
+        names = [f"w_{i}" for i in range(n)]
+        c = b.circuit(b.sum([b.param(Parameter(x, ParamKind.COST)) for x in names]))
+        rng = random.Random(2)
+        values = {x: rng.random() for x in names}
+        want = 0.0
+        for x in names:
+            want += values[x]
+        assert symexpr.evaluate(c, values) == want
+
+    def test_odd_names_are_data_not_code(self):
+        name = "r_x']; import os #"
+        b = CircuitBuilder()
+        c = b.circuit(b.param(Parameter(name, ParamKind.RELIABILITY)))
+        assert symexpr.evaluate(c, {name: 0.25}) == 0.25
+
+    def test_unknown_instruction_rejected(self):
+        with pytest.raises(ExprError, match="unknown circuit instruction"):
+            symexpr.evaluate(Circuit([("load", Parameter("r_a", ParamKind.RELIABILITY)),
+                                      ("/", 0, 0)]), {"r_a": 1.0})
+
+
+# -- the planner ---------------------------------------------------------------
+
+
+def reduction_plan(state, policy, expanded):
+    """The planner as it was on expanded polynomials: one search variable per
+    knob (its leaves' frequencies renamed to it), every other parameter
+    substituted exactly, then the reduced polynomials evaluated per grid
+    point."""
+    bindings = state.param_bindings()
+    exprs = [
+        expanded[p.goal].reliability if p.metric.value == "Reliability"
+        else expanded[p.goal].cost
+        for p in policy.properties
+    ]
+    currents = [symexpr.evaluate(e, bindings) for e in exprs]
+    flags = [p.in_margin(c) for p, c in zip(policy.properties, currents)]
+    if all(flags):
+        predicted = {}
+        for p, c in zip(policy.properties, currents):
+            predicted.setdefault(p.metric.value.lower(), c)
+        values = {k.id: state.frequency[k.leaves[0]] for k in policy.knobs}
+        return Actuation(values, predicted, feasible=True)
+    knobs = sorted(policy.knobs, key=lambda k: k.id)
+    renames = {}
+    for knob in knobs:
+        target = Parameter(f"f_knob_{knob.id}", ParamKind.FREQUENCY, knob.id)
+        for leaf in knob.leaves:
+            renames[ParamTable.frequency(leaf).name] = target
+    fixed = {n: v for n, v in bindings.items() if n not in renames}
+    reduced = [symexpr.substitute(symexpr.rename_params(e, renames), fixed) for e in exprs]
+    best_feasible = best_any = None
+    for values in itertools.product(*[k.values() for k in knobs]):
+        point = {f"f_knob_{k.id}": v for k, v in zip(knobs, values)}
+        currents = [symexpr.evaluate(e, point) for e in reduced]
+        objective = sum(abs(c - p.setpoint) / abs(p.setpoint)
+                        for p, c in zip(policy.properties, currents))
+        candidate = (objective, values, currents)
+        if best_any is None or objective < best_any[0]:
+            best_any = candidate
+        if all(p.in_margin(c) for p, c in zip(policy.properties, currents)):
+            if best_feasible is None or objective < best_feasible[0]:
+                best_feasible = candidate
+    _, values, currents = best_feasible or best_any
+    predicted = {}
+    for p, c in zip(policy.properties, currents):
+        predicted.setdefault(p.metric.value.lower(), c)
+    return Actuation({k.id: v for k, v in zip(knobs, values)}, predicted,
+                     feasible=best_feasible is not None)
+
+
+def test_plan_matches_the_expanded_reduction(bsn):
+    policy = load_policy(bundled.data_text("policy.json"), bsn)
+    assert policy.combination == "and"
+    expanded = compile_model(bsn)
+    scenario = json.loads(bundled.data_text("scenario_nominal.json"))
+    leaves = bsn.executable_leaves()
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(24):
+        frequencies = {leaf: rng.choice([0.5, 0.8, 1.0]) for leaf in leaves}
+        state = initial_state(
+            bsn, ["G1"],
+            frequencies=frequencies,
+            reliability_priors={
+                leaf: min(1.0, r * rng.uniform(0.9, 1.1))
+                for leaf, r in scenario["estimates"]["reliability"].items()},
+            cost_priors={
+                leaf: w * rng.uniform(0.7, 1.3)
+                for leaf, w in scenario["estimates"]["cost"].items()},
+            contexts={c: int(rng.random() < 0.8) for c in bsn.contexts},
+            opt_flags={p: rng.randint(0, 1) for p in bsn.placeholders()},
+        )
+        # A feasible plan, once applied, satisfies the policy and is kept.
+        for _ in range(2):
+            want = reduction_plan(state, policy, expanded)
+            got = plan(state, policy)
+            assert got.assignments == want.assignments
+            assert got.feasible == want.feasible
+            assert got.predicted == pytest.approx(want.predicted, abs=1e-12)
+            satisfied = analyze(state, policy).satisfied
+            outcomes.add("kept" if satisfied else
+                         "feasible" if got.feasible else "infeasible")
+            state = state.with_frequencies(expand_assignments(policy, got.assignments))
+    assert outcomes == {"kept", "feasible", "infeasible"}
+
+
+# -- one naming authority ---------------------------------------------------------
+
+
+def test_bindings_name_every_model_parameter(bsn):
+    names = sorted(p.name for p in ParamTable(bsn).all_parameters())
+    leaves = bsn.executable_leaves()
+    ones = {leaf: 1.0 for leaf in leaves}
+    state = initial_state(
+        bsn, ["G1"], frequencies=ones, reliability_priors=ones, cost_priors=ones,
+        contexts={c: 1 for c in bsn.contexts},
+    )
+    assert sorted(state.param_bindings()) == names
+    assert sorted(param_map(bsn, random_binding(random.Random(3), bsn))) == names
+    policy = load_policy(bundled.data_text("policy.json"), bsn)
+    config = bsnsim.load_scenario(bundled.data_text("scenario_nominal.json"))
+    world = bsnsim.World.from_config(config, policy)
+    assert set(world.truth_bindings()) >= set(names)
+
+
+def test_simulation_needs_no_expansion(bsn, monkeypatch):
+    policy = load_policy(bundled.data_text("policy.json"), bsn)
+    doc = json.loads(bundled.data_text("scenario_hub_degradation.json"))
+    doc["duration"] = 20
+    config = bsnsim.load_scenario(json.dumps(doc))
+    want = bsnsim.run(config, policy, bsn)
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the loop expanded a polynomial")
+
+    monkeypatch.setattr(symexpr.SymExpr, "__init__", no_expansion)
+    assert bsnsim.run(config, policy, bsn).to_csv() == want.to_csv()

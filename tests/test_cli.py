@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from goalc import bundled, prismgen
+from goalc import bundled, cli, prismgen
 from goalc.cli import main
 
 BROKEN_MODEL = json.dumps({
@@ -251,6 +251,54 @@ class TestSimulate:
                                "--policy", policy_file, "--scenario", str(path))
         assert code == 1
         assert "error" in err
+
+    def test_non_numeric_setpoint(self, capsys, model_file, scenario_file, tmp_path):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["properties"][0]["setpoint"] = "abc"
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", model_file,
+                               "--policy", str(path), "--scenario", scenario_file)
+        assert code == 1
+        assert "setpoint" in err and "abc" in err
+
+    def test_out_of_range_prior(self, capsys, model_file, policy_file, tmp_path):
+        doc = json.loads(bundled.data_text("scenario_nominal.json"))
+        doc["duration"] = 5
+        doc["estimates"]["reliability"]["T2"] = 1.5
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", model_file,
+                               "--policy", policy_file, "--scenario", str(path))
+        assert code == 1
+        assert "outside [0, 1]" in err
+
+
+class TestDomainErrors:
+    def test_internal_value_error_is_not_a_domain_error(self, capsys, model_file,
+                                                        monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "compile_model", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["compile", model_file])
+
+    def test_non_utf8_input(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run_cli(capsys, "compile", str(path))
+        assert code == 1
+        assert "UTF-8" in err
+
+    def test_formula_file_not_json(self, capsys, tmp_path):
+        path = tmp_path / "formulas.json"
+        path.write_text("{not json")
+        bind = tmp_path / "bind.json"
+        bind.write_text("{}")
+        code, _, err = run_cli(capsys, "eval", str(path), "--bind", str(bind))
+        assert code == 1
+        assert "not JSON" in err
 
 
 class TestReport:

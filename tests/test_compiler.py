@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from goalc import bundled, cli
 from goalc.cgm import (
     ContextDef,
     Decomposition,
@@ -21,8 +22,6 @@ from goalc.compiler import (
     compile_model,
     compose_node_form,
     compose_pair,
-    forms_from_json,
-    forms_to_json,
     param_growth_report,
 )
 from goalc.oracle import random_model
@@ -285,14 +284,18 @@ class TestCompileModel:
         assert "G1" in forms and "T1.11" in forms
         assert forms["G2"].reliability == forms["G1"].reliability
 
-    def test_json_round_trip(self, bsn):
+    def test_json_round_trip(self, bsn, tmp_path, capsys):
+        path = tmp_path / "bsn.json"
+        path.write_text(bundled.data_text("bsn.json"))
+        assert cli.main(["compile", str(path), "--goal", "G3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         forms = compile_model(bsn, goal="G3")
-        doc = forms_to_json(forms)
-        back = forms_from_json(doc)
-        assert back["G3"]["reliability"] == forms["G3"].reliability
-        assert back["G3"]["cost"] == forms["G3"].cost
-        parsed = json.loads(doc)
-        assert parsed["G3"]["params"] == sorted(parsed["G3"]["params"])
+        assert sorted(doc["formulas"]) == sorted(forms)
+        for nid, f in forms.items():
+            for part in ("reliability", "weight", "cost"):
+                text = doc["formulas"][nid][part]
+                assert text == render(getattr(f, part))
+                assert parse_expr(text) == getattr(f, part)
 
 
 def pairwise_fold(m):
