@@ -173,6 +173,10 @@ class ScenarioConfig:
             raise ConfigError("hub_degradation must be ordered by time")
 
 
+def _floats(raw: object) -> Dict[str, float]:
+    return {k: float(v) for k, v in dict(raw).items()}
+
+
 def load_scenario(text: str, mode: Optional[str] = None) -> ScenarioConfig:
     """Parse a scenario JSON document; ``mode`` overrides the document's."""
     try:
@@ -201,11 +205,11 @@ def load_scenario(text: str, mode: Optional[str] = None) -> ScenarioConfig:
             tick=float(doc.get("tick", 1.0)),
             executions_per_tick=int(doc.get("executions_per_tick", 10)),
             window_size=int(doc.get("window_size", 100)),
-            true_reliability=dict(doc["true"]["reliability"]),
-            true_cost=dict(doc["true"]["cost"]),
-            initial_frequency=dict(doc["initial_frequency"]),
-            estimate_reliability=dict(doc["estimates"]["reliability"]),
-            estimate_cost=dict(doc["estimates"]["cost"]),
+            true_reliability=_floats(doc["true"]["reliability"]),
+            true_cost=_floats(doc["true"]["cost"]),
+            initial_frequency=_floats(doc["initial_frequency"]),
+            estimate_reliability=_floats(doc["estimates"]["reliability"]),
+            estimate_cost=_floats(doc["estimates"]["cost"]),
             sensors=sensors,
             contexts={k: int(v) for k, v in doc.get("contexts", {}).items()},
             opt_flags={k: int(v) for k, v in doc.get("opt_flags", {}).items()},

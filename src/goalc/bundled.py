@@ -6,9 +6,3 @@ from importlib import resources
 def data_text(name: str) -> str:
     """Read a bundled data file (e.g. ``bsn.json``) as UTF-8 text."""
     return (resources.files("goalc") / "data" / name).read_text("utf-8")
-
-
-def data_names() -> list:
-    """Names of all bundled data files."""
-    root = resources.files("goalc") / "data"
-    return sorted(entry.name for entry in root.iterdir() if entry.is_file())

@@ -24,8 +24,7 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from . import __version__, bsnsim, oracle, prismgen, runtime, symexpr
 from .bsnsim import ConfigError
@@ -146,15 +145,22 @@ def _read_json(path: str) -> object:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     doc = _read_json(args.formulas)
-    if not isinstance(doc, dict) or "formulas" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("formulas"), dict):
         raise InputError("formula file must be the output of 'compile'")
     goal = args.goal or doc.get("goal")
-    if goal not in doc["formulas"]:
+    if not isinstance(goal, str) or goal not in doc["formulas"]:
         raise InputError(f"no formulas for goal {goal!r} in {args.formulas}")
+    entry = doc["formulas"][goal]
+    if not isinstance(entry, dict) or not all(
+        isinstance(entry.get(part), str) for part in ("reliability", "cost")
+    ):
+        raise InputError(f"formulas of {goal!r} need 'reliability' and 'cost' strings")
     binding = _read_json(args.bind)
     if not isinstance(binding, dict):
         raise InputError("binding file must be a JSON object of parameter values")
-    entry = doc["formulas"][goal]
+    for name, value in binding.items():
+        if not isinstance(value, (int, float)):
+            raise InputError(f"binding of {name!r} is not a number: {value!r}")
     reliability_expr = symexpr.parse_expr(entry["reliability"])
     cost_expr = symexpr.parse_expr(entry["cost"])
     started = time.perf_counter()
@@ -173,11 +179,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _verify_chunk(model_text: str, goal: str, seeds: List[int], tolerance: float) -> List[Dict]:
-    model = parse_model(model_text)
-    forms = compile_model(model)[goal]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    goal = args.goal or model.root
+    forms = compile_model(model, goal)[goal]
+
+    master = random.Random(args.seed)
     rows = []
-    for seed in seeds:
+    for _ in range(args.trials):
+        seed = master.randrange(2**63)
         binding = oracle.random_binding(random.Random(seed), model)
         result = oracle.check_formula(model, goal, forms, binding)
         row = {
@@ -187,51 +197,13 @@ def _verify_chunk(model_text: str, goal: str, seeds: List[int], tolerance: float
             "reliability_oracle": result.reliability_oracle,
             "reliability_delta": result.reliability_delta,
             "cost_applicable": result.cost_applicable,
-            "ok": result.ok(tolerance),
+            "ok": result.ok(args.tolerance),
         }
         if result.cost_applicable:
             row["cost_formula"] = result.cost_formula
             row["cost_oracle"] = result.cost_oracle
             row["cost_delta"] = result.cost_delta
         rows.append(row)
-    return rows
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GOALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        _diag(f"ignoring malformed GOALC_THREADS={raw!r}")
-        return 1
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    model_text = _read(args.model)
-    model = parse_model(model_text)
-    goal = args.goal or model.root
-    compile_model(model, goal)  # fail fast on unknown goals
-
-    master = random.Random(args.seed)
-    seeds = [master.randrange(2**63) for _ in range(args.trials)]
-    workers = _worker_count()
-    if workers == 1:
-        rows = _verify_chunk(model_text, goal, seeds, args.tolerance)
-    else:
-        chunk = max(1, math.ceil(len(seeds) / workers))
-        chunks = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [
-                row
-                for part in pool.map(
-                    _verify_chunk,
-                    [model_text] * len(chunks),
-                    [goal] * len(chunks),
-                    chunks,
-                    [args.tolerance] * len(chunks),
-                )
-                for row in part
-            ]
     failures = sum(1 for row in rows if not row["ok"])
     print(json.dumps({
         "goal": goal,

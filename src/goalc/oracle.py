@@ -82,18 +82,17 @@ class ConcreteBinding:
 
 
 def param_map(model: GoalModel, binding: ConcreteBinding) -> Dict[str, Number]:
-    """Flatten a binding into a parameter-name map for formula evaluation."""
-    params = ParamTable(model)
-    out: Dict[str, Number] = dict(binding.values)
-    seen = set()
-    for node in model.nodes.values():
-        for ctx in node.contexts:
-            if ctx not in seen:
-                seen.add(ctx)
-                out[params.context(ctx).name] = binding.context_truth(ctx)
-        if node.kind == NodeKind.PLACEHOLDER:
-            out[params.opt(node.id).name] = binding.opt(node.id)
-    return out
+    """Flatten a binding into a parameter-name map for formula evaluation.
+
+    Every referenced context is bound (true unless the binding says
+    otherwise) and every placeholder's OPT flag (absent unless it says so).
+    """
+    nodes = model.nodes.values()
+    return {**binding.values, **ParamTable.bindings(
+        {}, {}, {},
+        contexts={c: binding.context_truth(c) for n in nodes for c in n.contexts},
+        opt_flags={n.id: binding.opt(n.id) for n in nodes if n.kind == NodeKind.PLACEHOLDER},
+    )}
 
 
 # -- leaf outcome machinery ----------------------------------------------------

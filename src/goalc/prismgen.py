@@ -51,10 +51,6 @@ class EmissionPlan:
     context_order: List[str] = field(default_factory=list)
     dm_prefix: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def module_count(self) -> int:
-        return len(self.module_order)
-
 
 def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPlan:
     """Assign slots and guards for the subtree of ``goal_id`` (root default)."""

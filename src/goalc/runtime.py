@@ -420,12 +420,7 @@ def _objective(props: Sequence[PropertyTarget], currents: Sequence[float]) -> fl
     return total
 
 
-def plan(
-    state: KnowledgeState,
-    policy: Policy,
-    *,
-    grid_cap: int = DEFAULT_GRID_CAP,
-) -> Actuation:
+def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     """Search the knob grid exhaustively for the best feasible assignment.
 
     Returns the identity actuation while the policy combination is already
@@ -447,8 +442,8 @@ def plan(
 
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     total = math.prod(knob.grid_size for knob in knobs)
-    if total > grid_cap:
-        raise PlanError(f"knob grid holds {total} candidates (cap {grid_cap})")
+    if total > DEFAULT_GRID_CAP:
+        raise PlanError(f"knob grid holds {total} candidates (cap {DEFAULT_GRID_CAP})")
     grids = [knob.values() for knob in knobs]
 
     # A grid point binds each knob's value to the frequency of every leaf the

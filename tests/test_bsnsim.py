@@ -186,6 +186,24 @@ class TestScenarioConfig:
                 hub_degradation=[{"t": 50, "delta": 0.1}, {"t": 10, "delta": 0.1}],
             ))
 
+    @pytest.mark.parametrize("path", [
+        ("true", "reliability"), ("true", "cost"), ("initial_frequency",),
+        ("estimates", "reliability"), ("estimates", "cost"),
+    ])
+    def test_non_numeric_leaf_value(self, path):
+        doc = json.loads(tiny_scenario())
+        values = doc
+        for key in path:
+            values = values[key]
+        values["A"] = "0.9x"
+        with pytest.raises(ConfigError, match="0.9x"):
+            load_scenario(json.dumps(doc))
+
+    def test_numeric_strings_become_floats(self):
+        doc = json.loads(tiny_scenario())
+        doc["true"]["reliability"]["A"] = "0.9"
+        assert load_scenario(json.dumps(doc)).true_reliability["A"] == 0.9
+
     def test_unknown_sensor_leaf(self):
         doc = json.loads(tiny_scenario())
         doc["sensors"][0]["leaves"] = ["Z"]

@@ -176,6 +176,29 @@ class TestEval:
         assert code == 1
         assert "compile" in err
 
+    @pytest.mark.parametrize("formulas", [
+        ["G1"],                                   # formulas is not an object
+        {"G1": "f_T1*r_T1"},                      # the goal entry is not an object
+        {"G1": {"reliability": "f_T1*r_T1"}},     # the goal entry lacks 'cost'
+    ])
+    def test_malformed_formula_entries(self, capsys, tmp_path, formulas):
+        path = tmp_path / "formulas.json"
+        path.write_text(json.dumps({"goal": "G1", "formulas": formulas}))
+        bind = tmp_path / "bind.json"
+        bind.write_text("{}")
+        code, _, err = run_cli(capsys, "eval", str(path), "--bind", str(bind))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_non_numeric_binding(self, capsys, formulas_file, tmp_path):
+        bind = self.unit_binding(formulas_file, tmp_path)
+        values = json.loads(open(bind).read())
+        values["f_T2"] = "abc"
+        open(bind, "w").write(json.dumps(values))
+        code, _, err = run_cli(capsys, "eval", formulas_file, "--bind", bind)
+        assert code == 1
+        assert "f_T2" in err and err.startswith("error: ")
+
 
 class TestVerify:
     def test_clean_report(self, capsys, model_file):
@@ -188,20 +211,12 @@ class TestVerify:
         assert all(row["ok"] for row in doc["rows"])
         assert all(row["reliability_delta"] <= 1e-9 for row in doc["rows"])
 
-    def test_reproducible_and_thread_invariant(self, capsys, model_file, monkeypatch):
+    def test_reproducible_and_thread_invariant(self, capsys, model_file):
         _, first, _ = run_cli(capsys, "verify", model_file,
                               "--trials", "6", "--seed", "4")
-        monkeypatch.setenv("GOALC_THREADS", "3")
         _, second, _ = run_cli(capsys, "verify", model_file,
                                "--trials", "6", "--seed", "4")
         assert first == second
-
-    def test_malformed_thread_env_falls_back(self, capsys, model_file, monkeypatch):
-        monkeypatch.setenv("GOALC_THREADS", "many")
-        code, out, err = run_cli(capsys, "verify", model_file,
-                                 "--trials", "2", "--seed", "1")
-        assert code == 0
-        assert "GOALC_THREADS" in err
 
     def test_invalid_model(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -15,17 +15,9 @@ from goalc.cgm import (
     NodeKind,
     ParamTable,
 )
-from goalc.compiler import (
-    CompositionKind,
-    NodeForms,
-    atomic_forms,
-    compile_model,
-    compose_node_form,
-    compose_pair,
-    param_growth_report,
-)
+from goalc.compiler import NodeForms, compile_model, param_growth_report
 from goalc.oracle import random_model
-from goalc.symexpr import SymExpr, evaluate, parse_expr, render, substitute
+from goalc.symexpr import SymExpr, evaluate, param, parse_expr, render, substitute
 
 
 def leaf(nid, contexts=()):
@@ -50,93 +42,64 @@ def chain_model(n_leaves, decomposition, leaf_contexts=False, dm=False):
     return model("G", root, *leaves, contexts=contexts if leaf_contexts else ())
 
 
+def two_leaf_model(decomposition, contexts_a=(), dm=False):
+    """A root ``G`` over leaves ``A`` and ``B``, in that order."""
+    root = Node("G", "", NodeKind.GOAL, decomposition, ("A", "B"), ("A", "B") if dm else None)
+    ctx = [ContextDef(c, "") for c in contexts_a]
+    return model("G", root, leaf("A", contexts_a), leaf("B"), contexts=ctx)
+
+
 class TestAtomicForms:
+    """Leaf rows: the forms of a model that is one executable leaf."""
+
     def test_context_free_leaf(self):
         m = model("T", leaf("T"))
-        f = atomic_forms(m, "T")
+        f = compile_model(m)["T"]
         assert render(f.reliability) == "f_T*r_T"
         assert render(f.weight) == "w_T"
         assert render(f.cost) == "f_T*r_T*w_T"
 
     def test_context_gated_leaf(self):
         m = model("T", leaf("T", ["K1"]), contexts=[ContextDef("K1", "")])
-        f = atomic_forms(m, "T")
+        f = compile_model(m)["T"]
         assert render(f.reliability) == "C_K1*f_T*r_T"
         assert render(f.cost) == "C_K1*f_T*r_T*w_T"
         assert render(f.weight) == "w_T"  # weight stays raw
 
-    def test_non_leaf_rejected(self):
-        m = model("G", Node("G", "", NodeKind.GOAL, Decomposition.AND, ("T",)), leaf("T"))
-        with pytest.raises(ModelError, match="not an executable leaf"):
-            atomic_forms(m, "G")
-
 
 class TestCompositionRows:
-    """Pairwise composition identities, checked as exact polynomials."""
-
-    def setup_method(self):
-        m = model("T", leaf("A"), leaf("B"))
-        self.a = atomic_forms(m, "A")
-        self.b = atomic_forms(m, "B")
-        self.table = ParamTable(m)
+    """Two-leaf composition identities, checked as exact polynomials."""
 
     def test_and_row(self):
-        f = compose_pair(CompositionKind.AND, self.a, self.b)
+        f = compile_model(two_leaf_model(Decomposition.AND))["G"]
         assert f.reliability == parse_expr("f_A*r_A*f_B*r_B")
         assert f.weight == parse_expr("w_A + w_B")
         assert f.cost == f.weight * f.reliability
 
     def test_or_row(self):
-        f = compose_pair(CompositionKind.OR, self.a, self.b)
+        f = compile_model(two_leaf_model(Decomposition.OR))["G"]
         p1, p2 = parse_expr("f_A*r_A"), parse_expr("f_B*r_B")
         assert f.reliability == p1 + p2 - p1 * p2
         assert f.cost == (f.weight * f.reliability) - parse_expr("w_B") * p1
 
     def test_decision_row_matches_or(self):
-        assert compose_pair(CompositionKind.DM, self.a, self.b) == compose_pair(
-            CompositionKind.OR, self.a, self.b
-        )
+        dm = compile_model(two_leaf_model(Decomposition.OR, dm=True))["G"]
+        assert dm == compile_model(two_leaf_model(Decomposition.OR))["G"]
 
     def test_contexts_enter_at_composition(self):
-        k1 = ContextDef("K1", "")
-        f = compose_pair(
-            CompositionKind.OR, self.a, self.b,
-            ctx_left=[self.table.context("K1")],
-        )
+        # A's own context gates its reliability at the leaf and again where
+        # it joins G; binary parameters make the second factor idempotent.
+        f = compile_model(two_leaf_model(Decomposition.OR, contexts_a=["K1"]))["G"]
         p1, p2 = parse_expr("C_K1*f_A*r_A"), parse_expr("f_B*r_B")
         assert f.reliability == p1 + p2 - p1 * p2
         assert f.weight == parse_expr("C_K1*w_A + w_B")
 
-    def test_context_reapplication_is_idempotent(self):
-        ctx = [self.table.context("K1")]
-        once = compose_pair(CompositionKind.AND, self.a, self.b, ctx_left=ctx)
-        pre_gated = NodeForms(
-            reliability=parse_expr("C_K1") * self.a.reliability,
-            weight=self.a.weight,
-            cost=parse_expr("C_K1") * self.a.cost,
-        )
-        again = compose_pair(CompositionKind.AND, pre_gated, self.b, ctx_left=ctx)
-        assert once == again
-
     def test_incompleteness_row(self):
-        f = compose_pair(
-            CompositionKind.INCOMPLETENESS,
-            self.a,
-            ctx_left=[self.table.context("K1")],
-            opt=self.table.opt("A.X"),
-        )
-        assert f.reliability == parse_expr("C_K1*OPT_A_X*f_A*r_A")
-        assert f.weight == parse_expr("w_A")
-        assert f.cost == parse_expr("C_K1*OPT_A_X*f_A*r_A*w_A")
-
-    def test_incompleteness_needs_opt(self):
-        with pytest.raises(ModelError, match="OPT parameter"):
-            compose_pair(CompositionKind.INCOMPLETENESS, self.a)
-        with pytest.raises(ModelError, match="single subtree"):
-            compose_pair(
-                CompositionKind.INCOMPLETENESS, self.a, self.b,
-                opt=self.table.opt("A.X"),
-            )
+        placeholder = Node("A.X", "", NodeKind.PLACEHOLDER, contexts=("K1",))
+        f = compile_model(model("A.X", placeholder, contexts=[ContextDef("K1", "")]))["A.X"]
+        assert f.reliability == parse_expr("C_K1*OPT_A_X*f_A_X*r_A_X")
+        assert f.weight == parse_expr("w_A_X")
+        assert f.cost == parse_expr("C_K1*OPT_A_X*f_A_X*r_A_X*w_A_X")
 
 
 class TestSingleOperand:
@@ -284,6 +247,14 @@ class TestCompileModel:
         assert "G1" in forms and "T1.11" in forms
         assert forms["G2"].reliability == forms["G1"].reliability
 
+    def test_uncomposable_nodes_rejected(self):
+        childless = model("G", Node("G", "", NodeKind.GOAL, Decomposition.AND))
+        with pytest.raises(ModelError, match="no children to compose"):
+            compile_model(childless)
+        undecomposed = model("G", Node("G", "", NodeKind.GOAL, children=("T",)), leaf("T"))
+        with pytest.raises(ModelError, match="no usable decomposition"):
+            compile_model(undecomposed)
+
     def test_json_round_trip(self, bsn, tmp_path, capsys):
         path = tmp_path / "bsn.json"
         path.write_text(bundled.data_text("bsn.json"))
@@ -299,33 +270,45 @@ class TestCompileModel:
 
 
 def pairwise_fold(m):
-    """Every node's forms by a left fold of ``compose_pair`` over its children."""
-    params = ParamTable(m)
+    """Every node's forms by a left fold of the binary rows over its children.
+
+    Written here over ``symexpr.param`` so that the n-ary fold is checked
+    against a reference that shares no composition code with it.
+    """
     out = {}
+
+    def gate(nid, x):
+        for c in m.node(nid).contexts:
+            x = param(ParamTable.context(c)) * x
+        return x
 
     def walk(nid):
         node = m.node(nid)
         if node.is_executable:
-            out[nid] = compose_node_form(m, nid, params)
+            rf = param(ParamTable.reliability(nid)) * param(ParamTable.frequency(nid))
+            w = param(ParamTable.cost_weight(nid))
+            rel, cost = gate(nid, rf), gate(nid, w * rf)
+            if node.kind == NodeKind.PLACEHOLDER:
+                o = param(ParamTable.opt(nid))
+                rel, cost = rel * o, cost * o
+            out[nid] = NodeForms(rel, w, cost)
             return out[nid]
-        if node.dm_order is not None:
-            kind, order = CompositionKind.DM, node.dm_order
-        elif node.decomposition == Decomposition.OR:
-            kind, order = CompositionKind.OR, node.children
-        else:
-            kind, order = CompositionKind.AND, node.children
-        items = [
-            (walk(c), [params.context(k) for k in m.node(c).contexts]) for c in order
-        ]
-        if len(items) == 1:
-            acc = compose_pair(kind, items[0][0], ctx_left=items[0][1])
-        else:
-            acc = compose_pair(kind, items[0][0], items[1][0],
-                               ctx_left=items[0][1], ctx_right=items[1][1])
-            for forms, ctx in items[2:]:
-                acc = compose_pair(kind, acc, forms, ctx_right=ctx)
-        out[nid] = acc
-        return acc
+        dm = node.dm_order is not None
+        order = node.dm_order if dm else node.children
+        first = walk(order[0])
+        r, w = gate(order[0], first.reliability), gate(order[0], first.weight)
+        cost = w * r if dm else gate(order[0], first.cost)
+        for c in order[1:]:
+            forms = walk(c)
+            p, wc = gate(c, forms.reliability), gate(c, forms.weight)
+            if dm or node.decomposition == Decomposition.OR:
+                r, w, prev = r + p - r * p, w + wc, r
+                cost = w * r - wc * prev
+            else:
+                r, w = r * p, w + wc
+                cost = w * r
+        out[nid] = NodeForms(r, w, cost)
+        return out[nid]
 
     walk(m.root)
     return out
