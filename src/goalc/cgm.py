@@ -346,6 +346,13 @@ def _parse_enum(value, enum_cls, owner: str):
 # -- validation ---------------------------------------------------------------
 
 
+#: Levels a goal tree may have, the root being the first.  The compiler,
+#: the oracle and the PRISM emitter recurse once per level (``goalc verify``
+#: about three frames a level), so this keeps them well inside Python's
+#: default recursion limit of 1,000 frames.
+MAX_DEPTH = 100
+
+
 def validate(model: GoalModel) -> List[Violation]:
     """Check every model rule; returns violations sorted by (node id, rule).
 
@@ -407,22 +414,26 @@ def validate(model: GoalModel) -> List[Violation]:
             bad(child, "multiple-parents", f"node has parents {sorted(ps)}")
 
     if model.root in model.nodes:
-        reachable = set()
-
-        def dfs(nid: str, trail: Tuple[str, ...]) -> None:
-            if nid in trail:
+        # Depth-first from the root, with an explicit stack so that a model
+        # of any depth gets its violations rather than a RecursionError.
+        reachable = {model.root}
+        on_trail = {model.root}  # the nodes on the path to the current one
+        pending = [(model.root, iter(model.nodes[model.root].children))]
+        while pending:
+            nid = next(pending[-1][1], None)
+            if nid is None:
+                on_trail.discard(pending.pop()[0])
+            elif nid in on_trail:
                 bad(nid, "cycle", "node participates in a reference cycle")
-                return
-            if nid in reachable:
-                return
-            reachable.add(nid)
-            node = model.nodes.get(nid)
-            if node is None:
-                return
-            for child in node.children:
-                dfs(child, trail + (nid,))
-
-        dfs(model.root, ())
+            elif nid not in reachable:
+                reachable.add(nid)
+                if nid in model.nodes:
+                    on_trail.add(nid)
+                    pending.append((nid, iter(model.nodes[nid].children)))
+                    if len(pending) == MAX_DEPTH + 1:
+                        bad(nid, "too-deep",
+                            f"node lies {MAX_DEPTH + 1} levels deep; "
+                            f"a goal tree may be at most {MAX_DEPTH} levels deep")
         for nid in model.nodes:
             if nid not in reachable:
                 bad(nid, "unreachable-node", "node is not reachable from the root")

@@ -6,7 +6,9 @@ flags — enough to bind every parameter of the goals' formula circuits.  The
 planner is an exhaustive, deterministic grid search over frequency knobs,
 where one knob fans out to a whole group of leaves (e.g. "all sensor tasks"):
 each grid point binds the knob's value to the frequency of every leaf it
-drives and evaluates the circuits.
+drives.  The search runs the circuits through :func:`symexpr.sweep`, so the
+arithmetic no knob reaches runs once per search and each grid point runs
+only the part its innermost knob drives.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ class Knob:
             raise PolicyError(f"knob {self.id!r} drives no leaves")
         if self.minimum > self.maximum:
             raise PolicyError(f"knob {self.id!r}: min exceeds max")
+        # Knob values are leaf frequencies.
+        if not 0.0 <= self.minimum <= self.maximum <= 1.0:
+            raise PolicyError(
+                f"knob {self.id!r}: range [{self.minimum}, {self.maximum}] "
+                "is not within [0, 1]"
+            )
         if not self.step > 0:
             raise PolicyError(f"knob {self.id!r}: step must be positive")
 
@@ -449,16 +457,15 @@ def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     # A grid point binds each knob's value to the frequency of every leaf the
     # knob drives, over the current beliefs; later knobs win shared leaves.
     driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
-    beliefs = state.param_bindings()
-    exprs = [_goal_expr(state, prop) for prop in policy.properties]
+    points = symexpr.sweep(
+        [_goal_expr(state, prop) for prop in policy.properties],
+        state.param_bindings(),
+        list(zip(driven, grids)),
+    )
 
-    best_feasible: Optional[Tuple[float, Tuple[float, ...], List[float]]] = None
-    best_any: Optional[Tuple[float, Tuple[float, ...], List[float]]] = None
-    for values in itertools.product(*grids):
-        binding = dict(beliefs)
-        for names, v in zip(driven, values):
-            binding.update(dict.fromkeys(names, v))
-        currents = [symexpr.evaluate(expr, binding) for expr in exprs]
+    best_feasible: Optional[Tuple[float, Tuple[float, ...], Tuple[float, ...]]] = None
+    best_any: Optional[Tuple[float, Tuple[float, ...], Tuple[float, ...]]] = None
+    for values, currents in zip(itertools.product(*grids), points):
         flags = [p.in_margin(c) for p, c in zip(policy.properties, currents)]
         candidate = (_objective(policy.properties, currents), values, currents)
         if best_any is None or candidate[0] < best_any[0]:

@@ -10,15 +10,19 @@ polynomial identities checkable with ``==``.
 
 A :class:`Circuit` is the same formula left unexpanded: the straight-line
 float program of the arithmetic that built it, linear in model size where
-the canonical form can grow exponentially.  :func:`evaluate` takes either.
+the canonical form can grow exponentially.  :func:`evaluate` takes either;
+:func:`sweep` evaluates circuits over a whole grid of bindings at once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 Number = Union[int, float, Fraction]
 
@@ -401,7 +405,7 @@ class Circuit:
     program is compiled to a Python function on first evaluation.
     """
 
-    __slots__ = ("code", "_params", "_names", "_binary", "_compiled")
+    __slots__ = ("code", "_params", "_names", "_binary", "_compiled", "_sweeps")
 
     def __init__(self, code: Iterable[tuple]) -> None:
         self.code: Tuple[tuple, ...] = tuple(code)
@@ -414,6 +418,9 @@ class Circuit:
             if self._params[n].kind in BINARY_KINDS
         )
         self._compiled: Optional[Callable[[Mapping[str, Number]], Number]] = None
+        # Compiled sweeps led by this circuit, keyed by (the other circuits,
+        # axis names): they live exactly as long as the circuits do.
+        self._sweeps: Dict[tuple, Callable[..., Iterator[Tuple[float, ...]]]] = {}
 
     def parameter_names(self) -> Tuple[str, ...]:
         """Names of the parameters the program loads, sorted."""
@@ -425,39 +432,134 @@ class Circuit:
     @property
     def _program(self) -> Callable[[Mapping[str, Number]], Number]:
         if self._compiled is None:
-            self._compiled = _compile_program(self.code)
+            self._compiled = _compile_program([self.code])
         return self._compiled
+
+
+#: One grid dimension of :func:`sweep`: parameter names and their values.
+Axis = Tuple[Iterable[str], Iterable[Number]]
+
+
+def sweep(
+    circuits: Sequence[Circuit],
+    binding: Mapping[str, Number],
+    axes: Sequence[Axis],
+) -> Iterator[Tuple[float, ...]]:
+    """The values of ``circuits`` at every point of a grid over ``binding``.
+
+    ``axes`` holds one ``(names, values)`` pair per grid dimension.  A point
+    binds each axis's value to all of its names on top of ``binding``; where
+    axes share a name, the later one wins.  Points come in
+    :func:`itertools.product` order (the last axis changes fastest), and
+    each yields the tuple of what :func:`evaluate` returns for each circuit
+    on that binding, bit for bit.  No instruction is re-associated; each
+    one only reruns when an axis it depends on moves, so a grid point costs
+    just the instructions the last axis drives.
+
+    The binding is checked once, up front, and raises the
+    :class:`ExprError` :func:`evaluate` would for a missing name or a binary
+    parameter outside {0, 1}; an axis naming a binary parameter raises one
+    too.  The program is compiled once per circuits and axis names.
+    """
+    circuits = tuple(circuits)
+    if not circuits:
+        raise ExprError("a sweep needs at least one circuit")
+    names = tuple(tuple(axis_names) for axis_names, _ in axes)
+    swept = set().union(*names)
+    binary = {p.name for c in circuits for p in c._binary}
+    for name in sorted(swept):
+        if name in binary or kind_from_name(name) in BINARY_KINDS:
+            raise ExprError(f"axis names the binary parameter {name!r}")
+    for c in circuits:
+        missing = c._names - swept - binding.keys()
+        for p in c._binary:
+            if p.name in missing:
+                break
+            _check_binary(p, binding[p.name])
+        if missing:
+            raise ExprError(f"missing binding for parameter {min(missing)!r}")
+    key = (circuits[1:], names)
+    program = circuits[0]._sweeps.get(key)
+    if program is None:
+        program = _compile_program([c.code for c in circuits], names)
+        circuits[0]._sweeps[key] = program
+    return program(binding, *(tuple(values) for _, values in axes))
 
 
 _SUM_CHUNK = 256
 
+#: Loops a sweep program nests at most (Python allows 20 nested blocks);
+#: the innermost one runs every further axis through ``itertools.product``.
+_MAX_LOOPS = 16
 
-def _compile_program(code: Tuple[tuple, ...]) -> Callable[[Mapping[str, Number]], Number]:
-    """Python function of a circuit: one assignment per instruction.
+
+def _compile_program(
+    codes: Sequence[Tuple[tuple, ...]],
+    axes: Optional[Sequence[Sequence[str]]] = None,
+) -> Callable:
+    """Python function of circuit programs: one assignment per instruction.
+
+    With ``axes`` None, ``program(b)`` returns the value of the one circuit
+    in ``codes``.  Otherwise ``program(b, v1, v2, ...)`` is a generator that
+    loops over the value lists nested in axis order and yields every
+    circuit's value, as a float, at each point.  Each instruction sits in
+    the loop of the innermost axis it depends on, or before the loops if it
+    depends on none (loop-invariant code motion); a parameter that axes
+    name reads the loop variable of the last such axis.
 
     Parameter names enter the source only as ``repr`` string literals and
     registers as generated identifiers, so no name can inject code.
     """
-    lines = ["def program(b):"]
-    for i, ins in enumerate(code):
-        op = ins[0]
-        if op == "load":
-            rhs = f"b[{ins[1].name!r}]"
-        elif op == "sum":
-            # Left to right, in chunks: Python's compiler recurses once per
-            # operator of a chained expression.
-            terms = [f"x{j}" for j in ins[1]]
-            for k in range(0, len(terms), _SUM_CHUNK):
-                head = [f"x{i}"] if k else []
-                lines.append(f"    x{i} = {' + '.join(head + terms[k:k + _SUM_CHUNK])}")
-            continue
-        elif op in ("+", "-", "*"):
-            rhs = f"x{ins[1]} {op} x{ins[2]}"
-        else:
-            raise ExprError(f"unknown circuit instruction {op!r}")
-        lines.append(f"    x{i} = {rhs}")
-    lines.append(f"    return x{len(code) - 1}")
-    namespace: Dict[str, object] = {}
+    n_axes = len(axes) if axes is not None else 0
+    axis_of: Dict[str, int] = {}
+    for k, names in enumerate(axes or (), 1):
+        axis_of.update(dict.fromkeys(names, k))
+    depth = min(n_axes, _MAX_LOOPS)
+    blocks: List[List[str]] = [[] for _ in range(depth + 1)]
+    outs = []
+    base = 0  # registers of all circuits share one namespace
+    for code in codes:
+        level: List[int] = []
+        for i, ins in enumerate(code):
+            op, reg = ins[0], f"x{base + i}"
+            if op == "load":
+                k = axis_of.get(ins[1].name, 0)
+                level.append(min(k, depth))
+                rhs = f"a{k}" if k else f"b[{ins[1].name!r}]"
+            elif op == "sum":
+                level.append(max((level[j] for j in ins[1]), default=0))
+                # Left to right, in chunks: Python's compiler recurses once per
+                # operator of a chained expression.
+                terms = [f"x{base + j}" for j in ins[1]]
+                for k in range(0, len(terms), _SUM_CHUNK):
+                    head = [reg] if k else []
+                    blocks[level[i]].append(
+                        f"{reg} = {' + '.join(head + terms[k:k + _SUM_CHUNK])}")
+                continue
+            elif op in ("+", "-", "*"):
+                level.append(max(level[ins[1]], level[ins[2]]))
+                rhs = f"x{base + ins[1]} {op} x{base + ins[2]}"
+            else:
+                raise ExprError(f"unknown circuit instruction {op!r}")
+            blocks[level[i]].append(f"{reg} = {rhs}")
+        base += len(code)
+        outs.append(f"x{base - 1}")
+
+    params = ["b"] + [f"v{k}" for k in range(1, n_axes + 1)]
+    lines = [f"def program({', '.join(params)}):"]
+    for lv, block in enumerate(blocks):
+        if lv:
+            ks = range(lv, n_axes + 1) if lv == depth else range(lv, lv + 1)
+            values = ", ".join(f"v{k}" for k in ks)
+            source = values if len(ks) == 1 else f"product({values})"
+            lines.append(f"{'    ' * lv}for {', '.join(f'a{k}' for k in ks)} in {source}:")
+        lines.extend(f"{'    ' * (lv + 1)}{stmt}" for stmt in block)
+    if axes is None:
+        lines.append(f"    return {outs[0]}")
+    else:
+        floats = "".join(f"float({o}), " for o in outs)
+        lines.append(f"{'    ' * (depth + 1)}yield ({floats})")
+    namespace: Dict[str, object] = {"product": itertools.product}
     exec(compile("\n".join(lines), "<circuit>", "exec"), namespace)
     return namespace["program"]  # type: ignore[return-value]
 

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from goalc import bundled, cli, prismgen
+from goalc.cgm import MAX_DEPTH
 from goalc.cli import main
 
 BROKEN_MODEL = json.dumps({
@@ -226,6 +227,43 @@ class TestVerify:
         assert "childless-node" in err
 
 
+def goal_chain(levels):
+    """A chain of single-child And goals ending in one task, ``levels`` deep."""
+    nodes = [{"id": f"G{i}", "kind": "Goal", "decomposition": "And",
+              "children": [f"G{i + 1}" if i + 2 < levels else "T"]}
+             for i in range(levels - 1)]
+    nodes.append({"id": "T", "kind": "Task"})
+    return json.dumps({"actor": "a", "root": "G0", "nodes": nodes})
+
+
+class TestDeepModels:
+    def commands(self, path, tmp_path):
+        return [
+            ["compile", path],
+            ["emit-prism", path, "--out-dir", str(tmp_path)],
+            ["verify", path, "--trials", "3"],
+        ]
+
+    def test_every_command_finishes_at_the_depth_bound(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(goal_chain(MAX_DEPTH))
+        compiled, emitted, verified = [
+            run_cli(capsys, *argv) for argv in self.commands(str(path), tmp_path)]
+        assert [r[0] for r in (compiled, emitted, verified)] == [0, 0, 0]
+        assert json.loads(compiled[1])["formulas"]["G0"]["reliability"] == "f_T*r_T"
+        assert json.loads(verified[1])["failures"] == 0
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
+    def test_deeper_models_are_domain_errors(self, capsys, tmp_path, levels):
+        path = tmp_path / "deep.json"
+        path.write_text(goal_chain(levels))
+        for argv in self.commands(str(path), tmp_path):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and "too-deep" in err
+            assert f"at most {MAX_DEPTH} levels" in err
+
+
 class TestSimulate:
     def test_trace_to_stdout(self, capsys, model_file, policy_file, scenario_file):
         code, out, _ = run_cli(capsys, "simulate", model_file,
@@ -249,6 +287,39 @@ class TestSimulate:
         assert manifest["seed"] == 99
         assert manifest["command"] == "simulate"
         assert len(manifest["inputs"]) == 3
+
+    # sha256 of the trace CSV of every bundled scenario in both modes at its
+    # default seed.  Any drift in a planned knob value or a formula value
+    # (even by one ulp) changes these bytes.
+    BUNDLED_TRACES = {
+        ("nominal", "tamed"):
+            "b3eb5bbb6c583257a7913e27307aafe1dc439fe89fd7c587fb0e211492ff968e",
+        ("nominal", "untamed"):
+            "7a8d03fa72f8402df55317310c5d6770d0a8fc6b2697a88c93cea143e3cfa0cb",
+        ("hub_degradation", "tamed"):
+            "6f774e258e40c08e5872e04e1fee5043abd91c432883d6b6afe5852313393b52",
+        ("hub_degradation", "untamed"):
+            "732d4ca87ad2fd4d016f70411188b5cf1b180995c06ba5a5127b6fb836e59b9b",
+        ("miscommissioned", "tamed"):
+            "6ccd0ff15359d682207f957b5f4287031f40834c98593d2e28001b19d135f1ba",
+        ("miscommissioned", "untamed"):
+            "381099087dfeb9e428c37bcf2d0fd4ef03016ab2769474a858b566f30500be2b",
+        ("battery_cycling", "tamed"):
+            "f4e30d2ff12c718c948058be4d640f44b22dd38fccefd56bbcc2b19016bd7211",
+        ("battery_cycling", "untamed"):
+            "c639f073bce1225fee73e77bf6d375cd0e51730b50763628cc15e4fc86d52af7",
+    }
+
+    @pytest.mark.parametrize("scenario,mode", sorted(BUNDLED_TRACES))
+    def test_bundled_traces_are_pinned(self, capsys, model_file, policy_file,
+                                       tmp_path, scenario, mode):
+        path = tmp_path / "scenario.json"
+        path.write_text(bundled.data_text(f"scenario_{scenario}.json"))
+        code, out, _ = run_cli(capsys, "simulate", model_file, "--policy", policy_file,
+                               "--scenario", str(path), "--mode", mode)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.BUNDLED_TRACES[scenario, mode]
 
     def test_mode_override(self, capsys, model_file, policy_file, scenario_file):
         _, tamed, _ = run_cli(capsys, "simulate", model_file,

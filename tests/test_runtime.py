@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from goalc import symexpr
+from goalc import bundled, symexpr
 from goalc.cgm import ModelError, parse_model
 from goalc.compiler import compile_model
 from goalc.runtime import (
@@ -102,6 +102,16 @@ class TestPolicy:
             Knob("k", ("T",), 1.0, 0.5, 0.1)
         with pytest.raises(PolicyError, match="step"):
             Knob("k", ("T",), 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("lo,hi", [(1.2, 1.5), (-0.1, 0.5), (0.5, 1.01),
+                                       (float("nan"), 1.0)])
+    def test_knob_range_must_be_frequencies(self, bsn, lo, hi):
+        with pytest.raises(PolicyError, match=r"not within \[0, 1\]"):
+            Knob("k", ("T",), lo, hi, 0.1)
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["knobs"][1].update({"min": lo, "max": hi})
+        with pytest.raises(PolicyError, match="knob 'T2'"):
+            load_policy(json.dumps(doc), bsn)
 
     def test_knob_grid_is_inclusive_and_float_safe(self):
         knob = Knob("k", ("T",), 0.1, 0.3, 0.1)
