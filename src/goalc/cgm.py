@@ -252,9 +252,10 @@ _NODE_KEYS = {"id", "label", "kind", "decomposition", "children", "dm", "context
 def parse_model(text: str) -> GoalModel:
     """Parse JSON model text into a validated :class:`GoalModel`.
 
-    Raises :class:`ParseError` for syntax or structural problems (reported
-    with positions where the JSON decoder provides them) and
-    :class:`ValidationError` when the tree breaks a validation rule.
+    Raises :class:`ParseError` for text that is not a model document (bad
+    JSON, reported with its position; missing keys, duplicate ids, unknown
+    enum values) and :class:`ValidationError` when the tree breaks a
+    :func:`validate` rule, undefined references included.
     """
     try:
         doc = json.loads(text)
@@ -302,25 +303,10 @@ def parse_model(text: str) -> GoalModel:
         ctx_refs = tuple(str(c) for c in raw.get("contexts", []) or [])
         if kind == NodeKind.TASK and not children and not dm_order:
             kind = NodeKind.LEAF_TASK  # a childless task is executable
-        node = Node(nid, str(raw.get("label", "")), kind, decomp, children, dm_order, ctx_refs)
-        if node.is_executable and node.dm_order is not None:
-            raise ParseError(f"node {nid!r}: DM on leaf node")
-        if node.is_executable and node.children:
-            raise ParseError(f"node {nid!r}: leaf node cannot have children")
-        nodes[nid] = node
+        nodes[nid] = Node(nid, str(raw.get("label", "")), kind, decomp, children,
+                          dm_order, ctx_refs)
 
-    root = str(doc["root"])
-    if root not in nodes:
-        raise ParseError(f"root node {root!r} not defined")
-    for node in nodes.values():
-        for child in node.children + (node.dm_order or ()):
-            if child not in nodes:
-                raise ParseError(f"node {node.id!r}: unknown id reference {child!r}")
-        for ctx in node.contexts:
-            if ctx not in contexts:
-                raise ParseError(f"node {node.id!r}: unknown context reference {ctx!r}")
-
-    model = GoalModel(str(doc["actor"]), root, nodes, contexts)
+    model = GoalModel(str(doc["actor"]), str(doc["root"]), nodes, contexts)
     violations = validate(model)
     if violations:
         raise ValidationError(violations)
@@ -377,6 +363,8 @@ def validate(model: GoalModel) -> List[Violation]:
                 bad(node.id, "dangling-child", f"child {child!r} is not defined")
             else:
                 parents.setdefault(child, []).append(node.id)
+        for child in sorted(set(node.dm_order or ()) - seen_children - model.nodes.keys()):
+            bad(node.id, "dangling-child", f"DM entry {child!r} is not defined")
         for ctx in node.contexts:
             if ctx not in model.contexts:
                 bad(node.id, "dangling-context", f"context {ctx!r} is not defined")

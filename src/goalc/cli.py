@@ -24,7 +24,7 @@ import os
 import random
 import sys
 import time
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from . import __version__, bsnsim, oracle, prismgen, runtime, symexpr
 from .bsnsim import ConfigError
@@ -37,6 +37,13 @@ from .symexpr import ExprError
 
 class InputError(ValueError):
     """Raised for an input file the command cannot read as its format."""
+
+
+#: Terms ``compile`` and ``verify`` let a formula expansion reach (see
+#: :meth:`symexpr.CircuitBuilder.expand`), so that a model whose formulas
+#: explode fails within a second instead of running for minutes.  The
+#: bundled model needs 434.
+MAX_TERMS = 100_000
 
 
 DOMAIN_ERRORS = (
@@ -92,7 +99,7 @@ def _load_model(path: str):
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    forms = compile_model(model, args.goal)
+    forms = compile_model(model, args.goal, MAX_TERMS)
     doc = {
         "actor": model.actor,
         "goal": args.goal or model.root,
@@ -182,7 +189,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     goal = args.goal or model.root
-    forms = compile_model(model, goal)[goal]
+    forms = compile_model(model, goal, MAX_TERMS)[goal]
 
     master = random.Random(args.seed)
     rows = []
@@ -279,6 +286,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+def _checked(convert: Callable[[str], object], ok: Callable[[object], bool],
+             requirement: str) -> Callable[[str], object]:
+    """An argparse ``type`` that accepts only converted values passing ``ok``."""
+    def parse(text: str) -> object:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goalc",
@@ -308,9 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="compare formulas against the oracle")
     verify_p.add_argument("model", help="goal model JSON file")
     verify_p.add_argument("--goal", help="verify only this subtree")
-    verify_p.add_argument("--trials", type=int, default=100, help="random bindings")
+    verify_p.add_argument("--trials", default=100, help="random bindings (at least 1)",
+                          type=_checked(int, lambda v: v >= 1, "an integer >= 1"))
     verify_p.add_argument("--seed", type=int, default=0, help="master seed")
-    verify_p.add_argument("--tolerance", type=float, default=1e-9)
+    verify_p.add_argument("--tolerance", default=1e-9,
+                          help="largest accepted |formula - oracle| (finite, >= 0)",
+                          type=_checked(float, lambda v: math.isfinite(v) and v >= 0,
+                                        "a finite number >= 0"))
     verify_p.set_defaults(func=_cmd_verify)
 
     sim_p = sub.add_parser("simulate", help="run one closed-loop scenario")

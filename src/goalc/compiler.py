@@ -18,33 +18,22 @@ composition is order-independent; cost composition of Or/runtime-decision
 nodes is not, so the fold order is fixed: the node's ``dm`` order when
 present, the ``children`` order otherwise.
 
-The fold is written once, over an *algebra*: anything with ``param(p)`` and
-``sum(values)`` whose values support ``+``, ``-`` and ``*``.
-:data:`EXPANDED` yields canonical polynomials (:func:`compile_model`, the
-export and verification format); a :class:`symexpr.CircuitBuilder` records
-the same arithmetic as straight-line programs (:func:`compile_circuits`, what
-the feedback loop evaluates).
+The fold records its arithmetic into a :class:`symexpr.CircuitBuilder`, so
+its working form is a circuit: a straight-line program linear in model size.
+:func:`compile_circuits` cuts out the circuits of some goals (what the
+feedback loop evaluates); :func:`compile_model` expands every node's
+circuit into canonical polynomials (the export and verification format),
+optionally within a term budget, since that expansion can grow
+exponentially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence
 
-from . import symexpr
 from .cgm import Decomposition, GoalModel, ModelError, NodeKind, ParamTable
-from .symexpr import Parameter
-
-
-class Algebra(NamedTuple):
-    """The value type a fold computes in: a parameter's value and an n-ary sum."""
-
-    param: Callable[[Parameter], Any]
-    sum: Callable[[Iterable[Any]], Any]
-
-
-#: Canonical polynomials.
-EXPANDED = Algebra(symexpr.param, symexpr.sum_exprs)
+from .symexpr import CircuitBuilder, Wire
 
 
 @dataclass(frozen=True)
@@ -52,18 +41,22 @@ class NodeForms:
     """The (reliability, weight, cost) formula triple of one node.
 
     The fields are :class:`SymExpr` from :func:`compile_model` and
-    :class:`Circuit` from :func:`compile_circuits`.
+    :class:`Circuit` from :func:`compile_circuits`; iterating yields them
+    in that order.
     """
 
     reliability: Any
     weight: Any
     cost: Any
 
+    def __iter__(self) -> Iterator[Any]:
+        return iter((self.reliability, self.weight, self.cost))
+
 
 def _fold(
-    model: GoalModel, node_id: str, algebra: Algebra, memo: Dict[str, NodeForms]
+    model: GoalModel, node_id: str, builder: CircuitBuilder, memo: Dict[str, NodeForms]
 ) -> NodeForms:
-    """The formula triple of the subtree rooted at ``node_id``, memoized by id.
+    """The wire triple of the subtree rooted at ``node_id``, memoized by id.
 
     Rows, with ``P_i``/``W_i`` the reliability/weight of child ``i`` times its
     context factor (a node's own contexts apply where it joins its parent):
@@ -80,22 +73,22 @@ def _fold(
         return memo[node_id]
     node = model.node(node_id)
 
-    def gate(contexts: Sequence[str]) -> Callable[[Any], Any]:
+    def gate(contexts: Sequence[str]) -> Callable[[Wire], Wire]:
         """Multiplication by the product of ``contexts`` (identity if none)."""
         factor = None
         for c in contexts:
-            p = algebra.param(ParamTable.context(c))
+            p = builder.param(ParamTable.context(c))
             factor = p if factor is None else factor * p
         return (lambda x: x) if factor is None else (lambda x: factor * x)
 
     if node.is_executable:
-        r = algebra.param(ParamTable.reliability(node_id))
-        rf = r * algebra.param(ParamTable.frequency(node_id))
-        w = algebra.param(ParamTable.cost_weight(node_id))
+        r = builder.param(ParamTable.reliability(node_id))
+        rf = r * builder.param(ParamTable.frequency(node_id))
+        w = builder.param(ParamTable.cost_weight(node_id))
         own = gate(node.contexts)
         rel, cost = own(rf), own(w * rf)
         if node.kind == NodeKind.PLACEHOLDER:
-            o = algebra.param(ParamTable.opt(node_id))
+            o = builder.param(ParamTable.opt(node_id))
             rel, cost = rel * o, cost * o
         memo[node_id] = NodeForms(rel, w, cost)
         return memo[node_id]
@@ -113,7 +106,7 @@ def _fold(
 
     gated = []
     for child_id in order:
-        child = _fold(model, child_id, algebra, memo)
+        child = _fold(model, child_id, builder, memo)
         g = gate(model.node(child_id).contexts)
         gated.append((g(child.reliability), g(child.weight)))
 
@@ -123,7 +116,7 @@ def _fold(
         (rel, weight), = gated
         cost = weight * rel if node.dm_order is not None else g(child.cost)
     else:
-        weight = algebra.sum(w for _, w in gated)
+        weight = builder.sum(w for _, w in gated)
         rel = gated[0][0]
         for p, _ in gated[1:]:
             prev = rel
@@ -134,21 +127,21 @@ def _fold(
 
 
 def compile_model(
-    model: GoalModel, goal: Optional[str] = None
+    model: GoalModel, goal: Optional[str] = None, max_terms: Optional[int] = None
 ) -> Dict[str, NodeForms]:
-    """Compile formulae for every node (or only the subtree of ``goal``)."""
+    """Canonical polynomials of every node in the subtree of ``goal``.
+
+    ``goal`` defaults to the root.  Nodes come in fold order, children
+    before their parent.  The subtree is folded once into a circuit, which
+    is then expanded; ``max_terms`` bounds that expansion and raises
+    :class:`symexpr.TermBudgetError` beyond it (see
+    :meth:`symexpr.CircuitBuilder.expand`).
+    """
+    builder = CircuitBuilder()
     memo: Dict[str, NodeForms] = {}
-    root = goal if goal is not None else model.root
-    _fold(model, root, EXPANDED, memo)
-
-    def subtree_ids(nid: str) -> List[str]:
-        node = model.node(nid)
-        out = [nid]
-        for child in node.children:
-            out.extend(subtree_ids(child))
-        return out
-
-    return {nid: memo[nid] for nid in subtree_ids(root)}
+    _fold(model, goal if goal is not None else model.root, builder, memo)
+    exprs = builder.expand([w for wires in memo.values() for w in wires], max_terms)
+    return {nid: NodeForms(*exprs[3 * k:3 * k + 3]) for k, nid in enumerate(memo)}
 
 
 def compile_circuits(model: GoalModel, goals: Iterable[str]) -> Dict[str, NodeForms]:
@@ -158,14 +151,10 @@ def compile_circuits(model: GoalModel, goals: Iterable[str]) -> Dict[str, NodeFo
     polynomial for that node; subtrees shared by several goals are folded
     once.
     """
-    builder = symexpr.CircuitBuilder()
+    builder = CircuitBuilder()
     memo: Dict[str, NodeForms] = {}
-    out: Dict[str, NodeForms] = {}
-    for goal in goals:
-        wires = _fold(model, goal, builder, memo)
-        out[goal] = NodeForms(*(builder.circuit(w) for w in
-                                (wires.reliability, wires.weight, wires.cost)))
-    return out
+    return {goal: NodeForms(*map(builder.circuit, _fold(model, goal, builder, memo)))
+            for goal in goals}
 
 
 def param_growth_report(

@@ -344,11 +344,12 @@ class CheckResult:
     cost_delta: Optional[float] = None
 
     def ok(self, tol: float = 1e-9) -> bool:
-        if self.reliability_delta > tol:
-            return False
-        if self.cost_applicable and (self.cost_delta is None or self.cost_delta > tol):
-            return False
-        return True
+        """Every compared delta is within ``tol``; fails closed, so a NaN
+        delta or tolerance is never ok."""
+        deltas = [self.reliability_delta]
+        if self.cost_applicable:
+            deltas.append(self.cost_delta)
+        return all(d is not None and d <= tol for d in deltas)
 
 
 def check_formula(

@@ -10,13 +10,16 @@ polynomial identities checkable with ``==``.
 
 A :class:`Circuit` is the same formula left unexpanded: the straight-line
 float program of the arithmetic that built it, linear in model size where
-the canonical form can grow exponentially.  :func:`evaluate` takes either;
-:func:`sweep` evaluates circuits over a whole grid of bindings at once.
+the canonical form can grow exponentially.  A :class:`CircuitBuilder`
+records such programs and expands them into canonical form, optionally
+within a term budget.  :func:`evaluate` takes either form; :func:`sweep`
+evaluates circuits over a whole grid of bindings at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,6 +32,10 @@ Number = Union[int, float, Fraction]
 
 class ExprError(ValueError):
     """Raised for malformed expressions, bindings, or parse failures."""
+
+
+class TermBudgetError(ExprError):
+    """Raised when expanding a circuit would exceed its term budget."""
 
 
 class ParamKind(Enum):
@@ -340,31 +347,78 @@ class Wire:
         return self._builder._emit(("*", self.index, other.index))
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 class CircuitBuilder:
     """Records arithmetic on wires as one shared straight-line program.
 
-    ``param`` and ``sum`` stand in for :func:`param` and :func:`sum_exprs`,
-    so code written against those builds a circuit when handed a builder.
-    Each parameter is loaded once.  :meth:`circuit` cuts out the program of
-    one result.
+    :meth:`param` loads a parameter (each one once) and :meth:`sum` adds
+    wires n-ary.  :meth:`circuit` cuts out the program of one result;
+    :meth:`expand` turns results into canonical polynomials.
     """
 
     def __init__(self) -> None:
         self._code: List[tuple] = []
-        self._loads: Dict[str, Wire] = {}
+        self._loads: Dict[str, int] = {}  # registers, not wires: no cycle
 
     def _emit(self, instruction: tuple) -> Wire:
         self._code.append(instruction)
         return Wire(self, len(self._code) - 1)
 
     def param(self, p: Parameter) -> Wire:
-        wire = self._loads.get(p.name)
-        if wire is None:
-            wire = self._loads[p.name] = self._emit(("load", p))
+        index = self._loads.get(p.name)
+        if index is not None:
+            return Wire(self, index)
+        wire = self._emit(("load", p))
+        self._loads[p.name] = wire.index
         return wire
 
     def sum(self, wires: Iterable[Wire]) -> Wire:
         return self._emit(("sum", tuple(w.index for w in wires)))
+
+    def expand(
+        self, outputs: Sequence[Wire], max_terms: Optional[int] = None
+    ) -> List[SymExpr]:
+        """The canonical polynomials of ``outputs``, replaying the program once.
+
+        Instructions are expanded in program order, and each polynomial that
+        is not an output is dropped after its last use: an And chain keeps
+        its running product alive, not every partial one.  With ``max_terms``
+        set, an instruction whose operands hold more than ``max_terms``
+        terms between them before like terms merge (``|a|*|b|`` for ``*``,
+        the sum of the sizes for ``+``, ``-`` and ``sum``) raises
+        :class:`TermBudgetError` before it is expanded, so the budget bounds
+        the work as well as the result.
+        """
+        code = self._code
+        last = list(range(len(code)))  # the instruction that reads a register last
+        for i, ins in enumerate(code):
+            if ins[0] != "load":
+                for j in ins[1] if ins[0] == "sum" else ins[1:]:
+                    last[j] = i
+        for w in outputs:
+            last[w.index] = len(code)
+        values: List[Optional[SymExpr]] = []
+        for i, ins in enumerate(code):
+            op = ins[0]
+            if op == "load":
+                values.append(param(ins[1]))
+                continue
+            regs = ins[1] if op == "sum" else ins[1:]
+            args = [values[j] for j in regs]
+            for j in regs:
+                if last[j] == i:
+                    values[j] = None
+            if max_terms is not None:
+                sizes = [len(a._terms) for a in args]
+                need = sizes[0] * sizes[1] if op == "*" else sum(sizes)
+                if need > max_terms:
+                    raise TermBudgetError(
+                        f"formula expands past {max_terms} terms "
+                        f"(one {op!r} step needs {need} before like terms merge)")
+            values.append(sum_exprs(args) if op == "sum" else _ARITHMETIC[op](*args))
+        return [values[w.index] for w in outputs]
 
     def circuit(self, out: Wire) -> "Circuit":
         """The instructions ``out`` depends on, renumbered, as a circuit."""

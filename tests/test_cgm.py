@@ -17,6 +17,7 @@ from goalc.cgm import (
     ParamTable,
     ParseError,
     ValidationError,
+    Violation,
     check_sensor_guideline,
     parse_model,
     serialize,
@@ -42,6 +43,12 @@ def model(root, *nodes, contexts=()):
 
 
 class TestParse:
+    @staticmethod
+    def assert_rejected(doc, node_id, rule, message):
+        with pytest.raises(ValidationError) as err:
+            parse_model(json.dumps(doc))
+        assert Violation(node_id, rule, message) in err.value.violations
+
     def test_minimal_leaf_model(self):
         m = parse_model(MINIMAL)
         assert m.root == "T"
@@ -83,33 +90,29 @@ class TestParse:
         doc = {"actor": "a", "root": "G",
                "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",
                           "children": ["nope"]}]}
-        with pytest.raises(ParseError, match="unknown id reference 'nope'"):
-            parse_model(json.dumps(doc))
+        self.assert_rejected(doc, "G", "dangling-child", "child 'nope' is not defined")
 
     def test_unknown_context_reference(self):
         doc = {"actor": "a", "root": "T",
                "nodes": [{"id": "T", "kind": "LeafTask", "contexts": ["C9"]}]}
-        with pytest.raises(ParseError, match="unknown context reference"):
-            parse_model(json.dumps(doc))
+        self.assert_rejected(doc, "T", "dangling-context", "context 'C9' is not defined")
 
     def test_undefined_root(self):
         doc = {"actor": "a", "root": "missing",
                "nodes": [{"id": "T", "kind": "LeafTask"}]}
-        with pytest.raises(ParseError, match="root node 'missing'"):
-            parse_model(json.dumps(doc))
+        self.assert_rejected(doc, "missing", "dangling-root", "root node is not defined")
 
     def test_dm_on_leaf_rejected(self):
         doc = {"actor": "a", "root": "T",
                "nodes": [{"id": "T", "kind": "LeafTask", "dm": ["T"]}]}
-        with pytest.raises(ParseError, match="DM on leaf node"):
-            parse_model(json.dumps(doc))
+        self.assert_rejected(doc, "T", "dm-on-leaf", "DM annotation on an executable node")
 
     def test_leaf_with_children_rejected(self):
         doc = {"actor": "a", "root": "T",
                "nodes": [{"id": "T", "kind": "LeafTask", "children": ["U"]},
                          {"id": "U", "kind": "LeafTask"}]}
-        with pytest.raises(ParseError, match="cannot have children"):
-            parse_model(json.dumps(doc))
+        self.assert_rejected(doc, "T", "leaf-with-children",
+                             "executable node cannot be refined")
 
     def test_invalid_enum_value(self):
         doc = {"actor": "a", "root": "T",
@@ -206,6 +209,13 @@ class TestValidate:
         g = Node("G", "", NodeKind.GOAL, Decomposition.AND, ("T", "T", "U"), None, ("C9",))
         rules = self.rules(model("G", g, leaf("T")))
         assert {"dangling-child", "duplicate-child", "dangling-context"} <= set(rules)
+
+    def test_dangling_dm_entry_is_named(self):
+        c = ContextDef("C1", "")
+        g = Node("G", "", NodeKind.GOAL, Decomposition.OR, ("T", "U"), ("T", "zz"))
+        found = validate(model("G", g, leaf("T", ["C1"]), leaf("U", ["C1"]), contexts=[c]))
+        assert Violation("G", "dangling-child", "DM entry 'zz' is not defined") in found
+        assert "dm-list-mismatch" in [v.rule for v in found]
 
     def test_context_condition_rules(self):
         cond = Condition("x", "<", 1.0)

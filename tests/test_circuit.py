@@ -148,6 +148,25 @@ class TestCircuit:
         c = b.circuit(b.param(Parameter(name, ParamKind.RELIABILITY)))
         assert symexpr.evaluate(c, {name: 0.25}) == 0.25
 
+    def test_expand_replays_the_program(self):
+        b = CircuitBuilder()
+        x, y = (b.param(Parameter(n, ParamKind.RELIABILITY)) for n in ("r_a", "r_b"))
+        k = b.param(Parameter("C_k", ParamKind.CONTEXT))
+        out = b.sum([x, y, k * x]) * (x - y) + k * k
+        px, py, pk = (symexpr.parse_expr(n) for n in ("r_a", "r_b", "C_k"))
+        assert b.expand([out, x, k]) == [(px + py + pk * px) * (px - py) + pk, px, pk]
+
+    def test_budget_counts_terms_before_they_merge(self):
+        b = CircuitBuilder()
+        x, y = (b.param(Parameter(n, ParamKind.RELIABILITY)) for n in ("r_a", "r_b"))
+        s = b.sum([x, y, x])  # needs 3 terms, merges to 2
+        out = s * s  # needs 2 * 2 = 4, merges to 3
+        assert len(b.expand([out], max_terms=4)[0].terms) == 3
+        with pytest.raises(symexpr.TermBudgetError, match="expands past 3 terms"):
+            b.expand([out], max_terms=3)
+        with pytest.raises(ExprError, match="'sum' step needs 3"):
+            b.expand([out], max_terms=2)
+
     def test_unknown_instruction_rejected(self):
         with pytest.raises(ExprError, match="unknown circuit instruction"):
             symexpr.evaluate(Circuit([("load", Parameter("r_a", ParamKind.RELIABILITY)),

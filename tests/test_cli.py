@@ -77,6 +77,18 @@ class TestCompile:
         assert code == 1
         assert "childless-node" in err
 
+    def test_dangling_reference_names_rule_and_id(self, capsys, tmp_path):
+        path = tmp_path / "dangling.json"
+        path.write_text(json.dumps({
+            "actor": "a", "root": "G",
+            "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",
+                       "children": ["nope"]}],
+        }))
+        code, _, err = run_cli(capsys, "compile", str(path))
+        assert code == 1
+        assert err == "error: invalid goal model: G: dangling-child: " \
+            "child 'nope' is not defined\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compile", str(tmp_path / "nope.json"))
         assert code == 2
@@ -225,6 +237,43 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert "childless-node" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--trials", "0"], ["--trials", "-3"], ["--tolerance", "nan"],
+        ["--tolerance", "inf"], ["--tolerance=-0.5"],
+    ])
+    def test_vacuous_or_unsatisfiable_flags_are_usage_errors(self, capsys, model_file,
+                                                             flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", model_file, *flag])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag[0].split("=")[0] in captured.err
+
+
+def fan_out(n):
+    """A decision Or over ``n`` context-gated And-triples: its expanded cost
+    grows about 2.5x per branch."""
+    branches = [f"B{i}" for i in range(n)]
+    nodes = [{"id": "G", "kind": "Goal", "decomposition": "Or",
+              "children": branches, "dm": branches}]
+    for i, branch in enumerate(branches):
+        steps = [f"{branch}.{j}" for j in range(3)]
+        nodes.append({"id": branch, "kind": "Task", "decomposition": "And",
+                      "children": steps, "contexts": [f"K{i}"]})
+        nodes.extend({"id": step, "kind": "Task"} for step in steps)
+    return json.dumps({"actor": "a", "root": "G", "nodes": nodes,
+                       "contexts": [{"id": f"K{i}"} for i in range(n)]})
+
+
+class TestTermBudget:
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_exploding_expansion_fails_fast(self, capsys, tmp_path, command):
+        path = tmp_path / "wide.json"
+        path.write_text(fan_out(12))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: formula expands past 100000 terms")
 
 
 def goal_chain(levels):

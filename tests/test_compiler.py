@@ -1,5 +1,6 @@
 """Formula compilation tests: composition rows, goldens, growth, I/O."""
 
+import hashlib
 import json
 import random
 
@@ -17,7 +18,9 @@ from goalc.cgm import (
 )
 from goalc.compiler import NodeForms, compile_model, param_growth_report
 from goalc.oracle import random_model
-from goalc.symexpr import SymExpr, evaluate, param, parse_expr, render, substitute
+from goalc.symexpr import (
+    SymExpr, TermBudgetError, evaluate, param, parse_expr, render, substitute,
+)
 
 
 def leaf(nid, contexts=()):
@@ -255,6 +258,17 @@ class TestCompileModel:
         with pytest.raises(ModelError, match="no usable decomposition"):
             compile_model(undecomposed)
 
+    def test_nodes_come_in_fold_order(self, bsn):
+        order = list(compile_model(bsn, goal="G3"))
+        assert order[-1] == "G3"
+        assert order.index("T1.11") < order.index("T1.1") < order.index("T1")
+
+    def test_term_budget_is_exact(self, bsn):
+        # G1's cost needs 434 terms at its widest step.
+        assert compile_model(bsn, max_terms=434) == compile_model(bsn)
+        with pytest.raises(TermBudgetError, match="expands past 433 terms"):
+            compile_model(bsn, max_terms=433)
+
     def test_json_round_trip(self, bsn, tmp_path, capsys):
         path = tmp_path / "bsn.json"
         path.write_text(bundled.data_text("bsn.json"))
@@ -267,6 +281,38 @@ class TestCompileModel:
                 text = doc["formulas"][nid][part]
                 assert text == render(getattr(f, part))
                 assert parse_expr(text) == getattr(f, part)
+
+
+class TestPinnedOutput:
+    """sha256 of compile output bytes; a change of fold or expansion must not
+    move a single byte."""
+
+    # The bundled root is G1, so the first two documents are the same bytes.
+    COMPILE_DIGESTS = {
+        (): "9e355320adc5d2ddbb0265724b3e4c33f6466ccd4d3fa9dc5b85c8d9b61ce84b",
+        ("--goal", "G1"): "9e355320adc5d2ddbb0265724b3e4c33f6466ccd4d3fa9dc5b85c8d9b61ce84b",
+        ("--goal", "T1"): "01ea29f63cc2ce38301538d24ed2278a2cbac07e533c326e0df915861a1c0b0a",
+    }
+    # Every node's rendered (reliability, weight, cost) of 300 seeded models.
+    RANDOM_MODELS_DIGEST = "fbe5c94a1e4b1e0bbb54cc924d547bae62e9502bdc176dc77f4ae83347d15b05"
+
+    @pytest.mark.parametrize("args", sorted(COMPILE_DIGESTS))
+    def test_bundled_compile(self, capsys, tmp_path, args):
+        path = tmp_path / "bsn.json"
+        path.write_text(bundled.data_text("bsn.json"))
+        assert cli.main(["compile", str(path), *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.COMPILE_DIGESTS[args]
+
+    def test_random_models(self):
+        digest = hashlib.sha256()
+        for seed in range(300):
+            forms = compile_model(random_model(random.Random(seed)))
+            for nid in sorted(forms):
+                f = forms[nid]
+                parts = (render(f.reliability), render(f.weight), render(f.cost))
+                digest.update(f"{seed} {nid} {' | '.join(parts)}\n".encode("utf-8"))
+        assert digest.hexdigest() == self.RANDOM_MODELS_DIGEST
 
 
 def pairwise_fold(m):

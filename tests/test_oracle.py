@@ -1,6 +1,7 @@
 """Enumeration-oracle tests: outcome trios, frozen cases, formula checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from goalc.cgm import (
 )
 from goalc.compiler import compile_model
 from goalc.oracle import (
+    CheckResult,
     ConcreteBinding,
     ExecMode,
     _prob_reach_full,
@@ -254,6 +256,16 @@ class TestCheckFormula:
         assert res.cost_formula is None
         assert res.reliability_delta <= 1e-12
         assert res.ok()
+
+    def test_ok_fails_closed(self):
+        nan = float("nan")
+        res = CheckResult("G", 0.5, 0.5, 0.0, True, 1.0, 1.0, 0.0)
+        assert res.ok(0.0)
+        assert not res.ok(nan)
+        assert not replace(res, reliability_delta=nan).ok()
+        assert not replace(res, cost_delta=nan).ok()
+        assert not replace(res, cost_delta=None).ok()
+        assert replace(res, cost_applicable=False, cost_delta=nan).ok()
 
     def test_param_map_covers_contexts_and_opt(self):
         p = Node("B.X", "", NodeKind.PLACEHOLDER, contexts=("K1",))
