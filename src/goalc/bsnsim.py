@@ -17,6 +17,7 @@ reproducible down to the output bytes.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -162,6 +163,12 @@ class ScenarioConfig:
             raise ConfigError("duration and tick must be positive")
         if self.executions_per_tick < 1:
             raise ConfigError("executions_per_tick must be at least 1")
+        for leaf, r in self.true_reliability.items():
+            if not 0.0 <= r <= 1.0:
+                raise ConfigError(f"true reliability of {leaf!r} outside [0, 1]: {r}")
+        for leaf, w in self.true_cost.items():
+            if not 0.0 <= w < math.inf:
+                raise ConfigError(f"true cost of {leaf!r} is negative or not finite: {w}")
         if self.hub_leaf and self.hub_leaf not in self.true_reliability:
             raise ConfigError(f"hub leaf {self.hub_leaf!r} has no true parameters")
         for spec in self.sensors:
@@ -350,10 +357,6 @@ class World:
                 events.append({"t": t, "kind": "context", "context": ctx, "value": bool(truth)})
             self.contexts[ctx] = truth
 
-    def apply_commands(self, commands: Sequence[Mapping], policy: runtime.Policy) -> None:
-        assignments = {str(c["knob"]): float(c["value"]) for c in commands}
-        self.frequency.update(runtime.expand_assignments(policy, assignments))
-
     def truth_bindings(self) -> Dict[str, float]:
         """Bind every formula parameter from the true state of the world."""
         return ParamTable.bindings(
@@ -432,6 +435,14 @@ def run(
         if define.condition is not None
     }
 
+    knob_ids = sorted(knob.id for knob in policy.knobs)
+    missing = sorted(set(knob_ids) - set(config.initial_frequency))
+    if missing:
+        raise ConfigError(f"initial_frequency misses knobs {missing}")
+    unknown = sorted(set(config.initial_frequency) - set(knob_ids))
+    if unknown:
+        raise ConfigError(f"initial_frequency names knobs the policy lacks: {unknown}")
+
     world = World.from_config(config, policy, conditioned)
     state = runtime.initial_state(
         model,
@@ -443,13 +454,10 @@ def run(
         opt_flags=config.opt_flags,
         window_size=config.window_size,
     )
+    circuits = policy.circuits(state.formulae)
 
     context_ids = sorted(model.contexts)
-    knob_ids = sorted(knob.id for knob in policy.knobs)
     knob_values = dict(config.initial_frequency)
-    missing = [k for k in knob_ids if k not in knob_values]
-    if missing:
-        raise ConfigError(f"initial_frequency misses knobs {missing}")
     columns = ("t", "reliability", "cost") + tuple(context_ids) + tuple(knob_ids)
 
     rows: List[Tuple[float, ...]] = []
@@ -457,17 +465,18 @@ def run(
     for index in range(int(round(config.duration / config.tick))):
         t = round(index * config.tick, 9)
         if pending:
-            world.apply_commands(pending, policy)
             assignments = {str(c["knob"]): float(c["value"]) for c in pending}
             knob_values.update(assignments)
-            state = state.with_frequencies(
-                runtime.expand_assignments(policy, assignments)
-            )
+            frequencies = runtime.expand_assignments(policy, assignments)
+            world.frequency.update(frequencies)
+            state = state.with_frequencies(frequencies)
             pending = []
         world.inject(t)
         events = world.step(t)
+        bindings = world.truth_bindings()
+        achieved = policy.reported([symexpr.evaluate(c, bindings) for c in circuits])
         rows.append(
-            (t,) + _achieved(world, policy, state.formulae)
+            (t, achieved.get("reliability", 0.0), achieved.get("cost", 0.0))
             + tuple(float(world.contexts.get(c, 0)) for c in context_ids)
             + tuple(float(knob_values[k]) for k in knob_ids)
         )
@@ -476,32 +485,6 @@ def run(
         actuation = runtime.plan(state, policy)
         pending = runtime.execute(actuation, knob_values)
     return TimeSeries(columns, tuple(rows))
-
-
-def _achieved(
-    world: World,
-    policy: runtime.Policy,
-    forms: Mapping[str, NodeForms],
-) -> Tuple[float, float]:
-    """True reliability and cost of the configuration currently in force."""
-    bindings = world.truth_bindings()
-    reliability = cost = 0.0
-    seen = set()
-    for prop in policy.properties:
-        if prop.metric in seen:
-            continue
-        seen.add(prop.metric)
-        expr = (
-            forms[prop.goal].reliability
-            if prop.metric is runtime.Metric.RELIABILITY
-            else forms[prop.goal].cost
-        )
-        value = symexpr.evaluate(expr, bindings)
-        if prop.metric is runtime.Metric.RELIABILITY:
-            reliability = value
-        else:
-            cost = value
-    return reliability, cost
 
 
 # -- comparison metrics ------------------------------------------------------------

@@ -166,8 +166,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if not isinstance(binding, dict):
         raise InputError("binding file must be a JSON object of parameter values")
     for name, value in binding.items():
-        if not isinstance(value, (int, float)):
-            raise InputError(f"binding of {name!r} is not a number: {value!r}")
+        # JSON true would bind as 1, NaN and Infinity would print as non-JSON
+        # output, and an integer past the float range cannot be evaluated.
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise InputError(f"binding of {name!r} is not a finite number: {value!r}")
     reliability_expr = symexpr.parse_expr(entry["reliability"])
     cost_expr = symexpr.parse_expr(entry["cost"])
     started = time.perf_counter()
@@ -252,9 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _setpoints(policy: runtime.Policy) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for prop in policy.properties:
-        out.setdefault(prop.metric.value.lower(), prop.setpoint)
+    out = policy.reported([prop.setpoint for prop in policy.properties])
     for needed in ("reliability", "cost"):
         if needed not in out:
             raise PolicyError(f"policy declares no {needed} property")

@@ -4,9 +4,9 @@ The knowledge state carries windowed per-leaf estimates (success rate, mean
 cost sample) next to commanded frequencies, context truths, and placeholder
 flags — enough to bind every parameter of the goals' formula circuits.  The
 planner is an exhaustive, deterministic grid search over frequency knobs,
-where one knob fans out to a whole group of leaves (e.g. "all sensor tasks"):
-each grid point binds the knob's value to the frequency of every leaf it
-drives.  The search runs the circuits through :func:`symexpr.sweep`, so the
+where one knob fans out to a whole group of leaves (e.g. "all sensor tasks")
+and no two knobs share a leaf: each grid point binds the knob's value to the
+frequency of every leaf it drives.  The search runs the circuits through :func:`symexpr.sweep`, so the
 arithmetic no knob reaches runs once per search and each grid point runs
 only the part its innermost knob drives.
 """
@@ -54,8 +54,10 @@ class PropertyTarget:
     margin: float  # tolerated relative deviation, e.g. 0.02
 
     def __post_init__(self) -> None:
-        if not self.margin > 0:
-            raise PolicyError(f"margin must be positive, got {self.margin}")
+        if not math.isfinite(self.setpoint):
+            raise PolicyError(f"setpoint must be finite, got {self.setpoint}")
+        if not 0 < self.margin < math.inf:
+            raise PolicyError(f"margin must be finite and positive, got {self.margin}")
 
     def in_margin(self, current: float) -> bool:
         return abs(current - self.setpoint) <= self.margin * self.setpoint
@@ -96,6 +98,10 @@ class Knob:
 
 @dataclass(frozen=True)
 class Policy:
+    """What the loop controls: which circuit each property reads, when
+    values satisfy the policy, how they score and which one each metric
+    reports.  ``values`` holds one value per property, in order."""
+
     properties: Tuple[PropertyTarget, ...]
     knobs: Tuple[Knob, ...]
     combination: object = "and"  # "and" | "or" | nested ["and", 0, ["or", 1, 2]]
@@ -106,7 +112,48 @@ class Policy:
         ids = [k.id for k in self.knobs]
         if len(set(ids)) != len(ids):
             raise PolicyError("duplicate knob id")
+        # A leaf has one owner, so a knob's value is its leaves' frequency.
+        owner: Dict[str, str] = {}
+        for knob in self.knobs:
+            for leaf in knob.leaves:
+                if owner.setdefault(leaf, knob.id) != knob.id:
+                    raise PolicyError(
+                        f"knobs {owner[leaf]!r} and {knob.id!r} both drive leaf {leaf!r}"
+                    )
         _check_combination(self.combination, len(self.properties))
+
+    def circuits(self, formulae: Mapping[str, NodeForms]) -> List[symexpr.Circuit]:
+        """Each property's circuit: its goal's reliability or cost."""
+        out = []
+        for prop in self.properties:
+            try:
+                forms = formulae[prop.goal]
+            except KeyError:
+                raise StateError(f"no compiled formulae for goal {prop.goal!r}") from None
+            out.append(forms.reliability if prop.metric is Metric.RELIABILITY else forms.cost)
+        return out
+
+    def satisfied(self, values: Sequence[float]) -> bool:
+        """Whether the combination holds over the properties' in-margin flags."""
+        return combination_satisfied(
+            self.combination, [p.in_margin(v) for p, v in zip(self.properties, values)]
+        )
+
+    def objective(self, values: Sequence[float]) -> float:
+        """The sum of setpoint-normalized absolute errors; lower is better."""
+        total = 0.0
+        for prop, value in zip(self.properties, values):
+            scale = abs(prop.setpoint) or 1.0
+            total += abs(value - prop.setpoint) / scale
+        return total
+
+    def reported(self, values: Sequence[float]) -> Dict[str, float]:
+        """The value of each metric's first property, keyed by the lower-case
+        metric name (``"reliability"``, ``"cost"``)."""
+        out: Dict[str, float] = {}
+        for prop, value in zip(self.properties, values):
+            out.setdefault(prop.metric.value.lower(), value)
+        return out
 
 
 def _check_combination(comb: object, n_properties: int) -> None:
@@ -228,8 +275,8 @@ class KnowledgeState:
                 if not 0.0 <= value <= 1.0:
                     raise StateError(f"{name} of {leaf!r} outside [0, 1]: {value}")
         for leaf, value in self.prior_cost.items():
-            if value < 0:
-                raise StateError(f"cost of {leaf!r} is negative: {value}")
+            if not 0.0 <= value < math.inf:
+                raise StateError(f"cost of {leaf!r} is negative or not finite: {value}")
         for ctx, truth in self.context_truth.items():
             if truth not in (0, 1):
                 raise StateError(f"context {ctx!r} truth must be 0 or 1")
@@ -336,7 +383,7 @@ def monitor_ingest(
             elif kind == "cost":
                 leaf = str(event["leaf"])
                 value = float(event["value"])
-                if leaf not in state.prior_cost or value < 0:
+                if leaf not in state.prior_cost or not 0.0 <= value < math.inf:
                     raise ValueError(value)
                 cost_windows.setdefault(leaf, []).append(value)
             elif kind == "context":
@@ -377,31 +424,16 @@ class AnalysisReport:
     satisfied: bool
 
 
-def _goal_expr(state: KnowledgeState, prop: PropertyTarget) -> symexpr.Circuit:
-    try:
-        forms = state.formulae[prop.goal]
-    except KeyError:
-        raise StateError(f"no compiled formulae for goal {prop.goal!r}") from None
-    return forms.reliability if prop.metric == Metric.RELIABILITY else forms.cost
-
-
 def analyze(state: KnowledgeState, policy: Policy) -> AnalysisReport:
     """Evaluate every controlled property against the current beliefs."""
     bindings = state.param_bindings()
-    readings = []
-    for prop in policy.properties:
-        current = symexpr.evaluate(_goal_expr(state, prop), bindings)
-        readings.append(PropertyReading(
-            metric=prop.metric,
-            goal=prop.goal,
-            current=current,
-            error=current - prop.setpoint,
-            in_margin=prop.in_margin(current),
-        ))
-    satisfied = combination_satisfied(
-        policy.combination, [r.in_margin for r in readings]
+    values = [symexpr.evaluate(c, bindings) for c in policy.circuits(state.formulae)]
+    readings = tuple(
+        PropertyReading(prop.metric, prop.goal, value, value - prop.setpoint,
+                        prop.in_margin(value))
+        for prop, value in zip(policy.properties, values)
     )
-    return AnalysisReport(tuple(readings), satisfied)
+    return AnalysisReport(readings, policy.satisfied(values))
 
 
 # -- plan ---------------------------------------------------------------------
@@ -420,14 +452,6 @@ class Actuation:
 DEFAULT_GRID_CAP = 1_000_000
 
 
-def _objective(props: Sequence[PropertyTarget], currents: Sequence[float]) -> float:
-    total = 0.0
-    for prop, current in zip(props, currents):
-        scale = abs(prop.setpoint) or 1.0
-        total += abs(current - prop.setpoint) / scale
-    return total
-
-
 def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     """Search the knob grid exhaustively for the best feasible assignment.
 
@@ -443,9 +467,7 @@ def plan(state: KnowledgeState, policy: Policy) -> Actuation:
         knob.id: state.frequency[knob.leaves[0]] for knob in policy.knobs
     }
     if report.satisfied or not policy.knobs:
-        predicted: Dict[str, float] = {}
-        for reading in report.readings:
-            predicted.setdefault(reading.metric.value.lower(), reading.current)
+        predicted = policy.reported([reading.current for reading in report.readings])
         return Actuation(current, predicted, feasible=report.satisfied)
 
     knobs = sorted(policy.knobs, key=lambda k: k.id)
@@ -455,35 +477,24 @@ def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     grids = [knob.values() for knob in knobs]
 
     # A grid point binds each knob's value to the frequency of every leaf the
-    # knob drives, over the current beliefs; later knobs win shared leaves.
+    # knob drives, over the current beliefs.
     driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
     points = symexpr.sweep(
-        [_goal_expr(state, prop) for prop in policy.properties],
+        policy.circuits(state.formulae),
         state.param_bindings(),
         list(zip(driven, grids)),
     )
-
-    best_feasible: Optional[Tuple[float, Tuple[float, ...], Tuple[float, ...]]] = None
-    best_any: Optional[Tuple[float, Tuple[float, ...], Tuple[float, ...]]] = None
-    for values, currents in zip(itertools.product(*grids), points):
-        flags = [p.in_margin(c) for p, c in zip(policy.properties, currents)]
-        candidate = (_objective(policy.properties, currents), values, currents)
-        if best_any is None or candidate[0] < best_any[0]:
-            best_any = candidate
-        if combination_satisfied(policy.combination, flags):
-            if best_feasible is None or candidate[0] < best_feasible[0]:
-                best_feasible = candidate
-
-    chosen = best_feasible if best_feasible is not None else best_any
-    assert chosen is not None  # grids are never empty
-    _, values, currents = chosen
-    predicted = {}
-    for prop, value in zip(policy.properties, currents):
-        predicted.setdefault(prop.metric.value.lower(), value)
+    # Feasible points rank first.  ``min`` keeps the first of equal keys and
+    # compares with ``<``, so ties go to the earliest grid point; it streams,
+    # so a grid near the cap is never held in memory.
+    values, currents = min(
+        zip(itertools.product(*grids), points),
+        key=lambda point: (not policy.satisfied(point[1]), policy.objective(point[1])),
+    )
     return Actuation(
         assignments={knob.id: v for knob, v in zip(knobs, values)},
-        predicted=predicted,
-        feasible=best_feasible is not None,
+        predicted=policy.reported(currents),
+        feasible=policy.satisfied(currents),
     )
 
 

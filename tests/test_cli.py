@@ -212,6 +212,18 @@ class TestEval:
         assert code == 1
         assert "f_T2" in err and err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True,
+                                       10**400],
+                             ids=["NaN", "Infinity", "-Infinity", "true", "huge-int"])
+    def test_non_finite_or_boolean_binding(self, capsys, formulas_file, tmp_path, value):
+        bind = self.unit_binding(formulas_file, tmp_path)
+        values = json.loads(open(bind).read())
+        values["f_T2"] = value
+        open(bind, "w").write(json.dumps(values))
+        code, out, err = run_cli(capsys, "eval", formulas_file, "--bind", bind)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: binding of 'f_T2' is not a finite number")
+
 
 class TestVerify:
     def test_clean_report(self, capsys, model_file):
@@ -396,6 +408,30 @@ class TestSimulate:
                                "--policy", str(path), "--scenario", scenario_file)
         assert code == 1
         assert "setpoint" in err and "abc" in err
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("initial_frequency", "T9"), 0.5,
+         "initial_frequency names knobs the policy lacks: ['T9']"),
+        (("true", "reliability", "T2"), 7, "true reliability of 'T2' outside [0, 1]: 7.0"),
+        (("true", "cost", "T2"), -1, "true cost of 'T2' is negative or not finite: -1.0"),
+        (("true", "cost", "T2"), float("inf"),
+         "true cost of 'T2' is negative or not finite: inf"),
+    ], ids=["unknown-knob", "reliability-7", "negative-cost", "infinite-cost"])
+    def test_scenario_checked_against_policy_and_range(self, capsys, model_file,
+                                                       policy_file, tmp_path,
+                                                       path, value, message):
+        doc = json.loads(bundled.data_text("scenario_nominal.json"))
+        doc["duration"] = 5
+        entry = doc
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", model_file,
+                                 "--policy", policy_file, "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_out_of_range_prior(self, capsys, model_file, policy_file, tmp_path):
         doc = json.loads(bundled.data_text("scenario_nominal.json"))

@@ -15,6 +15,7 @@ from goalc.runtime import (
     Policy,
     PolicyError,
     PropertyTarget,
+    StateError,
     analyze,
     combination_satisfied,
     execute,
@@ -82,6 +83,16 @@ class TestPolicy:
     def test_margin_must_be_positive(self):
         with pytest.raises(PolicyError, match="margin"):
             PropertyTarget(Metric.COST, "G", 0.5, 0.0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("setpoint", float("nan")), ("setpoint", float("inf")),
+        ("setpoint", float("-inf")), ("margin", float("inf")),
+    ])
+    def test_setpoint_and_margin_must_be_finite(self, bsn, key, value):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["properties"][0][key] = value
+        with pytest.raises(PolicyError, match=f"{key} must be finite"):
+            load_policy(json.dumps(doc), bsn)
 
     def test_unknown_metric(self, bsn):
         doc = {"properties": [
@@ -151,6 +162,11 @@ class TestKnowledge:
         with pytest.raises(ValueError, match="negative"):
             single_state(w=-1.0)
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_non_finite_prior_cost_rejected(self, w):
+        with pytest.raises(StateError, match="not finite"):
+            single_state(w=w)
+
     def test_estimates_fall_back_to_priors(self):
         _, state = single_state(r=0.7, w=2.0)
         assert state.reliability_estimate("T") == 0.7
@@ -194,6 +210,16 @@ class TestMonitor:
             {"t": 1, "kind": "cost", "leaf": "T", "value": 3.0},
         ])
         assert state.cost_estimate("T") == 2.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_cost_sample_dropped(self, value):
+        _, state = single_state(w=0.5)
+        state = monitor_ingest(state, [
+            {"t": 0, "kind": "cost", "leaf": "T", "value": value},
+            {"t": 1, "kind": "cost", "leaf": "T", "value": 1.0},
+        ])
+        assert state.dropped == 1
+        assert state.cost_windows["T"] == (1.0,)
 
     def test_context_event(self, bsn):
         forms = compile_model(bsn)

@@ -19,6 +19,7 @@ from goalc.compiler import compile_circuits
 from goalc.oracle import param_map, random_binding, random_model
 from goalc.runtime import (
     Actuation,
+    PolicyError,
     analyze,
     combination_satisfied,
     expand_assignments,
@@ -187,7 +188,7 @@ class TestErrors:
 def per_point_plan(state, policy):
     """The planner's search as one evaluation per grid point: a copy of the
     belief binding with the knob values written into every driven leaf's
-    frequency (later knobs win shared leaves), then every circuit run."""
+    frequency, then every circuit run."""
     report = analyze(state, policy)
     current = {knob.id: state.frequency[knob.leaves[0]] for knob in policy.knobs}
     if report.satisfied or not policy.knobs:
@@ -235,12 +236,16 @@ OVERLAPPING_KNOBS = [
 ]
 
 
-@pytest.mark.parametrize("knobs", [None, OVERLAPPING_KNOBS], ids=["bundled", "overlapping"])
-def test_plan_matches_the_per_point_search(bsn, knobs):
+def test_overlapping_knobs_are_rejected(bsn):
     doc = json.loads(bundled.data_text("policy.json"))
-    if knobs is not None:
-        doc["knobs"] = knobs
-    policy = load_policy(json.dumps(doc), bsn)
+    doc["knobs"] = OVERLAPPING_KNOBS
+    with pytest.raises(PolicyError) as info:
+        load_policy(json.dumps(doc), bsn)
+    assert str(info.value) == "knobs 'T1' and 'T1.1' both drive leaf 'T1.11'"
+
+
+def test_plan_matches_the_per_point_search(bsn):
+    policy = load_policy(bundled.data_text("policy.json"), bsn)
     scenario = json.loads(bundled.data_text("scenario_nominal.json"))
     leaves = bsn.executable_leaves()
     rng = random.Random(23)
