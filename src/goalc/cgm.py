@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .symexpr import Parameter, ParamKind
+from .symexpr import Parameter
 
 
 class ModelError(ValueError):
@@ -118,13 +118,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class Advisory:
-    node_id: str
-    rule: str
-    message: str
-
-
-@dataclass(frozen=True)
 class GoalModel:
     actor: str
     root: str
@@ -168,10 +161,12 @@ class ParamTable:
     Every executable leaf owns three parameters (``r_<id>``, ``f_<id>``,
     ``w_<id>``), every referenced context one truth parameter (``C_<id>``),
     and every placeholder one existence flag (``OPT_<id>``).  Ids pass
-    through :func:`mangle`.  Naming needs no model, so the naming methods
-    and :meth:`bindings` can also be called on the class.  The naming
-    methods are memoized: the feedback loop binds every parameter every
-    tick, and the oracle looks names up per leaf per check.
+    through :func:`mangle`.  The prefix fixes the parameter's kind
+    (:func:`symexpr.kind_from_name`); ``ref`` only records the owning id.
+    Naming needs no model, so the naming methods and :meth:`bindings` can
+    also be called on the class.  The naming methods are memoized: the
+    feedback loop binds every parameter every tick, and the oracle looks
+    names up per leaf per check.
     """
 
     def __init__(self, model: GoalModel):
@@ -180,27 +175,27 @@ class ParamTable:
     @staticmethod
     @lru_cache(maxsize=4096)
     def reliability(leaf_id: str) -> Parameter:
-        return Parameter(f"r_{mangle(leaf_id)}", ParamKind.RELIABILITY, leaf_id)
+        return Parameter(f"r_{mangle(leaf_id)}", leaf_id)
 
     @staticmethod
     @lru_cache(maxsize=4096)
     def frequency(leaf_id: str) -> Parameter:
-        return Parameter(f"f_{mangle(leaf_id)}", ParamKind.FREQUENCY, leaf_id)
+        return Parameter(f"f_{mangle(leaf_id)}", leaf_id)
 
     @staticmethod
     @lru_cache(maxsize=4096)
     def cost_weight(leaf_id: str) -> Parameter:
-        return Parameter(f"w_{mangle(leaf_id)}", ParamKind.COST, leaf_id)
+        return Parameter(f"w_{mangle(leaf_id)}", leaf_id)
 
     @staticmethod
     @lru_cache(maxsize=4096)
     def context(context_id: str) -> Parameter:
-        return Parameter(f"C_{mangle(context_id)}", ParamKind.CONTEXT, context_id)
+        return Parameter(f"C_{mangle(context_id)}", context_id)
 
     @staticmethod
     @lru_cache(maxsize=4096)
     def opt(node_id: str) -> Parameter:
-        return Parameter(f"OPT_{mangle(node_id)}", ParamKind.OPT, node_id)
+        return Parameter(f"OPT_{mangle(node_id)}", node_id)
 
     @staticmethod
     def bindings(
@@ -447,68 +442,3 @@ def validate(model: GoalModel) -> List[Violation]:
             bad(cid, "context-condition", f"{ctx.kind.value} contexts need one condition")
 
     return sorted(out, key=lambda v: (v.node_id, v.rule, v.message))
-
-
-def check_sensor_guideline(model: GoalModel) -> List[Advisory]:
-    """Advise when a context-dependent collection task strays from the
-    read/filter/transfer shape (an And over exactly three leaf tasks,
-    matched by position, not by label text)."""
-    out: List[Advisory] = []
-    for node in model.nodes.values():
-        if node.kind != NodeKind.TASK or not node.contexts:
-            continue
-        leaf_children = [
-            c for c in node.children
-            if c in model.nodes and model.nodes[c].kind == NodeKind.LEAF_TASK
-        ]
-        ok = (
-            node.decomposition == Decomposition.AND
-            and len(node.children) == 3
-            and len(leaf_children) == 3
-        )
-        if not ok:
-            out.append(Advisory(
-                node.id,
-                "sensor-guideline",
-                "context-dependent collection tasks are usually And-refined into "
-                "exactly three leaf steps (read, filter, transfer)",
-            ))
-    return sorted(out, key=lambda a: (a.node_id, a.rule))
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def serialize(model: GoalModel) -> str:
-    """Canonical JSON text; ``parse_model(serialize(m))`` reproduces ``m``."""
-    doc = {
-        "actor": model.actor,
-        "root": model.root,
-        "nodes": [
-            {
-                "id": n.id,
-                "label": n.label,
-                "kind": n.kind.value,
-                "decomposition": None
-                if n.decomposition == Decomposition.NONE
-                else n.decomposition.value,
-                "children": list(n.children),
-                "dm": list(n.dm_order) if n.dm_order is not None else None,
-                "contexts": list(n.contexts),
-                "placeholder": n.kind == NodeKind.PLACEHOLDER,
-            }
-            for n in model.nodes.values()
-        ],
-        "contexts": [
-            {
-                "id": c.id,
-                "description": c.description,
-                "kind": c.kind.value,
-                "condition": None
-                if c.condition is None
-                else {"var": c.condition.var, "op": c.condition.op, "value": c.condition.value},
-            }
-            for c in model.contexts.values()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"

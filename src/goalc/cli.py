@@ -176,6 +176,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     reliability = symexpr.evaluate(reliability_expr, binding)
     cost = symexpr.evaluate(cost_expr, binding)
     wall_ms = (time.perf_counter() - started) * 1000.0
+    for part, value in (("reliability", reliability), ("cost", cost)):
+        # Finite bindings can still overflow, and JSON has no Infinity or NaN.
+        if not math.isfinite(value):
+            raise InputError(f"{part} of {goal!r} is not finite under this binding: {value}")
     print(json.dumps({
         "goal": goal,
         "reliability": reliability,

@@ -77,18 +77,18 @@ def _fold(
         """Multiplication by the product of ``contexts`` (identity if none)."""
         factor = None
         for c in contexts:
-            p = builder.param(ParamTable.context(c))
+            p = builder.param(ParamTable.context(c).name)
             factor = p if factor is None else factor * p
         return (lambda x: x) if factor is None else (lambda x: factor * x)
 
     if node.is_executable:
-        r = builder.param(ParamTable.reliability(node_id))
-        rf = r * builder.param(ParamTable.frequency(node_id))
-        w = builder.param(ParamTable.cost_weight(node_id))
+        r = builder.param(ParamTable.reliability(node_id).name)
+        rf = r * builder.param(ParamTable.frequency(node_id).name)
+        w = builder.param(ParamTable.cost_weight(node_id).name)
         own = gate(node.contexts)
         rel, cost = own(rf), own(w * rf)
         if node.kind == NodeKind.PLACEHOLDER:
-            o = builder.param(ParamTable.opt(node_id))
+            o = builder.param(ParamTable.opt(node_id).name)
             rel, cost = rel * o, cost * o
         memo[node_id] = NodeForms(rel, w, cost)
         return memo[node_id]
@@ -169,8 +169,8 @@ def param_growth_report(
     forms = compile_model(model, goal)
     return {
         nid: {
-            "reliability": len(f.reliability.parameters()),
-            "cost": len(f.cost.parameters()),
+            "reliability": len(f.reliability.parameter_names()),
+            "cost": len(f.cost.parameter_names()),
         }
         for nid, f in forms.items()
     }

@@ -62,9 +62,11 @@ def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPl
     # a slot of their own, so their machinery resolves before their subtrees.
     counter = [0]
     dm_count = [0]
+    first_slot: Dict[str, int] = {}  # node id -> the first slot of its subtree
 
     def assign(node_id: str) -> None:
         node = model.node(node_id)
+        first_slot[node_id] = counter[0] + 1
         if node.is_executable or node.dm_order is not None:
             counter[0] += 1
             plan.slots[node_id] = counter[0]
@@ -118,11 +120,7 @@ def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPl
             for child_id in node.dm_order:
                 # The enable variable borrows the slot of the first module in
                 # the enabled subtree, which stays unique under nesting.
-                enable = min(
-                    plan.slots[nid]
-                    for nid in _subtree_ids(model, child_id)
-                    if nid in plan.slots
-                )
+                enable = first_slot[child_id]
                 enable_slots.append(enable)
                 walk(child_id, gated, enables + (enable,), own_consumed=True)
             plan.dm_enables[node_id] = enable_slots
@@ -132,14 +130,6 @@ def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPl
 
     walk(goal, (), (), False)
     return plan
-
-
-def _subtree_ids(model: GoalModel, node_id: str) -> List[str]:
-    node = model.node(node_id)
-    out = [node_id]
-    for child in node.children:
-        out.extend(_subtree_ids(model, child))
-    return out
 
 
 def _ctx_const(context_id: str) -> str:

@@ -56,6 +56,12 @@ class PropertyTarget:
     def __post_init__(self) -> None:
         if not math.isfinite(self.setpoint):
             raise PolicyError(f"setpoint must be finite, got {self.setpoint}")
+        # in_margin scales the margin by the setpoint, so a negative setpoint
+        # is never in margin, and no reliability exceeds 1.
+        if self.setpoint < 0:
+            raise PolicyError(f"setpoint must not be negative, got {self.setpoint}")
+        if self.metric is Metric.RELIABILITY and self.setpoint > 1:
+            raise PolicyError(f"a Reliability setpoint must not exceed 1, got {self.setpoint}")
         if not 0 < self.margin < math.inf:
             raise PolicyError(f"margin must be finite and positive, got {self.margin}")
 

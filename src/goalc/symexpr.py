@@ -2,7 +2,9 @@
 
 Expressions are kept in a normal form: a sorted tuple of (coefficient,
 monomial) terms with exact rational coefficients and monomials stored as
-sorted name multisets.  Parameters that model binary quantities (context
+sorted name multisets.  Parameters are plain names, and a name's prefix
+fixes its kind (``r_``, ``f_``, ``w_``, ``C_``, ``OPT_``; see
+:func:`kind_from_name`).  Parameters that model binary quantities (context
 truth, optional-resource flags) are idempotent: any power collapses to the
 first, so ``C*C*r`` and ``C*r`` are the same expression.  Two expressions
 are semantically equal iff their normal forms compare equal, which makes
@@ -10,7 +12,8 @@ polynomial identities checkable with ``==``.
 
 A :class:`Circuit` is the same formula left unexpanded: the straight-line
 float program of the arithmetic that built it, linear in model size where
-the canonical form can grow exponentially.  A :class:`CircuitBuilder`
+the canonical form can grow exponentially.  Its instructions load
+parameters by name, so a circuit is plain data.  A :class:`CircuitBuilder`
 records such programs and expands them into canonical form, optionally
 within a term budget.  :func:`evaluate` takes either form; :func:`sweep`
 evaluates circuits over a whole grid of bindings at once.
@@ -49,7 +52,7 @@ class ParamKind(Enum):
 #: Kinds whose parameters take values in {0, 1} and are idempotent.
 BINARY_KINDS = frozenset({ParamKind.CONTEXT, ParamKind.OPT})
 
-#: Name prefixes used to recover parameter kinds when parsing rendered text.
+#: The one table of parameter kinds: a name's prefix fixes its kind.
 _PREFIX_KINDS = (
     ("OPT_", ParamKind.OPT),
     ("C_", ParamKind.CONTEXT),
@@ -59,25 +62,33 @@ _PREFIX_KINDS = (
 )
 
 
+def kind_from_name(name: str) -> ParamKind:
+    """The kind a parameter name's prefix fixes; unprefixed names are reliabilities."""
+    for prefix, kind in _PREFIX_KINDS:
+        if name.startswith(prefix):
+            return kind
+    return ParamKind.RELIABILITY
+
+
+def is_binary(name: str) -> bool:
+    """Whether the parameter ``name`` takes values in {0, 1} and is idempotent."""
+    return kind_from_name(name) in BINARY_KINDS
+
+
 @dataclass(frozen=True, order=True)
 class Parameter:
-    """A named model parameter (reliability, frequency, cost weight, ...)."""
+    """A named model parameter; the name's prefix fixes its kind."""
 
     name: str
-    kind: ParamKind
     ref: str = ""  # id of the node or context the parameter belongs to
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ExprError("parameter name must be non-empty")
 
-
-def kind_from_name(name: str) -> ParamKind:
-    """Infer a parameter kind from the standard naming prefixes."""
-    for prefix, kind in _PREFIX_KINDS:
-        if name.startswith(prefix):
-            return kind
-    return ParamKind.RELIABILITY
+    @property
+    def kind(self) -> ParamKind:
+        return kind_from_name(self.name)
 
 
 Term = Tuple[Fraction, Tuple[str, ...]]
@@ -86,21 +97,10 @@ Term = Tuple[Fraction, Tuple[str, ...]]
 class SymExpr:
     """An immutable polynomial in canonical form."""
 
-    __slots__ = ("_terms", "_registry")
+    __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Iterable[Tuple[Number, Iterable[str]]],
-        registry: Mapping[str, Parameter],
-    ) -> None:
-        reg = registry if isinstance(registry, dict) else dict(registry)
-        self._terms: Tuple[Term, ...] = _normalize(terms, reg)
-        # Keep only parameters that actually occur with nonzero coefficient.
-        used = set().union(*(mono for _, mono in self._terms))
-        if len(used) == len(reg):  # every name occurs: keep the registry order
-            self._registry: Dict[str, Parameter] = dict(reg)
-        else:
-            self._registry = {n: p for n, p in reg.items() if n in used}
+    def __init__(self, terms: Iterable[Tuple[Number, Iterable[str]]]) -> None:
+        self._terms: Tuple[Term, ...] = _normalize(terms)
 
     # -- accessors ---------------------------------------------------------
 
@@ -108,15 +108,9 @@ class SymExpr:
     def terms(self) -> Tuple[Term, ...]:
         return self._terms
 
-    def parameters(self) -> Tuple[Parameter, ...]:
-        """Parameters occurring with nonzero coefficient, sorted by name."""
-        return tuple(self._registry[n] for n in sorted(self._registry))
-
     def parameter_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._registry))
-
-    def registry(self) -> Dict[str, Parameter]:
-        return dict(self._registry)
+        """Names occurring with nonzero coefficient, sorted."""
+        return tuple(sorted(set().union(*(mono for _, mono in self._terms))))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -124,30 +118,20 @@ class SymExpr:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "SymExpr") -> "SymExpr":
-        reg = {**self._registry, **other._registry}
-        return SymExpr(
-            [(c, m) for c, m in self._terms] + [(c, m) for c, m in other._terms], reg
-        )
+        return SymExpr(self._terms + other._terms)
 
     def __sub__(self, other: "SymExpr") -> "SymExpr":
-        reg = {**self._registry, **other._registry}
-        return SymExpr(
-            [(c, m) for c, m in self._terms]
-            + [(-c, m) for c, m in other._terms],
-            reg,
-        )
+        return SymExpr(self._terms + tuple((-c, m) for c, m in other._terms))
 
     def __neg__(self) -> "SymExpr":
-        return SymExpr([(-c, m) for c, m in self._terms], self._registry)
+        return SymExpr([(-c, m) for c, m in self._terms])
 
     def __mul__(self, other: "SymExpr") -> "SymExpr":
-        reg = {**self._registry, **other._registry}
-        prods = [
+        return SymExpr([
             (c1 * c2, m1 + m2)
             for c1, m1 in self._terms
             for c2, m2 in other._terms
-        ]
-        return SymExpr(prods, reg)
+        ])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymExpr):
@@ -166,21 +150,14 @@ class SymExpr:
         return bool(self._terms)
 
 
-def _normalize(
-    terms: Iterable[Tuple[Number, Iterable[str]]], reg: Dict[str, Parameter]
-) -> Tuple[Term, ...]:
+def _normalize(terms: Iterable[Tuple[Number, Iterable[str]]]) -> Tuple[Term, ...]:
     """Sort each monomial, collapse binary powers, merge like terms, drop zeros."""
-    names = reg.keys()
     acc: Dict[Tuple[str, ...], Fraction] = {}
     for coeff, monomial in terms:
         coeff = _as_fraction(coeff)
         mono = tuple(sorted(monomial))
-        distinct = set(mono)
-        if not names >= distinct:
-            missing = next(n for n in mono if n not in reg)
-            raise ExprError(f"unregistered parameter in monomial: {missing!r}")
-        if len(distinct) != len(mono):
-            mono = _collapse_binary(mono, reg)
+        if len(set(mono)) != len(mono):
+            mono = _collapse_binary(mono)
         if mono in acc:
             acc[mono] += coeff
         else:
@@ -188,14 +165,14 @@ def _normalize(
     return tuple((acc[m], m) for m in sorted(acc) if acc[m] != 0)
 
 
-def _collapse_binary(mono: Tuple[str, ...], reg: Dict[str, Parameter]) -> Tuple[str, ...]:
+def _collapse_binary(mono: Tuple[str, ...]) -> Tuple[str, ...]:
     """Drop repeats of binary (idempotent) names from a sorted monomial.
 
     Only names that actually repeat have their kind looked up.
     """
     out = [mono[0]]
     for name in mono[1:]:
-        if name == out[-1] and reg[name].kind in BINARY_KINDS:
+        if name == out[-1] and is_binary(name):
             continue
         out.append(name)
     return tuple(out)
@@ -218,36 +195,31 @@ def _as_fraction(value: Number) -> Fraction:
 
 def constant(value: Number) -> SymExpr:
     """The constant polynomial ``value``."""
-    return SymExpr([(value, ())], {})
+    return SymExpr([(value, ())])
 
 
 ZERO = constant(0)
 ONE = constant(1)
 
 
-def param(p: Parameter) -> SymExpr:
-    """The polynomial consisting of the single parameter ``p``."""
-    return SymExpr([(1, (p.name,))], {p.name: p})
+def param(name: str) -> SymExpr:
+    """The polynomial consisting of the single parameter ``name``."""
+    return SymExpr([(1, (name,))])
 
 
 def sum_exprs(exprs: Iterable[SymExpr]) -> SymExpr:
     """The sum of ``exprs``, normalized once rather than once per addition."""
-    terms = []
-    reg: Dict[str, Parameter] = {}
-    for e in exprs:
-        terms.extend(e._terms)
-        reg.update(e._registry)
-    return SymExpr(terms, reg)
+    return SymExpr([t for e in exprs for t in e._terms])
 
 
 # -- evaluation and substitution ---------------------------------------------
 
 
-def _check_binary(p: Parameter, value: Number) -> None:
-    if p.kind in BINARY_KINDS and value not in (0, 1):
+def _check_binary(name: str, value: Number) -> None:
+    if value not in (0, 1) and is_binary(name):
         raise ExprError(
-            f"parameter {p.name!r} of kind {p.kind.value} must bind to 0 or 1, "
-            f"got {value!r}"
+            f"parameter {name!r} of kind {kind_from_name(name).value} must bind "
+            f"to 0 or 1, got {value!r}"
         )
 
 
@@ -261,20 +233,19 @@ def evaluate(expr: Union[SymExpr, "Circuit"], binding: Mapping[str, Number]) -> 
     """
     if isinstance(expr, Circuit):
         try:
-            for p in expr._binary:
-                if binding[p.name] not in (0, 1):
-                    _check_binary(p, binding[p.name])
+            for name in expr._binary:
+                if binding[name] not in (0, 1):
+                    _check_binary(name, binding[name])
             return float(expr._program(binding))
         except KeyError:
             missing = expr._names - binding.keys()
             if not missing:
                 raise
             raise ExprError(f"missing binding for parameter {min(missing)!r}") from None
-    reg = expr.registry()
-    for name, p in reg.items():
+    for name in expr.parameter_names():
         if name not in binding:
             raise ExprError(f"missing binding for parameter {name!r}")
-        _check_binary(p, binding[name])
+        _check_binary(name, binding[name])
     total = 0.0
     for coeff, mono in expr.terms:
         v = float(coeff)
@@ -291,10 +262,9 @@ def substitute(expr: SymExpr, binding: Mapping[str, Number]) -> SymExpr:
     ``evaluate(substitute(e, p), q) == evaluate(e, p | q)`` up to float
     rounding of the final accumulation.
     """
-    reg = expr.registry()
-    for name in binding:
-        if name in reg:
-            _check_binary(reg[name], binding[name])
+    for name in expr.parameter_names():
+        if name in binding:
+            _check_binary(name, binding[name])
     new_terms = []
     for coeff, mono in expr.terms:
         c = coeff
@@ -305,20 +275,12 @@ def substitute(expr: SymExpr, binding: Mapping[str, Number]) -> SymExpr:
             else:
                 rest.append(name)
         new_terms.append((c, tuple(rest)))
-    return SymExpr(new_terms, reg)
+    return SymExpr(new_terms)
 
 
-def rename_params(expr: SymExpr, mapping: Mapping[str, Parameter]) -> SymExpr:
+def rename_params(expr: SymExpr, mapping: Mapping[str, str]) -> SymExpr:
     """Rename parameters; like monomials merge and binary powers re-collapse."""
-    reg = expr.registry()
-    for target in mapping.values():
-        reg[target.name] = target
-    new_terms = []
-    for coeff, mono in expr.terms:
-        new_terms.append(
-            (coeff, tuple(mapping[n].name if n in mapping else n for n in mono))
-        )
-    return SymExpr(new_terms, reg)
+    return SymExpr([(c, tuple(mapping.get(n, n) for n in mono)) for c, mono in expr.terms])
 
 
 # -- circuits -------------------------------------------------------------------
@@ -353,8 +315,8 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 class CircuitBuilder:
     """Records arithmetic on wires as one shared straight-line program.
 
-    :meth:`param` loads a parameter (each one once) and :meth:`sum` adds
-    wires n-ary.  :meth:`circuit` cuts out the program of one result;
+    :meth:`param` loads a parameter by name (each one once) and :meth:`sum`
+    adds wires n-ary.  :meth:`circuit` cuts out the program of one result;
     :meth:`expand` turns results into canonical polynomials.
     """
 
@@ -366,12 +328,12 @@ class CircuitBuilder:
         self._code.append(instruction)
         return Wire(self, len(self._code) - 1)
 
-    def param(self, p: Parameter) -> Wire:
-        index = self._loads.get(p.name)
+    def param(self, name: str) -> Wire:
+        index = self._loads.get(name)
         if index is not None:
             return Wire(self, index)
-        wire = self._emit(("load", p))
-        self._loads[p.name] = wire.index
+        wire = self._emit(("load", name))
+        self._loads[name] = wire.index
         return wire
 
     def sum(self, wires: Iterable[Wire]) -> Wire:
@@ -452,25 +414,26 @@ class Circuit:
     """A formula as a straight-line float program.
 
     Instruction ``i`` sets register ``i`` and is one of ``("load",
-    Parameter)``, ``("*", a, b)``, ``("+", a, b)``, ``("-", a, b)`` or
+    name)``, ``("*", a, b)``, ``("+", a, b)``, ``("-", a, b)`` or
     ``("sum", (a, b, ...))`` over earlier registers; the last register is
-    the result.  Binary parameters evaluate at 0 or 1, where repeated
-    factors are already idempotent, so nothing needs collapsing.  The
-    program is compiled to a Python function on first evaluation.
+    the result.  The code is plain strings and integers, so it survives a
+    JSON round trip (lists for tuples).  Binary parameters evaluate at 0 or
+    1, where repeated factors are already idempotent, so nothing needs
+    collapsing.  The program is compiled to a Python function on first
+    evaluation.
     """
 
-    __slots__ = ("code", "_params", "_names", "_binary", "_compiled", "_sweeps")
+    __slots__ = ("code", "_names", "_binary", "_compiled", "_sweeps")
 
     def __init__(self, code: Iterable[tuple]) -> None:
         self.code: Tuple[tuple, ...] = tuple(code)
         if not self.code:
             raise ExprError("a circuit needs at least one instruction")
-        self._params = {ins[1].name: ins[1] for ins in self.code if ins[0] == "load"}
-        self._names = frozenset(self._params)
-        self._binary = tuple(
-            self._params[n] for n in sorted(self._params)
-            if self._params[n].kind in BINARY_KINDS
-        )
+        names = [ins[1] for ins in self.code if ins[0] == "load"]
+        if not all(isinstance(n, str) for n in names):
+            raise ExprError("a load instruction names its parameter by a string")
+        self._names = frozenset(names)
+        self._binary = tuple(n for n in sorted(self._names) if is_binary(n))
         self._compiled: Optional[Callable[[Mapping[str, Number]], Number]] = None
         # Compiled sweeps led by this circuit, keyed by (the other circuits,
         # axis names): they live exactly as long as the circuits do.
@@ -478,7 +441,7 @@ class Circuit:
 
     def parameter_names(self) -> Tuple[str, ...]:
         """Names of the parameters the program loads, sorted."""
-        return tuple(sorted(self._params))
+        return tuple(sorted(self._names))
 
     def __len__(self) -> int:
         return len(self.code)
@@ -520,16 +483,15 @@ def sweep(
         raise ExprError("a sweep needs at least one circuit")
     names = tuple(tuple(axis_names) for axis_names, _ in axes)
     swept = set().union(*names)
-    binary = {p.name for c in circuits for p in c._binary}
     for name in sorted(swept):
-        if name in binary or kind_from_name(name) in BINARY_KINDS:
+        if is_binary(name):
             raise ExprError(f"axis names the binary parameter {name!r}")
     for c in circuits:
         missing = c._names - swept - binding.keys()
-        for p in c._binary:
-            if p.name in missing:
+        for name in c._binary:
+            if name in missing:
                 break
-            _check_binary(p, binding[p.name])
+            _check_binary(name, binding[name])
         if missing:
             raise ExprError(f"missing binding for parameter {min(missing)!r}")
     key = (circuits[1:], names)
@@ -577,9 +539,9 @@ def _compile_program(
         for i, ins in enumerate(code):
             op, reg = ins[0], f"x{base + i}"
             if op == "load":
-                k = axis_of.get(ins[1].name, 0)
+                k = axis_of.get(ins[1], 0)
                 level.append(min(k, depth))
-                rhs = f"a{k}" if k else f"b[{ins[1].name!r}]"
+                rhs = f"a{k}" if k else f"b[{ins[1]!r}]"
             elif op == "sum":
                 level.append(max((level[j] for j in ins[1]), default=0))
                 # Left to right, in chunks: Python's compiler recurses once per
@@ -650,15 +612,8 @@ def size_bytes(expr: SymExpr) -> int:
     return len(render(expr).encode("utf-8"))
 
 
-def parse_expr(
-    text: str, registry: Optional[Mapping[str, Parameter]] = None
-) -> SymExpr:
-    """Parse the textual form produced by :func:`render`.
-
-    Unknown parameter names get their kind inferred from the standard
-    prefixes (``r_``, ``f_``, ``w_``, ``C_``, ``OPT_``).
-    """
-    known: Dict[str, Parameter] = dict(registry or {})
+def parse_expr(text: str) -> SymExpr:
+    """Parse the textual form produced by :func:`render`."""
     stripped = text.strip()
     if not stripped:
         raise ExprError("empty expression text")
@@ -679,11 +634,9 @@ def parse_expr(
             else:
                 if not _is_name(factor):
                     raise ExprError(f"invalid parameter name: {factor!r}")
-                if factor not in known:
-                    known[factor] = Parameter(factor, kind_from_name(factor))
                 mono.append(factor)
         terms.append((coeff, tuple(mono)))
-    return SymExpr(terms, known)
+    return SymExpr(terms)
 
 
 def _split_terms(text: str):

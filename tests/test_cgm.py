@@ -1,11 +1,10 @@
-"""Goal-model parsing, validation, and serialization tests."""
+"""Goal-model parsing, validation, and parameter-naming tests."""
 
 import json
 
 import pytest
 
 from goalc.cgm import (
-    Advisory,
     Condition,
     ContextDef,
     ContextKind,
@@ -18,11 +17,10 @@ from goalc.cgm import (
     ParseError,
     ValidationError,
     Violation,
-    check_sensor_guideline,
     parse_model,
-    serialize,
     validate,
 )
+from goalc.symexpr import ParamKind
 
 MINIMAL = json.dumps({
     "actor": "a",
@@ -305,31 +303,23 @@ class TestParamTable:
         assert len(params) == 14 * 3 + 6 + 1
         assert len({p.name for p in params}) == len(params)
 
-
-class TestGuideline:
-    def test_bundled_model_clean(self, bsn):
-        assert check_sensor_guideline(bsn) == []
-
-    def test_two_step_collection_task_flagged(self):
-        c = ContextDef("C1", "")
-        t = Node("T", "", NodeKind.TASK, Decomposition.AND, ("A", "B"), None, ("C1",))
-        m = model("T", t, leaf("A"), leaf("B"), contexts=[c])
-        advisories = check_sensor_guideline(m)
-        assert [a.rule for a in advisories] == ["sensor-guideline"]
-        assert advisories[0].node_id == "T"
-
-    def test_context_free_tasks_ignored(self):
-        t = Node("T", "", NodeKind.TASK, Decomposition.AND, ("A", "B"))
-        assert check_sensor_guideline(model("T", t, leaf("A"), leaf("B"))) == []
-
-
-class TestSerialize:
-    def test_round_trip_bundled(self, bsn):
-        assert parse_model(serialize(bsn)) == bsn
-
-    def test_round_trip_minimal(self):
-        m = parse_model(MINIMAL)
-        assert parse_model(serialize(m)) == m
-
-    def test_serialized_form_is_stable(self, bsn):
-        assert serialize(bsn) == serialize(parse_model(serialize(bsn)))
+    def test_kinds_follow_the_naming_method_not_the_id(self):
+        # Ids that begin with a prefix themselves: a leaf "C_1", a context
+        # "r_x" and a placeholder "OPT_a.X".
+        m = model(
+            "G", Node("G", "", NodeKind.GOAL, Decomposition.AND, ("C_1", "OPT_a.X")),
+            leaf("C_1", ("r_x",)), Node("OPT_a.X", "", NodeKind.PLACEHOLDER),
+            contexts=[ContextDef("r_x", "")],
+        )
+        assert validate(m) == []
+        kinds = {p.name: (p.kind, p.ref) for p in ParamTable(m).all_parameters()}
+        assert kinds == {
+            "r_C_1": (ParamKind.RELIABILITY, "C_1"),
+            "f_C_1": (ParamKind.FREQUENCY, "C_1"),
+            "w_C_1": (ParamKind.COST, "C_1"),
+            "r_OPT_a_X": (ParamKind.RELIABILITY, "OPT_a.X"),
+            "f_OPT_a_X": (ParamKind.FREQUENCY, "OPT_a.X"),
+            "w_OPT_a_X": (ParamKind.COST, "OPT_a.X"),
+            "OPT_OPT_a_X": (ParamKind.OPT, "OPT_a.X"),
+            "C_r_x": (ParamKind.CONTEXT, "r_x"),
+        }

@@ -25,7 +25,7 @@ from goalc.runtime import (
     load_policy,
     plan,
 )
-from goalc.symexpr import Circuit, CircuitBuilder, ExprError, Parameter, ParamKind
+from goalc.symexpr import Circuit, CircuitBuilder, ExprError
 
 from test_compiler import chain_model
 
@@ -116,14 +116,14 @@ class TestCircuit:
 
     def test_builder_loads_each_parameter_once_and_cuts_dead_code(self):
         b = CircuitBuilder()
-        x = b.param(Parameter("r_a", ParamKind.RELIABILITY))
-        y = b.param(Parameter("r_b", ParamKind.RELIABILITY))
+        x = b.param("r_a")
+        y = b.param("r_b")
         x * y  # recorded, but the result below does not use it
-        out = b.sum([x, b.param(Parameter("r_a", ParamKind.RELIABILITY)), y]) - x
+        out = b.sum([x, b.param("r_a"), y]) - x
         c = b.circuit(out)
         assert c.code == (
-            ("load", Parameter("r_a", ParamKind.RELIABILITY)),
-            ("load", Parameter("r_b", ParamKind.RELIABILITY)),
+            ("load", "r_a"),
+            ("load", "r_b"),
             ("sum", (0, 0, 1)),
             ("-", 2, 0),
         )
@@ -134,7 +134,7 @@ class TestCircuit:
         n = 3000  # one chained expression this long overflows Python's compiler
         b = CircuitBuilder()
         names = [f"w_{i}" for i in range(n)]
-        c = b.circuit(b.sum([b.param(Parameter(x, ParamKind.COST)) for x in names]))
+        c = b.circuit(b.sum([b.param(x) for x in names]))
         rng = random.Random(2)
         values = {x: rng.random() for x in names}
         want = 0.0
@@ -145,20 +145,20 @@ class TestCircuit:
     def test_odd_names_are_data_not_code(self):
         name = "r_x']; import os #"
         b = CircuitBuilder()
-        c = b.circuit(b.param(Parameter(name, ParamKind.RELIABILITY)))
+        c = b.circuit(b.param(name))
         assert symexpr.evaluate(c, {name: 0.25}) == 0.25
 
     def test_expand_replays_the_program(self):
         b = CircuitBuilder()
-        x, y = (b.param(Parameter(n, ParamKind.RELIABILITY)) for n in ("r_a", "r_b"))
-        k = b.param(Parameter("C_k", ParamKind.CONTEXT))
+        x, y = (b.param(n) for n in ("r_a", "r_b"))
+        k = b.param("C_k")
         out = b.sum([x, y, k * x]) * (x - y) + k * k
         px, py, pk = (symexpr.parse_expr(n) for n in ("r_a", "r_b", "C_k"))
         assert b.expand([out, x, k]) == [(px + py + pk * px) * (px - py) + pk, px, pk]
 
     def test_budget_counts_terms_before_they_merge(self):
         b = CircuitBuilder()
-        x, y = (b.param(Parameter(n, ParamKind.RELIABILITY)) for n in ("r_a", "r_b"))
+        x, y = (b.param(n) for n in ("r_a", "r_b"))
         s = b.sum([x, y, x])  # needs 3 terms, merges to 2
         out = s * s  # needs 2 * 2 = 4, merges to 3
         assert len(b.expand([out], max_terms=4)[0].terms) == 3
@@ -167,9 +167,25 @@ class TestCircuit:
         with pytest.raises(ExprError, match="'sum' step needs 3"):
             b.expand([out], max_terms=2)
 
+    def test_code_is_plain_data(self, bsn):
+        """A circuit rebuilt from its code's JSON text evaluates bit-identically."""
+        circuits = compile_circuits(bsn, bsn.nodes)
+        rng = random.Random(5)
+        bindings = [param_map(bsn, random_binding(rng, bsn)) for _ in range(3)]
+        for forms in circuits.values():
+            for c in forms:
+                rebuilt = Circuit(json.loads(json.dumps(c.code)))
+                assert rebuilt.parameter_names() == c.parameter_names()
+                for binding in bindings:
+                    assert symexpr.evaluate(rebuilt, binding) == symexpr.evaluate(c, binding)
+
+    def test_load_names_a_string(self):
+        with pytest.raises(ExprError, match="names its parameter by a string"):
+            Circuit([("load", ["r_a"])])
+
     def test_unknown_instruction_rejected(self):
         with pytest.raises(ExprError, match="unknown circuit instruction"):
-            symexpr.evaluate(Circuit([("load", Parameter("r_a", ParamKind.RELIABILITY)),
+            symexpr.evaluate(Circuit([("load", "r_a"),
                                       ("/", 0, 0)]), {"r_a": 1.0})
 
 
@@ -198,7 +214,7 @@ def reduction_plan(state, policy, expanded):
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     renames = {}
     for knob in knobs:
-        target = Parameter(f"f_knob_{knob.id}", ParamKind.FREQUENCY, knob.id)
+        target = f"f_knob_{knob.id}"
         for leaf in knob.leaves:
             renames[ParamTable.frequency(leaf).name] = target
     fixed = {n: v for n, v in bindings.items() if n not in renames}

@@ -224,6 +224,15 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err.startswith("error: binding of 'f_T2' is not a finite number")
 
+    def test_overflowing_result(self, capsys, formulas_file, tmp_path):
+        bind = self.unit_binding(formulas_file, tmp_path)
+        values = json.loads(open(bind).read())
+        values.update({n: 1e308 for n in values if n.startswith("w_")})
+        open(bind, "w").write(json.dumps(values))
+        code, out, err = run_cli(capsys, "eval", formulas_file, "--bind", bind)
+        assert (code, out) == (1, "")
+        assert err == "error: cost of 'G1' is not finite under this binding: inf\n"
+
 
 class TestVerify:
     def test_clean_report(self, capsys, model_file):
@@ -408,6 +417,17 @@ class TestSimulate:
                                "--policy", str(path), "--scenario", scenario_file)
         assert code == 1
         assert "setpoint" in err and "abc" in err
+
+    def test_unreachable_reliability_setpoint(self, capsys, model_file, scenario_file,
+                                              tmp_path):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["properties"][0]["setpoint"] = 1.5
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", model_file,
+                                 "--policy", str(path), "--scenario", scenario_file)
+        assert (code, out) == (1, "")
+        assert err == "error: a Reliability setpoint must not exceed 1, got 1.5\n"
 
     @pytest.mark.parametrize("path,value,message", [
         (("initial_frequency", "T9"), 0.5,

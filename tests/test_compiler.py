@@ -325,17 +325,17 @@ def pairwise_fold(m):
 
     def gate(nid, x):
         for c in m.node(nid).contexts:
-            x = param(ParamTable.context(c)) * x
+            x = param(ParamTable.context(c).name) * x
         return x
 
     def walk(nid):
         node = m.node(nid)
         if node.is_executable:
-            rf = param(ParamTable.reliability(nid)) * param(ParamTable.frequency(nid))
-            w = param(ParamTable.cost_weight(nid))
+            rf = param(ParamTable.reliability(nid).name) * param(ParamTable.frequency(nid).name)
+            w = param(ParamTable.cost_weight(nid).name)
             rel, cost = gate(nid, rf), gate(nid, w * rf)
             if node.kind == NodeKind.PLACEHOLDER:
-                o = param(ParamTable.opt(nid))
+                o = param(ParamTable.opt(nid).name)
                 rel, cost = rel * o, cost * o
             out[nid] = NodeForms(rel, w, cost)
             return out[nid]

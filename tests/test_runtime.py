@@ -84,6 +84,15 @@ class TestPolicy:
         with pytest.raises(PolicyError, match="margin"):
             PropertyTarget(Metric.COST, "G", 0.5, 0.0)
 
+    def test_setpoint_must_not_be_negative(self):
+        with pytest.raises(PolicyError, match="setpoint must not be negative, got -0.5"):
+            PropertyTarget(Metric.COST, "G", -0.5, 0.1)
+
+    def test_reliability_setpoint_must_not_exceed_one(self):
+        with pytest.raises(PolicyError, match="must not exceed 1, got 1.5"):
+            PropertyTarget(Metric.RELIABILITY, "G", 1.5, 0.1)
+        assert PropertyTarget(Metric.COST, "G", 1.5, 0.1).in_margin(1.5)
+
     @pytest.mark.parametrize("key,value", [
         ("setpoint", float("nan")), ("setpoint", float("inf")),
         ("setpoint", float("-inf")), ("margin", float("inf")),

@@ -27,7 +27,7 @@ from goalc.runtime import (
     load_policy,
     plan,
 )
-from goalc.symexpr import CircuitBuilder, ExprError, Parameter, ParamKind
+from goalc.symexpr import CircuitBuilder, ExprError
 
 from test_circuit import error_of
 
@@ -92,8 +92,8 @@ class TestAgainstEvaluate:
 
     def test_the_later_axis_wins_a_shared_name(self):
         b = CircuitBuilder()
-        r = b.param(Parameter("r_a", ParamKind.RELIABILITY))
-        f = b.param(Parameter("f_a", ParamKind.FREQUENCY))
+        r = b.param("r_a")
+        f = b.param("f_a")
         c = b.circuit(r * f)
         axes = [(["f_a"], [0.5, 0.25]), (["f_a", "r_a"], [2.0, 3.0])]
         got = list(symexpr.sweep([c], {"r_a": 7.0, "f_a": 1.0}, axes))
@@ -102,7 +102,7 @@ class TestAgainstEvaluate:
     def test_wide_sum(self):
         n = 3000
         b = CircuitBuilder()
-        loads = [b.param(Parameter(f"w_{i}", ParamKind.COST)) for i in range(n)]
+        loads = [b.param(f"w_{i}") for i in range(n)]
         c = b.circuit(b.sum(loads) * loads[7])
         rng = random.Random(5)
         binding = {f"w_{i}": rng.random() for i in range(n)}
@@ -113,7 +113,7 @@ class TestAgainstEvaluate:
 
     def test_more_axes_than_nested_loops(self):
         b = CircuitBuilder()
-        loads = [b.param(Parameter(f"f_{i}", ParamKind.FREQUENCY)) for i in range(24)]
+        loads = [b.param(f"f_{i}") for i in range(24)]
         out = loads[0]
         for w in loads[1:]:
             out = out * w + w
@@ -158,26 +158,22 @@ class TestErrors:
 
         reads = {}
         b = CircuitBuilder()
-        c = b.circuit(b.param(Parameter("C_k", ParamKind.CONTEXT))
-                      * b.param(Parameter("r_a", ParamKind.RELIABILITY))
-                      * b.param(Parameter("f_a", ParamKind.FREQUENCY)))
+        c = b.circuit(b.param("C_k") * b.param("r_a") * b.param("f_a"))
         binding = CountingDict({"C_k": 1, "r_a": 0.5, "f_a": 0.5})
         points = list(symexpr.sweep([c], binding, [(["f_a"], [0.1 * i for i in range(9)])]))
         assert len(points) == 9
         assert reads == {"C_k": 2, "r_a": 1}  # the 0/1 check, then the load
 
-    @pytest.mark.parametrize("name", ["C_k", "OPT_A_X", "odd"])
+    @pytest.mark.parametrize("name", ["C_k", "OPT_A_X", "C_odd"])
     def test_binary_axis_rejected(self, name):
         b = CircuitBuilder()
-        c = b.circuit(b.param(Parameter("odd", ParamKind.CONTEXT))
-                      * b.param(Parameter("f_a", ParamKind.FREQUENCY)))
+        c = b.circuit(b.param("C_odd") * b.param("f_a"))
         with pytest.raises(ExprError, match="binary"):
-            symexpr.sweep([c], {"odd": 1, "f_a": 0.5, "C_k": 1}, [([name], [0, 1])])
+            symexpr.sweep([c], {"C_odd": 1, "f_a": 0.5, "C_k": 1}, [([name], [0, 1])])
 
     def test_missing_name_text(self):
         b = CircuitBuilder()
-        c = b.circuit(b.param(Parameter("r_b", ParamKind.RELIABILITY))
-                      * b.param(Parameter("f_a", ParamKind.FREQUENCY)))
+        c = b.circuit(b.param("r_b") * b.param("f_a"))
         assert first_error(lambda: symexpr.sweep([c], {}, [(["f_a"], [1.0])])) == \
             error_of(c, {"f_a": 1.0})
 
