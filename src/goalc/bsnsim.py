@@ -469,7 +469,7 @@ def run(
             knob_values.update(assignments)
             frequencies = runtime.expand_assignments(policy, assignments)
             world.frequency.update(frequencies)
-            state = state.with_frequencies(frequencies)
+            state.set_frequencies(frequencies)
             pending = []
         world.inject(t)
         events = world.step(t)

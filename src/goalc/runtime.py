@@ -1,23 +1,24 @@
 """Feedback controller: monitor, analyze, plan, execute over compiled formulae.
 
-The knowledge state carries windowed per-leaf estimates (success rate, mean
-cost sample) next to commanded frequencies, context truths, and placeholder
-flags — enough to bind every parameter of the goals' formula circuits.  The
-planner is an exhaustive, deterministic grid search over frequency knobs,
-where one knob fans out to a whole group of leaves (e.g. "all sensor tasks")
-and no two knobs share a leaf: each grid point binds the knob's value to the
-frequency of every leaf it drives.  The search runs the circuits through :func:`symexpr.sweep`, so the
-arithmetic no knob reaches runs once per search and each grid point runs
-only the part its innermost knob drives.
+The knowledge state is the binding the goals' formula circuits read, updated
+in place: windowed per-leaf estimates (success rate, mean cost sample),
+commanded frequencies, context truths and placeholder flags, by parameter
+name.  The planner is an exhaustive, deterministic grid search over frequency
+knobs, where one knob fans out to a whole group of leaves (e.g. "all sensor
+tasks") and no two knobs share a leaf: each grid point binds the knob's value
+to the frequency of every leaf it drives.  The search runs the circuits
+through :func:`symexpr.sweep`, so the arithmetic no knob reaches runs once
+per search and each grid point runs only the part its innermost knob drives.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import symexpr
 from .cgm import GoalModel, ParamTable
@@ -205,6 +206,10 @@ def load_policy(text: str, model: GoalModel) -> Policy:
         raise PolicyError(f"policy syntax error: {exc.msg} (line {exc.lineno})") from None
     if not isinstance(doc, dict) or "properties" not in doc:
         raise PolicyError("policy document must be an object with 'properties'")
+    for key in ("properties", "knobs"):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list) or not all(isinstance(x, dict) for x in entries):
+            raise PolicyError(f"policy {key!r} must be a list of objects")
 
     properties = []
     for raw in doc["properties"]:
@@ -226,6 +231,8 @@ def load_policy(text: str, model: GoalModel) -> Policy:
                 raise PolicyError(f"knob missing {key!r}")
         kid = str(raw["id"])
         if "leaves" in raw:
+            if not isinstance(raw["leaves"], list):
+                raise PolicyError(f"knob {kid!r}: 'leaves' must be a list of node ids")
             leaves = tuple(str(x) for x in raw["leaves"])
         else:
             leaves = tuple(model.leaves_under(kid))
@@ -251,69 +258,35 @@ def _numbers(raw: Mapping, keys: Sequence[str], owner: str) -> List[float]:
 # -- knowledge ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class KnowledgeState:
     """Everything the controller believes about the managed system.
 
-    Estimates fall back to the configured priors until the corresponding
-    sliding window holds at least one sample; a controller that never
-    ingests telemetry therefore acts on its static priors forever.
+    ``bindings`` is the binding the circuits read.  A leaf's ``r_``/``w_``
+    entry is its prior until its sliding window holds a sample, and the
+    window's mean after; a controller that never ingests telemetry acts on
+    its static priors forever.  The monitor and :meth:`set_frequencies`
+    update the state in place.
     """
 
     formulae: Mapping[str, NodeForms]  # goal id -> circuit triple
-    prior_reliability: Mapping[str, float]
-    prior_cost: Mapping[str, float]
-    frequency: Mapping[str, float]
-    context_truth: Mapping[str, int]
-    opt_flags: Mapping[str, int] = field(default_factory=dict)
-    exec_windows: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-    cost_windows: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
-    window_size: int = 100
+    bindings: Dict[str, float]
+    exec_windows: Dict[str, Deque[int]]
+    cost_windows: Dict[str, Deque[float]]
     timestamp: float = 0.0
     dropped: int = 0
 
-    def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise StateError("window size must be at least 1")
-        for name, table in (("reliability", self.prior_reliability),
-                            ("frequency", self.frequency)):
-            for leaf, value in table.items():
-                if not 0.0 <= value <= 1.0:
-                    raise StateError(f"{name} of {leaf!r} outside [0, 1]: {value}")
-        for leaf, value in self.prior_cost.items():
-            if not 0.0 <= value < math.inf:
-                raise StateError(f"cost of {leaf!r} is negative or not finite: {value}")
-        for ctx, truth in self.context_truth.items():
-            if truth not in (0, 1):
-                raise StateError(f"context {ctx!r} truth must be 0 or 1")
+    def set_frequencies(self, assignments: Mapping[str, float]) -> None:
+        """Bind the commanded frequency of each leaf in ``assignments``."""
+        _check_unit("frequency", assignments)
+        for leaf, value in assignments.items():
+            self.bindings[ParamTable.frequency(leaf).name] = value
 
-    def reliability_estimate(self, leaf: str) -> float:
-        window = self.exec_windows.get(leaf)
-        if window:
-            return sum(window) / len(window)
-        return self.prior_reliability[leaf]
 
-    def cost_estimate(self, leaf: str) -> float:
-        window = self.cost_windows.get(leaf)
-        if window:
-            return sum(window) / len(window)
-        return self.prior_cost[leaf]
-
-    def param_bindings(self) -> Dict[str, float]:
-        """Bind every formula parameter from the current beliefs."""
-        leaves = self.prior_reliability
-        return ParamTable.bindings(
-            {leaf: self.reliability_estimate(leaf) for leaf in leaves},
-            self.frequency,
-            {leaf: self.cost_estimate(leaf) for leaf in leaves},
-            self.context_truth,
-            self.opt_flags,
-        )
-
-    def with_frequencies(self, assignments: Mapping[str, float]) -> "KnowledgeState":
-        merged = dict(self.frequency)
-        merged.update(assignments)
-        return replace(self, frequency=merged)
+def _check_unit(name: str, table: Mapping[str, float]) -> None:
+    for leaf, value in table.items():
+        if not 0.0 <= value <= 1.0:
+            raise StateError(f"{name} of {leaf!r} outside [0, 1]: {value}")
 
 
 def initial_state(
@@ -331,24 +304,38 @@ def initial_state(
 
     The state holds a circuit triple for each of ``goals``, built from
     ``model``.  Any iterable of goal ids will do; the mapping
-    :func:`compiler.compile_model` returns gives its node ids.
+    :func:`compiler.compile_model` returns gives its node ids.  Both prior
+    tables must name the same leaves, and ``frequencies`` must cover them.
     """
-    opts = dict(opt_flags) if opt_flags is not None else {
-        p: 0 for p in model.placeholders()
-    }
+    if window_size < 1:
+        raise StateError("window size must be at least 1")
+    leaves = set(reliability_priors)
+    if set(cost_priors) != leaves:
+        raise StateError("reliability and cost priors name different leaves: "
+                         f"{sorted(leaves ^ set(cost_priors))}")
+    missing = sorted(leaves - set(frequencies))
+    if missing:
+        raise StateError(f"no frequency for leaves {missing}")
+    _check_unit("reliability", reliability_priors)
+    _check_unit("frequency", frequencies)
+    for leaf, value in cost_priors.items():
+        if not 0.0 <= value < math.inf:
+            raise StateError(f"cost of {leaf!r} is negative or not finite: {value}")
+    for ctx, truth in contexts.items():
+        if truth not in (0, 1):
+            raise StateError(f"context {ctx!r} truth must be 0 or 1")
+    if opt_flags is None:
+        opt_flags = dict.fromkeys(model.placeholders(), 0)
     state = KnowledgeState(
         formulae=compile_circuits(model, goals),
-        prior_reliability=dict(reliability_priors),
-        prior_cost=dict(cost_priors),
-        frequency=dict(frequencies),
-        context_truth=dict(contexts),
-        opt_flags=opts,
-        window_size=window_size,
+        bindings=ParamTable.bindings(
+            reliability_priors, frequencies, cost_priors, contexts, opt_flags),
+        exec_windows={leaf: deque(maxlen=window_size) for leaf in reliability_priors},
+        cost_windows={leaf: deque(maxlen=window_size) for leaf in reliability_priors},
     )
-    bindings = state.param_bindings()
     for goal, forms in state.formulae.items():
         for expr in (forms.reliability, forms.cost):
-            missing = [p for p in expr.parameter_names() if p not in bindings]
+            missing = [p for p in expr.parameter_names() if p not in state.bindings]
             if missing:
                 raise StateError(
                     f"goal {goal!r}: unresolved formula parameters {missing}"
@@ -364,52 +351,50 @@ def monitor_ingest(
     events: Iterable[Mapping],
     now: Optional[float] = None,
 ) -> KnowledgeState:
-    """Fold a telemetry batch into fresh windowed estimates.
+    """Fold a telemetry batch into the windowed estimates, in place.
 
     Event shapes: ``{"t", "kind": "exec", "leaf", "success"}``,
     ``{"t", "kind": "cost", "leaf", "value"}``, and
     ``{"t", "kind": "context", "context", "value"}``.  Malformed events are
     counted in ``dropped`` and skipped; an empty batch only moves the clock.
+    Returns ``state``.
     """
-    exec_windows = {leaf: list(w) for leaf, w in state.exec_windows.items()}
-    cost_windows = {leaf: list(w) for leaf, w in state.cost_windows.items()}
-    contexts = dict(state.context_truth)
-    dropped = state.dropped
-    timestamp = state.timestamp
-
+    bindings = state.bindings
+    exec_windows, cost_windows = state.exec_windows, state.cost_windows
+    timestamp, dropped = state.timestamp, state.dropped
+    grew_exec, grew_cost = set(), set()
     for event in events:
         try:
             timestamp = max(timestamp, float(event["t"]))
             kind = event["kind"]
             if kind == "exec":
                 leaf = str(event["leaf"])
-                if leaf not in state.prior_reliability:
-                    raise KeyError(leaf)
-                exec_windows.setdefault(leaf, []).append(1 if event["success"] else 0)
+                exec_windows[leaf].append(1 if event["success"] else 0)
+                grew_exec.add(leaf)
             elif kind == "cost":
                 leaf = str(event["leaf"])
                 value = float(event["value"])
-                if leaf not in state.prior_cost or not 0.0 <= value < math.inf:
+                if leaf not in cost_windows or not 0.0 <= value < math.inf:
                     raise ValueError(value)
-                cost_windows.setdefault(leaf, []).append(value)
+                cost_windows[leaf].append(value)
+                grew_cost.add(leaf)
             elif kind == "context":
-                contexts[str(event["context"])] = 1 if event["value"] else 0
+                name = ParamTable.context(str(event["context"])).name
+                bindings[name] = 1 if event["value"] else 0
             else:
                 raise ValueError(kind)
         except (KeyError, TypeError, ValueError):
             dropped += 1
 
-    n = state.window_size
+    for leaves, windows, param in ((grew_exec, exec_windows, ParamTable.reliability),
+                                   (grew_cost, cost_windows, ParamTable.cost_weight)):
+        for leaf in leaves:
+            window = windows[leaf]
+            bindings[param(leaf).name] = sum(window) / len(window)
     if now is not None:
         timestamp = max(timestamp, now)
-    return replace(
-        state,
-        exec_windows={leaf: tuple(w[-n:]) for leaf, w in exec_windows.items()},
-        cost_windows={leaf: tuple(w[-n:]) for leaf, w in cost_windows.items()},
-        context_truth=contexts,
-        timestamp=timestamp,
-        dropped=dropped,
-    )
+    state.timestamp, state.dropped = timestamp, dropped
+    return state
 
 
 # -- analyze ------------------------------------------------------------------
@@ -432,8 +417,7 @@ class AnalysisReport:
 
 def analyze(state: KnowledgeState, policy: Policy) -> AnalysisReport:
     """Evaluate every controlled property against the current beliefs."""
-    bindings = state.param_bindings()
-    values = [symexpr.evaluate(c, bindings) for c in policy.circuits(state.formulae)]
+    values = [symexpr.evaluate(c, state.bindings) for c in policy.circuits(state.formulae)]
     readings = tuple(
         PropertyReading(prop.metric, prop.goal, value, value - prop.setpoint,
                         prop.in_margin(value))
@@ -469,9 +453,8 @@ def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     on lexicographic knob-value order, so planning is a pure function.
     """
     report = analyze(state, policy)
-    current = {
-        knob.id: state.frequency[knob.leaves[0]] for knob in policy.knobs
-    }
+    current = {knob.id: state.bindings[ParamTable.frequency(knob.leaves[0]).name]
+               for knob in policy.knobs}
     if report.satisfied or not policy.knobs:
         predicted = policy.reported([reading.current for reading in report.readings])
         return Actuation(current, predicted, feasible=report.satisfied)
@@ -485,11 +468,8 @@ def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     # A grid point binds each knob's value to the frequency of every leaf the
     # knob drives, over the current beliefs.
     driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
-    points = symexpr.sweep(
-        policy.circuits(state.formulae),
-        state.param_bindings(),
-        list(zip(driven, grids)),
-    )
+    points = symexpr.sweep(policy.circuits(state.formulae), state.bindings,
+                           list(zip(driven, grids)))
     # Feasible points rank first.  ``min`` keeps the first of equal keys and
     # compares with ``<``, so ties go to the earliest grid point; it streams,
     # so a grid near the cap is never held in memory.

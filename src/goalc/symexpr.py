@@ -429,10 +429,9 @@ class Circuit:
         self.code: Tuple[tuple, ...] = tuple(code)
         if not self.code:
             raise ExprError("a circuit needs at least one instruction")
-        names = [ins[1] for ins in self.code if ins[0] == "load"]
-        if not all(isinstance(n, str) for n in names):
-            raise ExprError("a load instruction names its parameter by a string")
-        self._names = frozenset(names)
+        for i, ins in enumerate(self.code):
+            _check_instruction(i, ins)
+        self._names = frozenset(ins[1] for ins in self.code if ins[0] == "load")
         self._binary = tuple(n for n in sorted(self._names) if is_binary(n))
         self._compiled: Optional[Callable[[Mapping[str, Number]], Number]] = None
         # Compiled sweeps led by this circuit, keyed by (the other circuits,
@@ -451,6 +450,28 @@ class Circuit:
         if self._compiled is None:
             self._compiled = _compile_program([self.code])
         return self._compiled
+
+
+def _check_instruction(i: int, ins: object) -> None:
+    """Raise :class:`ExprError` unless ``ins`` is well-formed as instruction ``i``."""
+    op = ins[0] if isinstance(ins, (list, tuple)) and ins else None
+    if op == "load":
+        if len(ins) != 2 or not isinstance(ins[1], str):
+            raise ExprError(f"instruction {i}: a load names its parameter by a string")
+        return
+    if op == "sum":
+        registers = ins[1] if len(ins) == 2 and isinstance(ins[1], (list, tuple)) else ()
+        if not registers:
+            raise ExprError(f"instruction {i}: a sum adds a non-empty list of registers")
+    elif op in ("+", "-", "*"):
+        registers = ins[1:]
+        if len(registers) != 2:
+            raise ExprError(f"instruction {i}: {op!r} takes two registers, got {len(registers)}")
+    else:
+        raise ExprError(f"instruction {i}: unknown circuit instruction {op!r}")
+    for reg in registers:
+        if isinstance(reg, bool) or not isinstance(reg, int) or not 0 <= reg < i:
+            raise ExprError(f"instruction {i}: {reg!r} is not an earlier register")
 
 
 #: One grid dimension of :func:`sweep`: parameter names and their values.
@@ -552,11 +573,9 @@ def _compile_program(
                     blocks[level[i]].append(
                         f"{reg} = {' + '.join(head + terms[k:k + _SUM_CHUNK])}")
                 continue
-            elif op in ("+", "-", "*"):
+            else:  # + - *
                 level.append(max(level[ins[1]], level[ins[2]]))
                 rhs = f"x{base + ins[1]} {op} x{base + ins[2]}"
-            else:
-                raise ExprError(f"unknown circuit instruction {op!r}")
             blocks[level[i]].append(f"{reg} = {rhs}")
         base += len(code)
         outs.append(f"x{base - 1}")

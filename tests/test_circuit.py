@@ -183,6 +183,20 @@ class TestCircuit:
         with pytest.raises(ExprError, match="names its parameter by a string"):
             Circuit([("load", ["r_a"])])
 
+    @pytest.mark.parametrize("code,message", [
+        ([["+", 0, 1], ["load", "r_a"]], "instruction 0: 0 is not an earlier register"),
+        ([["load", "r_a"], ["*", 0, 5]], "instruction 1: 5 is not an earlier register"),
+        ([["load", "r_a"], ["*", 0]], "instruction 1: '\\*' takes two registers, got 1"),
+        ([["load", "r_a"], ["sum", [0, 3]]], "instruction 1: 3 is not an earlier register"),
+        ([["load", "r_a"], ["*", 0, -1]], "instruction 1: -1 is not an earlier register"),
+        ([["load", "r_a"], ["sum", []]], "instruction 1: a sum adds a non-empty list"),
+        ([["load", "r_a"], ["+", 0, True]], "instruction 1: True is not an earlier register"),
+        ([["load", "r_a"], [["+"], 0, 0]], "instruction 1: unknown circuit instruction"),
+    ])
+    def test_malformed_code_rejected(self, code, message):
+        with pytest.raises(ExprError, match=message):
+            Circuit(code)
+
     def test_unknown_instruction_rejected(self):
         with pytest.raises(ExprError, match="unknown circuit instruction"):
             symexpr.evaluate(Circuit([("load", "r_a"),
@@ -197,7 +211,7 @@ def reduction_plan(state, policy, expanded):
     knob (its leaves' frequencies renamed to it), every other parameter
     substituted exactly, then the reduced polynomials evaluated per grid
     point."""
-    bindings = state.param_bindings()
+    bindings = state.bindings
     exprs = [
         expanded[p.goal].reliability if p.metric.value == "Reliability"
         else expanded[p.goal].cost
@@ -209,7 +223,7 @@ def reduction_plan(state, policy, expanded):
         predicted = {}
         for p, c in zip(policy.properties, currents):
             predicted.setdefault(p.metric.value.lower(), c)
-        values = {k.id: state.frequency[k.leaves[0]] for k in policy.knobs}
+        values = {k.id: bindings[ParamTable.frequency(k.leaves[0]).name] for k in policy.knobs}
         return Actuation(values, predicted, feasible=True)
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     renames = {}
@@ -271,7 +285,7 @@ def test_plan_matches_the_expanded_reduction(bsn):
             satisfied = analyze(state, policy).satisfied
             outcomes.add("kept" if satisfied else
                          "feasible" if got.feasible else "infeasible")
-            state = state.with_frequencies(expand_assignments(policy, got.assignments))
+            state.set_frequencies(expand_assignments(policy, got.assignments))
     assert outcomes == {"kept", "feasible", "infeasible"}
 
 
@@ -286,7 +300,7 @@ def test_bindings_name_every_model_parameter(bsn):
         bsn, ["G1"], frequencies=ones, reliability_priors=ones, cost_priors=ones,
         contexts={c: 1 for c in bsn.contexts},
     )
-    assert sorted(state.param_bindings()) == names
+    assert sorted(state.bindings) == names
     assert sorted(param_map(bsn, random_binding(random.Random(3), bsn))) == names
     policy = load_policy(bundled.data_text("policy.json"), bsn)
     config = bsnsim.load_scenario(bundled.data_text("scenario_nominal.json"))

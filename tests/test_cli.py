@@ -464,6 +464,27 @@ class TestSimulate:
         assert code == 1
         assert "outside [0, 1]" in err
 
+    @pytest.mark.parametrize("table,edit,message", [
+        ("cost", {"T1.11": None}, "priors name different leaves: ['T1.11']"),
+        ("reliability", {"NOPE": 0.9}, "priors name different leaves: ['NOPE']"),
+    ], ids=["cost-lacks-leaf", "reliability-adds-leaf"])
+    def test_mismatched_prior_tables(self, capsys, model_file, policy_file, tmp_path,
+                                     table, edit, message):
+        doc = json.loads(bundled.data_text("scenario_nominal.json"))
+        doc["duration"] = 5
+        for leaf, value in edit.items():
+            if value is None:
+                del doc["estimates"][table][leaf]
+            else:
+                doc["estimates"][table][leaf] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", model_file,
+                                 "--policy", policy_file, "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
+
 
 class TestDomainErrors:
     def test_internal_value_error_is_not_a_domain_error(self, capsys, model_file,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from goalc import bundled, symexpr
+from goalc import bsnsim, bundled, symexpr
 from goalc.cgm import ModelError, parse_model
 from goalc.compiler import compile_model
 from goalc.runtime import (
@@ -53,6 +53,25 @@ def single_state(r=0.9, f=1.0, w=1.0, **kwargs):
         contexts={},
         **kwargs,
     )
+
+
+def nominal_state(bsn, **overrides):
+    """The bundled policy, the nominal scenario's world, and a knowledge
+    state over the scenario's priors (``overrides`` replace arguments of
+    :func:`initial_state`)."""
+    policy = load_policy(bundled.data_text("policy.json"), bsn)
+    config = bsnsim.load_scenario(bundled.data_text("scenario_nominal.json"))
+    world = bsnsim.World.from_config(config, policy)
+    kwargs = dict(
+        frequencies=dict(world.frequency),
+        reliability_priors=config.estimate_reliability,
+        cost_priors=config.estimate_cost,
+        contexts=dict(world.contexts),
+        opt_flags=config.opt_flags,
+        window_size=config.window_size,
+    )
+    kwargs.update(overrides)
+    return policy, world, initial_state(bsn, ["G1"], **kwargs)
 
 
 def reliability_policy(setpoint, margin=0.02, knobs=(), combination="and"):
@@ -133,6 +152,19 @@ class TestPolicy:
         with pytest.raises(PolicyError, match="knob 'T2'"):
             load_policy(json.dumps(doc), bsn)
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"properties": 5}, "'properties' must be a list of objects"),
+        ({"properties": ["x"]}, "'properties' must be a list of objects"),
+        ({"knobs": 3}, "'knobs' must be a list of objects"),
+        ({"knobs": [{"id": "T1", "min": 0.5, "max": 1, "step": 0.5, "leaves": "T1.11"}]},
+         "knob 'T1': 'leaves' must be a list"),
+    ], ids=["properties-number", "properties-strings", "knobs-number", "leaves-string"])
+    def test_document_shape_checked(self, bsn, edit, message):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc.update(edit)
+        with pytest.raises(PolicyError, match=message):
+            load_policy(json.dumps(doc), bsn)
+
     def test_knob_grid_is_inclusive_and_float_safe(self):
         knob = Knob("k", ("T",), 0.1, 0.3, 0.1)
         assert knob.values() == [0.1, 0.2, 0.3]
@@ -176,17 +208,41 @@ class TestKnowledge:
         with pytest.raises(StateError, match="not finite"):
             single_state(w=w)
 
+    @pytest.mark.parametrize("tables,message", [
+        ({"cost_priors": {}}, r"priors name different leaves: \['T'\]"),
+        ({"cost_priors": {"T": 1.0, "U": 1.0}}, r"priors name different leaves: \['U'\]"),
+        ({"frequencies": {}}, r"no frequency for leaves \['T'\]"),
+    ])
+    def test_prior_tables_must_name_the_same_leaves(self, tables, message):
+        model = parse_model(SINGLE)
+        kwargs = dict(frequencies={"T": 1.0}, reliability_priors={"T": 0.9},
+                      cost_priors={"T": 1.0}, contexts={})
+        kwargs.update(tables)
+        with pytest.raises(StateError, match=message):
+            initial_state(model, ["T"], **kwargs)
+
+    def test_window_size_must_be_positive(self):
+        with pytest.raises(StateError, match="window size must be at least 1"):
+            single_state(window_size=0)
+
+    def test_set_frequencies_checks_range(self):
+        _, state = single_state()
+        with pytest.raises(StateError, match=r"frequency of 'T' outside \[0, 1\]: 1.5"):
+            state.set_frequencies({"T": 1.5})
+        state.set_frequencies({"T": 0.25})
+        assert state.bindings["f_T"] == 0.25
+
     def test_estimates_fall_back_to_priors(self):
         _, state = single_state(r=0.7, w=2.0)
-        assert state.reliability_estimate("T") == 0.7
-        assert state.cost_estimate("T") == 2.0
+        assert state.bindings["r_T"] == 0.7
+        assert state.bindings["w_T"] == 2.0
 
     def test_windows_override_priors(self):
         _, state = single_state(r=0.7)
         state = monitor_ingest(state, [
             {"t": 1, "kind": "exec", "leaf": "T", "success": True},
         ])
-        assert state.reliability_estimate("T") == 1.0
+        assert state.bindings["r_T"] == 1.0
 
 
 class TestMonitor:
@@ -199,18 +255,18 @@ class TestMonitor:
     def test_success_ratio(self):
         _, state = single_state()
         state = monitor_ingest(state, self.events(90, 100))
-        assert state.reliability_estimate("T") == 0.90
+        assert state.bindings["r_T"] == 0.90
 
     def test_window_keeps_last_n(self):
         _, state = single_state()
         state = monitor_ingest(state, self.events(50, 150))
         assert len(state.exec_windows["T"]) == 100
-        assert state.reliability_estimate("T") == 0.0  # last 100 all failures
+        assert state.bindings["r_T"] == 0.0  # last 100 all failures
 
     def test_window_size_configurable(self):
         _, state = single_state(window_size=4)
         state = monitor_ingest(state, self.events(2, 4))
-        assert state.reliability_estimate("T") == 0.5
+        assert state.bindings["r_T"] == 0.5
 
     def test_cost_mean(self):
         _, state = single_state()
@@ -218,7 +274,7 @@ class TestMonitor:
             {"t": 0, "kind": "cost", "leaf": "T", "value": 1.0},
             {"t": 1, "kind": "cost", "leaf": "T", "value": 3.0},
         ])
-        assert state.cost_estimate("T") == 2.0
+        assert state.bindings["w_T"] == 2.0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_cost_sample_dropped(self, value):
@@ -228,7 +284,7 @@ class TestMonitor:
             {"t": 1, "kind": "cost", "leaf": "T", "value": 1.0},
         ])
         assert state.dropped == 1
-        assert state.cost_windows["T"] == (1.0,)
+        assert tuple(state.cost_windows["T"]) == (1.0,)
 
     def test_context_event(self, bsn):
         forms = compile_model(bsn)
@@ -243,15 +299,17 @@ class TestMonitor:
         state = monitor_ingest(state, [
             {"t": 5, "kind": "context", "context": "C1", "value": False},
         ])
-        assert state.context_truth["C1"] == 0
-        assert state.context_truth["C2"] == 1
+        assert state.bindings["C_C1"] == 0
+        assert state.bindings["C_C2"] == 1
 
     def test_empty_batch_only_moves_clock(self):
         _, state = single_state()
+        bindings = dict(state.bindings)
+        windows = [tuple(state.exec_windows["T"]), tuple(state.cost_windows["T"])]
         after = monitor_ingest(state, [], now=7.5)
         assert after.timestamp == 7.5
-        assert after.exec_windows == state.exec_windows
-        assert after.context_truth == state.context_truth
+        assert [tuple(after.exec_windows["T"]), tuple(after.cost_windows["T"])] == windows
+        assert after.bindings == bindings
 
     def test_malformed_events_counted_and_skipped(self):
         _, state = single_state()
@@ -263,7 +321,35 @@ class TestMonitor:
             {"t": 1, "kind": "exec", "leaf": "T", "success": True},
         ])
         assert state.dropped == 4
-        assert state.exec_windows["T"] == (1,)
+        assert tuple(state.exec_windows["T"]) == (1,)
+
+    def test_beliefs_are_window_means_of_the_event_stream(self, bsn):
+        """Over 300 nominal ticks every leaf's ``r_``/``w_`` binding is, bit
+        for bit, the mean of its last ``window_size`` samples in the raw
+        stream, or its prior before the first one."""
+        _, world, state = nominal_state(bsn)
+        n = world.config.window_size
+        priors = dict(state.bindings)
+        samples = {"exec": {}, "cost": {}}
+        for t in range(300):
+            world.inject(t)
+            events = world.step(t)
+            for e in events:
+                if e["kind"] in samples:
+                    value = (1 if e["success"] else 0) if e["kind"] == "exec" else e["value"]
+                    samples[e["kind"]].setdefault(e["leaf"], []).append(value)
+            assert monitor_ingest(state, events, now=t) is state
+            for kind, prefix in (("exec", "r_"), ("cost", "w_")):
+                for leaf in world.config.estimate_reliability:
+                    name = prefix + leaf.replace(".", "_")
+                    stream = samples[kind].get(leaf, [])[-n:]
+                    want = sum(stream) / len(stream) if stream else priors[name]
+                    assert state.bindings[name] == want, (t, name)
+            for ctx, truth in world.contexts.items():
+                assert state.bindings["C_" + ctx.replace(".", "_")] == truth
+        assert state.dropped == 0 and state.timestamp == 299
+        assert max(len(s) for s in samples["exec"].values()) > n  # windows wrapped
+        assert len(samples["cost"]) < len(world.config.estimate_reliability)  # priors kept
 
     def test_untouched_leaves_keep_estimates(self):
         model = parse_model(PAIR)
@@ -275,8 +361,8 @@ class TestMonitor:
             contexts={},
         )
         state = monitor_ingest(state, self.events(1, 1, leaf="A"))
-        assert state.reliability_estimate("A") == 1.0
-        assert state.reliability_estimate("B") == 0.6
+        assert state.bindings["r_A"] == 1.0
+        assert state.bindings["r_B"] == 0.6
 
 
 class TestAnalyze:
@@ -328,9 +414,26 @@ class TestAnalyze:
         _, state = single_state(r=0.73, f=0.81)
         report = analyze(state, reliability_policy(0.90))
         direct = symexpr.evaluate(
-            state.formulae["T"].reliability, state.param_bindings()
+            state.formulae["T"].reliability, state.bindings
         )
         assert abs(report.readings[0].current - direct) <= 1e-12
+
+
+def test_analyze_and_plan_leave_the_state_alone(bsn):
+    leaves = bsn.executable_leaves()
+    policy, world, state = nominal_state(bsn, frequencies=dict.fromkeys(leaves, 0.5))
+    for t in range(5):
+        world.inject(t)
+        monitor_ingest(state, world.step(t), now=t)
+    before = (dict(state.bindings),
+              {leaf: tuple(w) for leaf, w in state.exec_windows.items()},
+              {leaf: tuple(w) for leaf, w in state.cost_windows.items()})
+    assert not analyze(state, policy).satisfied
+    assert plan(state, policy).assignments != {k.id: 0.5 for k in policy.knobs}
+    after = (dict(state.bindings),
+             {leaf: tuple(w) for leaf, w in state.exec_windows.items()},
+             {leaf: tuple(w) for leaf, w in state.cost_windows.items()})
+    assert after == before
 
 
 class TestPlan:
@@ -404,7 +507,8 @@ class TestPlan:
         assert actuation.assignments == {"G": 0.5}  # 0.9*0.5 squared
         frequencies = expand_assignments(policy, actuation.assignments)
         assert frequencies == {"A": 0.5, "B": 0.5}
-        after = analyze(state.with_frequencies(frequencies), policy)
+        state.set_frequencies(frequencies)
+        after = analyze(state, policy)
         assert after.readings[0].current == pytest.approx(0.2025)
 
     def test_no_regression_when_feasible(self):

@@ -186,7 +186,8 @@ def per_point_plan(state, policy):
     belief binding with the knob values written into every driven leaf's
     frequency, then every circuit run."""
     report = analyze(state, policy)
-    current = {knob.id: state.frequency[knob.leaves[0]] for knob in policy.knobs}
+    current = {knob.id: state.bindings[ParamTable.frequency(knob.leaves[0]).name]
+               for knob in policy.knobs}
     if report.satisfied or not policy.knobs:
         predicted = {}
         for reading in report.readings:
@@ -194,7 +195,7 @@ def per_point_plan(state, policy):
         return Actuation(current, predicted, feasible=report.satisfied)
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
-    beliefs = state.param_bindings()
+    beliefs = state.bindings
     exprs = [
         state.formulae[p.goal].reliability if p.metric.value == "Reliability"
         else state.formulae[p.goal].cost
@@ -267,5 +268,5 @@ def test_plan_matches_the_per_point_search(bsn):
             assert got.predicted == want.predicted
             if not analyze(state, policy).satisfied:
                 outcomes.add(got.feasible)
-            state = state.with_frequencies(expand_assignments(policy, got.assignments))
+            state.set_frequencies(expand_assignments(policy, got.assignments))
     assert outcomes == {True, False}
