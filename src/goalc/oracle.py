@@ -11,7 +11,10 @@ probability mass, which makes it an independent check on the compiler:
 * a node's satisfaction is the plain success circuit: And nodes need every
   child satisfied, Or and runtime-decision nodes need at least one — with
   the fixed context truths the runtime choice collapses to the induced
-  chain over the viable alternatives;
+  chain over the viable alternatives.  ``prob_reach`` evaluates that
+  circuit once for all 2^L success vectors, as the bits of one integer,
+  and sums the satisfying vectors' probabilities from shared left-to-right
+  prefix products, in the order and rounding of a per-vector loop;
 * cost sums the weight of every leaf that actually ran on satisfying
   outcomes.  Which leaves run depends on the execution-order semantics:
   by default And children all run while Or/runtime-decision children are
@@ -27,12 +30,14 @@ exactly that applicability rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cgm import (
     ContextDef,
@@ -151,43 +156,107 @@ def leaf_outcomes(
     return out
 
 
-def _sat_circuit(model: GoalModel, goal_id: str, leaf_index: Mapping[str, int]):
-    """Compile the subtree into a closure over leaf success tuples."""
-    node = model.node(goal_id)
-    if node.is_executable:
-        i = leaf_index[node.id]
-        return lambda succ: succ[i]
-    children = [
-        _sat_circuit(model, c, leaf_index)
-        for c in (node.dm_order if node.dm_order is not None else node.children)
-    ]
-    if node.dm_order is not None or node.decomposition == Decomposition.OR:
-        return lambda succ: any(ch(succ) for ch in children)
-    return lambda succ: all(ch(succ) for ch in children)
+def _leaf_column(i: int, n: int) -> int:
+    """Truth column of leaf ``i`` over the 2^n success vectors.
+
+    Bit ``j`` is vector ``j`` of ``itertools.product((False, True),
+    repeat=n)``, so leaf ``i`` reads bit ``n - 1 - i`` of ``j``: runs of
+    ``half`` clear then ``half`` set bits, repeated.  The pattern is built
+    by shift-doubling: each step appends a copy of the bits built so far.
+    """
+    half = 1 << (n - 1 - i)
+    column, width, size = ((1 << half) - 1) << half, 2 * half, 1 << n
+    while width < size:
+        column |= column << width
+        width *= 2
+    return column
+
+
+def _truth_table(model: GoalModel, goal_id: str, leaves: Sequence[LeafOutcome]) -> int:
+    """The goal's satisfaction over every success vector, one bit each.
+
+    And nodes intersect their children's columns; Or and runtime-decision
+    nodes unite them (with the context truths fixed, the decision's induced
+    chain is satisfied exactly when one alternative is).  The walk keeps an
+    explicit stack, and a child's column is dropped once its parent reads it.
+    """
+    n = len(leaves)
+    index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
+    full = (1 << (1 << n)) - 1
+    done: Dict[str, int] = {}
+    stack = [(goal_id, False)]
+    while stack:
+        node_id, expanded = stack.pop()
+        node = model.node(node_id)
+        if node.is_executable:
+            done[node_id] = _leaf_column(index[node_id], n)
+            continue
+        children = node.dm_order if node.dm_order is not None else node.children
+        if not expanded:
+            stack.append((node_id, True))
+            stack.extend((c, False) for c in children)
+        elif node.dm_order is not None or node.decomposition == Decomposition.OR:
+            done[node_id] = functools.reduce(operator.or_, map(done.pop, children), 0)
+        else:
+            done[node_id] = functools.reduce(operator.and_, map(done.pop, children), full)
+    return done[goal_id]
+
+
+def _expand(prefixes: List[Number], factors: Sequence[Tuple[Number, Number]]) -> List[Number]:
+    """Left-to-right products of ``prefixes`` with every factor choice, in
+    ``itertools.product`` order (failure factor first, last factor fastest)."""
+    for fail, succ in factors:
+        prefixes = [p * x for p in prefixes for x in (fail, succ)]
+    return prefixes
+
+
+#: log2 of the success vectors whose probabilities are expanded at once.
+_BLOCK_BITS = 10
 
 
 def prob_reach(model: GoalModel, goal_id: str, binding: ConcreteBinding) -> Number:
     """Probability that the goal is satisfied under the binding.
 
     Satisfaction only reads each leaf's success indicator, so the skipped
-    and failed outcomes are collapsed and the enumeration runs over the
-    2^L success vectors; ``_prob_reach_full`` keeps the literal 3^L walk
-    for cross-checking.
+    and failed outcomes are collapsed and the sum runs over the 2^L success
+    vectors (``_prob_reach_full`` keeps the literal 3^L walk for
+    cross-checking).  Two bulk steps replace a per-vector walk:
+
+    * ``_truth_table`` sets bit ``j`` of one integer iff vector ``j``
+      satisfies the goal;
+    * vectors are taken in blocks of 2^k (k <= ``_BLOCK_BITS``): the first
+      L-k leaves pick a block and the last k vary within it.  Each leaf
+      contributes ``1 - s`` or ``s``, and the products are expanded left to
+      right from shared prefixes; blocks with no satisfying vector are
+      skipped.
+
+    Every product is the same ``((1*x_0)*x_1)...*x_(L-1)`` a per-vector loop
+    would form, and the satisfying ones are added in increasing ``j`` to a
+    typed zero, so the result is bit-identical to that loop, exact
+    (``Fraction``) when every bound value is exact and float otherwise.
+    At most 2^k + 2^(L-k) probabilities are held at once.
     """
     leaves = leaf_outcomes(model, goal_id, binding)
-    if len(leaves) > 20:
-        raise ModelError(f"goal {goal_id!r} has {len(leaves)} leaves; oracle caps at 20")
-    index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
-    circuit = _sat_circuit(model, goal_id, index)
+    n = len(leaves)
+    if n > 20:
+        raise ModelError(f"goal {goal_id!r} has {n} leaves; oracle caps at 20")
+    table = _truth_table(model, goal_id, leaves)
     one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
+    factors = [(one - lo.success, lo.success) for lo in leaves]
+    k = min(n, _BLOCK_BITS)
+    if n == k:
+        blocks: Iterable[int] = (table,)
+    else:
+        raw = table.to_bytes(1 << (n - 3), "little")
+        step = 1 << (k - 3)
+        blocks = (int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step))
     total = one - one  # typed zero
-    for mask in itertools.product((False, True), repeat=len(leaves)):
-        if not circuit(mask):
-            continue
-        p = one
-        for i, lo in enumerate(leaves):
-            p = p * (lo.success if mask[i] else (one - lo.success))
-        total = total + p
+    for head, bits in zip(_expand([one], factors[:n - k]), blocks):
+        if bits:
+            # Bit j of the block, lowest first, selects vector j's product.
+            chosen = itertools.compress(_expand([head], factors[n - k:]),
+                                        map(int, format(bits, "b")[::-1]))
+            total = functools.reduce(operator.add, chosen, total)
     return total
 
 
@@ -196,17 +265,18 @@ def _prob_reach_full(
 ) -> Number:
     """Literal three-outcome enumeration of satisfaction probability."""
     leaves = leaf_outcomes(model, goal_id, binding)
-    index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
-    circuit = _sat_circuit(model, goal_id, index)
+    table = _truth_table(model, goal_id, leaves)
     one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
     total = one - one
     choices = [
-        ((True, lo.success), (False, lo.failure), (False, lo.skipped))
+        ((1, lo.success), (0, lo.failure), (0, lo.skipped))
         for lo in leaves
     ]
     for combo in itertools.product(*choices):
-        succ = tuple(c[0] for c in combo)
-        if not circuit(succ):
+        j = 0
+        for succ, _ in combo:
+            j = (j << 1) | succ
+        if not (table >> j) & 1:
             continue
         p = one
         for _, pr in combo:

@@ -252,6 +252,24 @@ class TestVerify:
                                "--trials", "6", "--seed", "4")
         assert first == second
 
+    # sha256 of the whole report: every oracle value is printed with its
+    # shortest repr, so a change of enumeration order or rounding (even by
+    # one ulp) changes these bytes.
+    REPORTS = {
+        ("G1", "200", "7"):
+            "215a0d95e3fa8936b938351f75db66448b0bfc589c1504cb8e78df989e6cc985",
+        ("T1", "50", "3"):
+            "351e626b61df1d97d43bdfa2b2a6b3a33dd559a1ef6f5349adda6f8c10e347d1",
+    }
+
+    @pytest.mark.parametrize("goal,trials,seed", sorted(REPORTS))
+    def test_report_bytes_are_pinned(self, capsys, model_file, goal, trials, seed):
+        code, out, _ = run_cli(capsys, "verify", model_file, "--goal", goal,
+                               "--trials", trials, "--seed", seed)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.REPORTS[goal, trials, seed]
+
     def test_invalid_model(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(BROKEN_MODEL)

@@ -1,11 +1,15 @@
 """Enumeration-oracle tests: outcome trios, frozen cases, formula checks."""
 
+import itertools
+import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from goalc import bundled
 from goalc.cgm import (
     ContextDef,
     Decomposition,
@@ -13,6 +17,7 @@ from goalc.cgm import (
     ModelError,
     Node,
     NodeKind,
+    parse_model,
     validate,
 )
 from goalc.compiler import compile_model
@@ -155,6 +160,126 @@ class TestProbReach:
         m = and_of(21)
         with pytest.raises(ModelError, match="caps at 20"):
             prob_reach(m, "G", uniform_binding(m))
+
+
+def _reference_circuit(m, goal_id, leaf_index):
+    """Per-vector satisfaction closure over leaf success tuples."""
+    node = m.node(goal_id)
+    if node.is_executable:
+        i = leaf_index[node.id]
+        return lambda succ: succ[i]
+    children = [
+        _reference_circuit(m, c, leaf_index)
+        for c in (node.dm_order if node.dm_order is not None else node.children)
+    ]
+    if node.dm_order is not None or node.decomposition == Decomposition.OR:
+        return lambda succ: any(ch(succ) for ch in children)
+    return lambda succ: all(ch(succ) for ch in children)
+
+
+def reference_prob_reach(m, goal_id, binding):
+    """The plain per-vector enumeration: walk the circuit on each success
+    vector and multiply all L factors afresh."""
+    leaves = leaf_outcomes(m, goal_id, binding)
+    index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
+    circuit = _reference_circuit(m, goal_id, index)
+    one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
+    total = one - one
+    for mask in itertools.product((False, True), repeat=len(leaves)):
+        if not circuit(mask):
+            continue
+        p = one
+        for i, lo in enumerate(leaves):
+            p = p * (lo.success if mask[i] else (one - lo.success))
+        total = total + p
+    return total
+
+
+def exact(binding, max_denominator=64):
+    return ConcreteBinding(
+        {k: Fraction(v).limit_denominator(max_denominator)
+         for k, v in binding.values.items()},
+        binding.contexts, binding.opt_flags,
+    )
+
+
+def assert_same_value(got, want):
+    assert type(got) is type(want)
+    assert got == want and repr(got) == repr(want)
+
+
+class TestProbReachMatchesPerVectorEnumeration:
+    """The truth-table oracle must return the per-vector loop's value bit for
+    bit: same products, added in the same order."""
+
+    def test_random_models_every_internal_goal(self):
+        rng = random.Random(1811)
+        calls = 0
+        for i in range(2000):
+            m = random_model(rng, max_leaves=1 + i % 14)
+            floats = random_binding(rng, m)
+            goals = [m.root] + [n.id for n in m.nodes.values()
+                                if not n.is_executable and n.id != m.root]
+            for goal in goals:
+                for b in (floats, exact(floats)):
+                    assert_same_value(prob_reach(m, goal, b),
+                                      reference_prob_reach(m, goal, b))
+                    calls += 1
+        assert calls >= 4000
+
+    @pytest.mark.parametrize("goal", ["G1", "T1"])
+    def test_bundled_goals(self, goal):
+        bsn = parse_model(bundled.data_text("bsn.json"))
+        rng = random.Random(goal)
+        for b in (random_binding(rng, bsn), exact(random_binding(rng, bsn), 8)):
+            assert_same_value(prob_reach(bsn, goal, b), reference_prob_reach(bsn, goal, b))
+
+
+class TestProbReachAtTheCap:
+    """At 20 leaves the oracle holds one 2^20-bit table and blocks of
+    probabilities, never a list of 2^20 of them (that alone is >= 32 MB)."""
+
+    PEAK_BYTES = 8_000_000
+
+    @staticmethod
+    def traced(m, b):
+        tracemalloc.start()
+        try:
+            value = prob_reach(m, "G", b)
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_and_chain_of_twenty(self):
+        m = and_of(20)
+        rng = random.Random(20)
+        b = random_binding(rng, m)
+        value, peak = self.traced(m, b)
+        assert peak < self.PEAK_BYTES
+        closed = math.prod(b.values[f"r_N{i}"] * b.values[f"f_N{i}"] for i in range(1, 21))
+        assert value == pytest.approx(closed, rel=1e-12, abs=0)
+
+    def test_fan_out_of_gated_and_triples(self):
+        branches, nodes, ctx = [], [], []
+        for i in range(6):
+            steps = [leaf(f"B{i}.{j}") for j in range(3)]
+            branches.append(Node(f"B{i}", "", NodeKind.TASK, Decomposition.AND,
+                                 tuple(s.id for s in steps), None, (f"K{i}",)))
+            nodes += steps
+            ctx.append(ContextDef(f"K{i}", ""))
+        ids = tuple(b.id for b in branches)
+        root = Node("G", "", NodeKind.GOAL, Decomposition.OR, ids, ids)
+        m = model("G", root, *branches, *nodes, contexts=ctx)
+        rng = random.Random(18)
+        b = replace(random_binding(rng, m),
+                    contexts={f"K{i}": int(i != 2) for i in range(6)})
+        value, peak = self.traced(m, b)
+        assert peak < self.PEAK_BYTES
+        miss = math.prod(
+            1 - b.contexts[f"K{i}"] * math.prod(
+                b.values[f"r_B{i}_{j}"] * b.values[f"f_B{i}_{j}"] for j in range(3))
+            for i in range(6))
+        assert value == pytest.approx(1 - miss, rel=1e-12, abs=0)
 
 
 class TestCostReach:
