@@ -244,7 +244,12 @@ class _SensorState:
 
 @dataclass
 class World:
-    """Mutable ground truth, advanced one tick at a time."""
+    """Mutable ground truth, advanced one tick at a time.
+
+    ``bindings`` is the binding the goals' circuits read at the true state:
+    hub degradation, context flips and :meth:`set_frequencies` write their
+    entries in place, next to the per-leaf tables they come from.
+    """
 
     config: ScenarioConfig
     rng: random.Random
@@ -255,6 +260,7 @@ class World:
     contexts: Dict[str, int]
     conditioned: Mapping[str, Condition]  # contexts driven by the vitals walk
     vitals: Dict[str, float]
+    bindings: Dict[str, float]
     degradations_applied: int = 0
 
     @classmethod
@@ -284,7 +290,20 @@ class World:
             contexts=contexts,
             conditioned=dict(conditioned or {}),
             vitals={s: start for s, (start, _) in _VITAL_WALKS.items()},
+            bindings=ParamTable.bindings(
+                config.true_reliability, frequency, config.true_cost,
+                contexts, config.opt_flags),
         )
+
+    def set_frequencies(self, frequencies: Mapping[str, float]) -> None:
+        """Run each leaf of ``frequencies`` at its commanded frequency."""
+        for leaf, value in frequencies.items():
+            self.frequency[leaf] = value
+            self.bindings[ParamTable.frequency(leaf).name] = value
+
+    def _set_context(self, ctx: str, truth: int) -> None:
+        self.contexts[ctx] = truth
+        self.bindings[ParamTable.context(ctx).name] = truth
 
     # -- per-tick dynamics -----------------------------------------------
 
@@ -295,7 +314,8 @@ class World:
                 if t < at:
                     break
                 hub = self.config.hub_leaf
-                self.reliability[hub] = max(0.0, self.reliability[hub] - delta)
+                r = self.reliability[hub] = max(0.0, self.reliability[hub] - delta)
+                self.bindings[ParamTable.reliability(hub).name] = r
                 self.degradations_applied += 1
         # SystemGoals only mis-sets the initial frequencies, Environment acts
         # through the battery dynamics in step(), and None leaves the world
@@ -338,7 +358,7 @@ class World:
             state.on = True
         if state.on != was_on:
             ctx = state.spec.context
-            self.contexts[ctx] = 1 if state.on else 0
+            self._set_context(ctx, 1 if state.on else 0)
             events.append({"t": t, "kind": "context", "context": ctx, "value": state.on})
 
     def _walk_vitals(self, t: float, events: List[Dict]) -> None:
@@ -355,14 +375,11 @@ class World:
             truth = 1 if self.conditioned[ctx].holds(env) else 0
             if truth != self.contexts.get(ctx, truth):
                 events.append({"t": t, "kind": "context", "context": ctx, "value": bool(truth)})
-            self.contexts[ctx] = truth
+            self._set_context(ctx, truth)
 
     def truth_bindings(self) -> Dict[str, float]:
-        """Bind every formula parameter from the true state of the world."""
-        return ParamTable.bindings(
-            self.reliability, self.frequency, self.cost,
-            self.contexts, self.config.opt_flags,
-        )
+        """A copy of :attr:`bindings`: every formula parameter at the true state."""
+        return dict(self.bindings)
 
 
 # -- traces ---------------------------------------------------------------------
@@ -468,13 +485,12 @@ def run(
             assignments = {str(c["knob"]): float(c["value"]) for c in pending}
             knob_values.update(assignments)
             frequencies = runtime.expand_assignments(policy, assignments)
-            world.frequency.update(frequencies)
+            world.set_frequencies(frequencies)
             state.set_frequencies(frequencies)
             pending = []
         world.inject(t)
         events = world.step(t)
-        bindings = world.truth_bindings()
-        achieved = policy.reported([symexpr.evaluate(c, bindings) for c in circuits])
+        achieved = policy.reported([symexpr.evaluate(c, world.bindings) for c in circuits])
         rows.append(
             (t, achieved.get("reliability", 0.0), achieved.get("cost", 0.0))
             + tuple(float(world.contexts.get(c, 0)) for c in context_ids)

@@ -6,14 +6,17 @@ commanded frequencies, context truths and placeholder flags, by parameter
 name.  The planner is an exhaustive, deterministic grid search over frequency
 knobs, where one knob fans out to a whole group of leaves (e.g. "all sensor
 tasks") and no two knobs share a leaf: each grid point binds the knob's value
-to the frequency of every leaf it drives.  The search runs the circuits
-through :func:`symexpr.sweep`, so the arithmetic no knob reaches runs once
-per search and each grid point runs only the part its innermost knob drives.
+to the frequency of every leaf it drives.  The search is one generated
+function, :func:`symexpr.search`: the arithmetic no knob reaches runs once
+per search, each grid point runs only the part its innermost knob drives,
+and the policy's scoring (:attr:`Policy.rank`, the in-margin tests, their
+combination and the objective, compiled once per policy) runs in the
+innermost loop, with no Python call per grid point.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -65,6 +68,9 @@ class PropertyTarget:
             raise PolicyError(f"a Reliability setpoint must not exceed 1, got {self.setpoint}")
         if not 0 < self.margin < math.inf:
             raise PolicyError(f"margin must be finite and positive, got {self.margin}")
+        # Floats, so the planner's generated code holds them as exact literals.
+        object.__setattr__(self, "setpoint", float(self.setpoint))
+        object.__setattr__(self, "margin", float(self.margin))
 
     def in_margin(self, current: float) -> bool:
         return abs(current - self.setpoint) <= self.margin * self.setpoint
@@ -147,12 +153,24 @@ class Policy:
         )
 
     def objective(self, values: Sequence[float]) -> float:
-        """The sum of setpoint-normalized absolute errors; lower is better."""
+        """The sum of setpoint-normalized absolute errors; lower is better.
+        The planner runs it, with :meth:`satisfied`, as :attr:`rank`."""
         total = 0.0
         for prop, value in zip(self.properties, values):
             scale = abs(prop.setpoint) or 1.0
             total += abs(value - prop.setpoint) / scale
         return total
+
+    @functools.cached_property
+    def rank(self) -> symexpr.Rank:
+        """:meth:`satisfied` and :meth:`objective` as the ranking of
+        :func:`symexpr.search`: Python expressions over the property values
+        ``y0, y1, ...`` that run the same float operations in the same order.
+        Only float literals and those names enter the source."""
+        errors = [f"abs(y{i} - {p.setpoint!r})" for i, p in enumerate(self.properties)]
+        flags = [f"{e} <= {p.margin * p.setpoint!r}" for e, p in zip(errors, self.properties)]
+        terms = [f"{e} / {abs(p.setpoint) or 1.0!r}" for e, p in zip(errors, self.properties)]
+        return _combination_source(self.combination, flags), " + ".join(["0.0"] + terms)
 
     def reported(self, values: Sequence[float]) -> Dict[str, float]:
         """The value of each metric's first property, keyed by the lower-case
@@ -163,7 +181,13 @@ class Policy:
         return out
 
 
-def _check_combination(comb: object, n_properties: int) -> None:
+#: Nesting bound of combination clauses: the planner compiles the
+#: combination into one Python expression, whose parser allows 200 levels
+#: of parentheses.
+MAX_CLAUSE_DEPTH = 100
+
+
+def _check_combination(comb: object, n_properties: int, depth: int = 0) -> None:
     if isinstance(comb, str):
         if comb.lower() not in ("and", "or"):
             raise PolicyError(f"unknown combination {comb!r}")
@@ -175,8 +199,10 @@ def _check_combination(comb: object, n_properties: int) -> None:
     if isinstance(comb, (list, tuple)) and comb and comb[0] in ("and", "or"):
         if len(comb) < 2:
             raise PolicyError("empty combination clause")
+        if depth == MAX_CLAUSE_DEPTH:
+            raise PolicyError(f"combination clauses nest deeper than {MAX_CLAUSE_DEPTH}")
         for sub in comb[1:]:
-            _check_combination(sub, n_properties)
+            _check_combination(sub, n_properties, depth + 1)
         return
     raise PolicyError(f"malformed combination clause: {comb!r}")
 
@@ -190,6 +216,17 @@ def combination_satisfied(comb: object, flags: Sequence[bool]) -> bool:
     op, args = comb[0], comb[1:]
     results = (combination_satisfied(sub, flags) for sub in args)
     return all(results) if op == "and" else any(results)
+
+
+def _combination_source(comb: object, flags: Sequence[str]) -> str:
+    """:func:`combination_satisfied` as a Python expression over ``flags``."""
+    if isinstance(comb, str):
+        op, args = comb.lower(), list(flags)
+    elif isinstance(comb, int):
+        return flags[comb]
+    else:
+        op, args = comb[0], [_combination_source(sub, flags) for sub in comb[1:]]
+    return "(" + (" and " if op == "and" else " or ").join(args) + ")"
 
 
 def load_policy(text: str, model: GoalModel) -> Policy:
@@ -365,7 +402,9 @@ def monitor_ingest(
     grew_exec, grew_cost = set(), set()
     for event in events:
         try:
-            timestamp = max(timestamp, float(event["t"]))
+            t = float(event["t"])
+            if t > timestamp:  # max(timestamp, t), NaN included, without the call
+                timestamp = t
             kind = event["kind"]
             if kind == "exec":
                 leaf = str(event["leaf"])
@@ -463,20 +502,14 @@ def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     total = math.prod(knob.grid_size for knob in knobs)
     if total > DEFAULT_GRID_CAP:
         raise PlanError(f"knob grid holds {total} candidates (cap {DEFAULT_GRID_CAP})")
-    grids = [knob.values() for knob in knobs]
 
     # A grid point binds each knob's value to the frequency of every leaf the
-    # knob drives, over the current beliefs.
+    # knob drives, over the current beliefs.  The search ranks feasible
+    # points first, then by objective, and keeps the earliest of equals.
     driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
-    points = symexpr.sweep(policy.circuits(state.formulae), state.bindings,
-                           list(zip(driven, grids)))
-    # Feasible points rank first.  ``min`` keeps the first of equal keys and
-    # compares with ``<``, so ties go to the earliest grid point; it streams,
-    # so a grid near the cap is never held in memory.
-    values, currents = min(
-        zip(itertools.product(*grids), points),
-        key=lambda point: (not policy.satisfied(point[1]), policy.objective(point[1])),
-    )
+    values, currents = symexpr.search(
+        policy.circuits(state.formulae), state.bindings,
+        [(names, knob.values()) for names, knob in zip(driven, knobs)], policy.rank)
     return Actuation(
         assignments={knob.id: v for knob, v in zip(knobs, values)},
         predicted=policy.reported(currents),

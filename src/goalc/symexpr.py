@@ -16,11 +16,17 @@ the canonical form can grow exponentially.  Its instructions load
 parameters by name, so a circuit is plain data.  A :class:`CircuitBuilder`
 records such programs and expands them into canonical form, optionally
 within a term budget.  :func:`evaluate` takes either form; :func:`sweep`
-evaluates circuits over a whole grid of bindings at once.
+evaluates circuits over a whole grid of bindings at once, and
+:func:`search` runs a caller's ranking inside that grid's innermost loop
+and returns the best point.  All three run Python functions generated by
+one emitter, :func:`_compile_program`, and compiled once per content (the
+circuits' code, the axis names and the ranking) in a cache of fixed size,
+so circuits built again from the same model reuse them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -417,26 +423,26 @@ class Circuit:
     name)``, ``("*", a, b)``, ``("+", a, b)``, ``("-", a, b)`` or
     ``("sum", (a, b, ...))`` over earlier registers; the last register is
     the result.  The code is plain strings and integers, so it survives a
-    JSON round trip (lists for tuples).  Binary parameters evaluate at 0 or
-    1, where repeated factors are already idempotent, so nothing needs
-    collapsing.  The program is compiled to a Python function on first
-    evaluation.
+    JSON round trip: lists are read back as tuples, and a rebuilt circuit
+    equals the original.  Binary parameters evaluate at 0 or 1, where
+    repeated factors are already idempotent, so nothing needs collapsing.
+    The program is compiled to a Python function on first evaluation, once
+    per code content (see :func:`_program`).
     """
 
-    __slots__ = ("code", "_names", "_binary", "_compiled", "_sweeps")
+    __slots__ = ("code", "_names", "_binary", "_compiled")
 
     def __init__(self, code: Iterable[tuple]) -> None:
-        self.code: Tuple[tuple, ...] = tuple(code)
-        if not self.code:
+        code = tuple(code)
+        if not code:
             raise ExprError("a circuit needs at least one instruction")
-        for i, ins in enumerate(self.code):
+        for i, ins in enumerate(code):
             _check_instruction(i, ins)
+        self.code: Tuple[tuple, ...] = tuple(
+            ("sum", tuple(ins[1])) if ins[0] == "sum" else tuple(ins) for ins in code)
         self._names = frozenset(ins[1] for ins in self.code if ins[0] == "load")
         self._binary = tuple(n for n in sorted(self._names) if is_binary(n))
         self._compiled: Optional[Callable[[Mapping[str, Number]], Number]] = None
-        # Compiled sweeps led by this circuit, keyed by (the other circuits,
-        # axis names): they live exactly as long as the circuits do.
-        self._sweeps: Dict[tuple, Callable[..., Iterator[Tuple[float, ...]]]] = {}
 
     def parameter_names(self) -> Tuple[str, ...]:
         """Names of the parameters the program loads, sorted."""
@@ -448,7 +454,7 @@ class Circuit:
     @property
     def _program(self) -> Callable[[Mapping[str, Number]], Number]:
         if self._compiled is None:
-            self._compiled = _compile_program([self.code])
+            self._compiled = _program((self.code,), None, None)
         return self._compiled
 
 
@@ -497,8 +503,44 @@ def sweep(
     The binding is checked once, up front, and raises the
     :class:`ExprError` :func:`evaluate` would for a missing name or a binary
     parameter outside {0, 1}; an axis naming a binary parameter raises one
-    too.  The program is compiled once per circuits and axis names.
+    too.  The program is compiled once per circuit code and axis names.
     """
+    codes, names = _check_grid(circuits, binding, axes)
+    return _program(codes, names, None)(binding, *(tuple(values) for _, values in axes))
+
+
+#: How :func:`search` ranks grid points: two Python expressions over the
+#: circuits' values ``y0, y1, ...`` (floats, in circuit order), a boolean
+#: ``first`` and a float ``key``.
+Rank = Tuple[str, str]
+
+
+def search(
+    circuits: Sequence[Circuit],
+    binding: Mapping[str, Number],
+    axes: Sequence[Axis],
+    rank: Rank,
+) -> Optional[Tuple[tuple, Tuple[float, ...]]]:
+    """The best point of the :func:`sweep` grid, and its circuit values.
+
+    With ``rank = (first, key)``, a point is better than another when its
+    ``(not first, key)`` compares less: points where ``first`` holds rank
+    before all others, then lower ``key`` wins.  Of equal points the one
+    earliest in :func:`itertools.product` order wins, so the choice is the
+    one ``min`` makes over the sweep with that key.  Returns the winning
+    point's axis values and the tuple the sweep yields there, or None for
+    an empty grid.  The ranking runs inside the sweep's innermost loop as
+    generated code, so it must be built from numeric literals and the
+    ``y`` names alone.  Checks and errors are :func:`sweep`'s.
+    """
+    codes, names = _check_grid(circuits, binding, axes)
+    return _program(codes, names, tuple(rank))(binding, *(tuple(values) for _, values in axes))
+
+
+def _check_grid(
+    circuits: Sequence[Circuit], binding: Mapping[str, Number], axes: Sequence[Axis],
+) -> Tuple[Tuple[Tuple[tuple, ...], ...], Tuple[Tuple[str, ...], ...]]:
+    """Check a grid's binding once; return the circuits' codes and axis names."""
     circuits = tuple(circuits)
     if not circuits:
         raise ExprError("a sweep needs at least one circuit")
@@ -515,12 +557,7 @@ def sweep(
             _check_binary(name, binding[name])
         if missing:
             raise ExprError(f"missing binding for parameter {min(missing)!r}")
-    key = (circuits[1:], names)
-    program = circuits[0]._sweeps.get(key)
-    if program is None:
-        program = _compile_program([c.code for c in circuits], names)
-        circuits[0]._sweeps[key] = program
-    return program(binding, *(tuple(values) for _, values in axes))
+    return tuple(c.code for c in circuits), names
 
 
 _SUM_CHUNK = 256
@@ -529,20 +566,39 @@ _SUM_CHUNK = 256
 #: the innermost one runs every further axis through ``itertools.product``.
 _MAX_LOOPS = 16
 
+#: Compiled programs kept at most, least recently used dropped first.
+_PROGRAM_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
+def _program(
+    codes: Tuple[Tuple[tuple, ...], ...],
+    axes: Optional[Tuple[Tuple[str, ...], ...]],
+    rank: Optional[Rank],
+) -> Callable:
+    """:func:`_compile_program`, memoized on the circuits' code, the axis
+    names and the ranking, so circuits built again from the same model (or
+    read back from JSON) run the function already compiled.  Always called
+    with all three arguments positionally, so one content is one key."""
+    return _compile_program(codes, axes, rank)
+
 
 def _compile_program(
     codes: Sequence[Tuple[tuple, ...]],
-    axes: Optional[Sequence[Sequence[str]]] = None,
+    axes: Optional[Sequence[Sequence[str]]],
+    rank: Optional[Rank],
 ) -> Callable:
     """Python function of circuit programs: one assignment per instruction.
 
     With ``axes`` None, ``program(b)`` returns the value of the one circuit
-    in ``codes``.  Otherwise ``program(b, v1, v2, ...)`` is a generator that
-    loops over the value lists nested in axis order and yields every
-    circuit's value, as a float, at each point.  Each instruction sits in
-    the loop of the innermost axis it depends on, or before the loops if it
-    depends on none (loop-invariant code motion); a parameter that axes
-    name reads the loop variable of the last such axis.
+    in ``codes``.  Otherwise ``program(b, v1, v2, ...)`` loops over the
+    value lists nested in axis order.  Each instruction sits in the loop of
+    the innermost axis it depends on, or before the loops if it depends on
+    none (loop-invariant code motion); a parameter that axes name reads the
+    loop variable of the last such axis.  The innermost loop's body is, with
+    ``rank`` None, a ``yield`` of every circuit's value as a float (the
+    function is :func:`sweep`'s generator), and otherwise :func:`search`'s
+    ranking, with the function returning the winner.
 
     Parameter names enter the source only as ``repr`` string literals and
     registers as generated identifiers, so no name can inject code.
@@ -582,6 +638,9 @@ def _compile_program(
 
     params = ["b"] + [f"v{k}" for k in range(1, n_axes + 1)]
     lines = [f"def program({', '.join(params)}):"]
+    if rank is not None:
+        # The best point so far, its key, and whether it ranks first.
+        lines.append("    best, best_key, best_first = None, 0.0, False")
     for lv, block in enumerate(blocks):
         if lv:
             ks = range(lv, n_axes + 1) if lv == depth else range(lv, lv + 1)
@@ -589,11 +648,31 @@ def _compile_program(
             source = values if len(ks) == 1 else f"product({values})"
             lines.append(f"{'    ' * lv}for {', '.join(f'a{k}' for k in ks)} in {source}:")
         lines.extend(f"{'    ' * (lv + 1)}{stmt}" for stmt in block)
+    indent = "    " * (depth + 1)
     if axes is None:
         lines.append(f"    return {outs[0]}")
-    else:
+    elif rank is None:
         floats = "".join(f"float({o}), " for o in outs)
-        lines.append(f"{'    ' * (depth + 1)}yield ({floats})")
+        lines.append(f"{indent}yield ({floats})")
+    else:
+        # (not first, key) < best's, as tuples compare: a first-ranked point
+        # beats any other, and between equals of ``first`` only a strictly
+        # lower key wins.  The first point of the grid is taken whatever its
+        # key (NaN included), as ``min`` takes it.
+        first, key = rank
+        ys = [f"y{j}" for j in range(len(outs))]
+        winner = (f"({''.join(f'a{k}, ' for k in range(1, n_axes + 1))}), "
+                  f"({''.join(y + ', ' for y in ys)})")
+        lines.extend(f"{indent}{y} = float({o})" for y, o in zip(ys, outs))
+        lines += [
+            f"{indent}key = {key}",
+            f"{indent}if {first}:",
+            f"{indent}    if not best_first or key < best_key:",
+            f"{indent}        best, best_key, best_first = ({winner}), key, True",
+            f"{indent}elif not best_first and (key < best_key or best is None):",
+            f"{indent}    best, best_key = ({winner}), key",
+            "    return best",
+        ]
     namespace: Dict[str, object] = {"product": itertools.product}
     exec(compile("\n".join(lines), "<circuit>", "exec"), namespace)
     return namespace["program"]  # type: ignore[return-value]

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -22,9 +23,9 @@ from goalc.bsnsim import (
     run,
     setpoint_distance,
 )
-from goalc.cgm import parse_model
+from goalc.cgm import Condition, ParamTable, parse_model
 from goalc.compiler import compile_model
-from goalc.runtime import load_policy
+from goalc.runtime import expand_assignments, load_policy
 
 TINY = json.dumps({
     "actor": "a",
@@ -290,6 +291,54 @@ class TestWorldInjection:
         )
         world.inject(0.0)
         assert world.reliability["B"] == 0.0
+
+
+class TestWorldBindings:
+    @pytest.mark.parametrize("name,moves", [
+        ("scenario_hub_degradation.json", {"r_", "f_"}),
+        ("scenario_battery_cycling.json", {"C_", "f_"}),
+        ("scenario_miscommissioned.json", {"f_"}),
+    ])
+    def test_held_binding_is_the_truth_rebuilt(self, bsn, bsn_policy, name, moves):
+        """Under degradation, context flips and commanded frequencies, the
+        binding the world holds equals one built afresh from its tables."""
+        config = bundled_config(name, "Tamed")
+        conditioned = {c: d.condition for c, d in bsn.contexts.items() if d.condition}
+        world = World.from_config(config, bsn_policy, conditioned)
+        rng = random.Random(name)
+        moved = set()
+        for t in range(300):
+            before = world.truth_bindings()
+            if rng.random() < 0.2:
+                knob = rng.choice(bsn_policy.knobs)
+                value = rng.choice(knob.values())
+                world.set_frequencies(expand_assignments(bsn_policy, {knob.id: value}))
+            world.inject(float(t))
+            world.step(float(t))
+            rebuilt = ParamTable.bindings(world.reliability, world.frequency, world.cost,
+                                          world.contexts, config.opt_flags)
+            assert world.bindings == rebuilt, t
+            assert world.truth_bindings() == rebuilt
+            moved.update(n[:2] for n in rebuilt if rebuilt[n] != before.get(n))
+        assert moved == moves
+
+    def test_vitals_driven_context_is_written_in_place(self):
+        policy = load_policy(TINY_POLICY, parse_model(TINY))
+        conditioned = {"CV": Condition("heart_rate", ">=", 90.0)}  # the walk starts at 90
+        world = World.from_config(load_scenario(tiny_scenario()), policy, conditioned)
+        truths = set()
+        for t in range(50):
+            world.step(float(t))
+            assert world.bindings["C_CV"] == world.contexts["CV"]
+            truths.add(world.contexts["CV"])
+        assert truths == {0, 1}
+
+    def test_truth_bindings_is_a_copy(self):
+        world = tiny_world()
+        truth = world.truth_bindings()
+        truth["r_A"] = 0.0
+        assert world.bindings["r_A"] == 0.9
+        assert world.truth_bindings() is not world.bindings
 
 
 class TestTimeSeries:

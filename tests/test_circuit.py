@@ -203,6 +203,68 @@ class TestCircuit:
                                       ("/", 0, 0)]), {"r_a": 1.0})
 
 
+class TestProgramCache:
+    """Compiled programs are keyed on content, not on circuit objects."""
+
+    def test_a_model_compiled_twice_compiles_each_program_once(self, bsn, monkeypatch):
+        compiled = []
+        compile_program = symexpr._compile_program
+
+        def counting(codes, axes=None, rank=None):
+            compiled.append((codes, axes, rank))
+            return compile_program(codes, axes, rank)
+
+        monkeypatch.setattr(symexpr, "_compile_program", counting)
+        symexpr._program.cache_clear()
+        policy = load_policy(bundled.data_text("policy.json"), bsn)
+        binding = param_map(bsn, random_binding(random.Random(2), bsn))
+        axes = [([ParamTable.frequency(leaf).name for leaf in knob.leaves], knob.values())
+                for knob in policy.knobs]
+        results = []
+        for _ in range(2):
+            forms = compile_circuits(bsn, ["G1"])["G1"]
+            values = [symexpr.evaluate(c, binding) for c in forms]
+            points = list(symexpr.sweep(list(forms), binding, axes))
+            best = symexpr.search([forms.reliability, forms.cost], binding, axes, policy.rank)
+            results.append((values, points, best))
+            if len(results) == 1:
+                first_round = len(compiled)
+        assert results[0] == results[1]
+        assert first_round == len(compiled) == len({c.code for c in forms}) + 2
+        assert len(set(compiled)) == len(compiled)
+
+    def test_a_circuit_read_back_from_json_shares_its_program(self, bsn):
+        for c in compile_circuits(bsn, ["G1"])["G1"]:
+            rebuilt = Circuit(json.loads(json.dumps(c.code)))
+            assert rebuilt.code == c.code
+            assert rebuilt._program is c._program
+
+    def test_the_cache_is_bounded(self):
+        size = symexpr._PROGRAM_CACHE_SIZE
+        assert symexpr._program.cache_info().maxsize == size
+        for i in range(size + 5):
+            symexpr.evaluate(Circuit([("load", f"r_{i}")]), {f"r_{i}": 0.5})
+            assert symexpr._program.cache_info().currsize <= size
+
+    @pytest.mark.parametrize("code,message", [
+        ([], "a circuit needs at least one instruction"),
+        ([["+", 0, 1], ["load", "r_a"]], "instruction 0: 0 is not an earlier register"),
+        ([["load", "r_a"], ["*", 0]], "instruction 1: '*' takes two registers, got 1"),
+        ([["load", "r_a"], ["sum", [0, 3]]], "instruction 1: 3 is not an earlier register"),
+        ([["load", "r_a"], ["sum", []]], "instruction 1: a sum adds a non-empty list of registers"),
+        ([["load", "r_a"], ["sum", 0]], "instruction 1: a sum adds a non-empty list of registers"),
+        ([["load", "r_a"], ["+", 0, 0.0]], "instruction 1: 0.0 is not an earlier register"),
+        ([["load", "r_a"], [["+"], 0, 0]], "instruction 1: unknown circuit instruction ['+']"),
+        ([["load", "r_a"], "x"], "instruction 1: unknown circuit instruction None"),
+        ([["load", ["r_a"]]], "instruction 0: a load names its parameter by a string"),
+        ([["load"]], "instruction 0: a load names its parameter by a string"),
+    ])
+    def test_malformed_json_code_texts(self, code, message):
+        with pytest.raises(ExprError) as info:
+            Circuit(code)
+        assert str(info.value) == message
+
+
 # -- the planner ---------------------------------------------------------------
 
 

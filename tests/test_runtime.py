@@ -1,6 +1,7 @@
 """Controller tests: knowledge windows, margin analysis, grid planning."""
 
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from goalc import bsnsim, bundled, symexpr
 from goalc.cgm import ModelError, parse_model
 from goalc.compiler import compile_model
 from goalc.runtime import (
+    MAX_CLAUSE_DEPTH,
     Actuation,
     Knob,
     Metric,
@@ -177,6 +179,24 @@ class TestPolicy:
         with pytest.raises(PolicyError, match="malformed"):
             Policy(props, (), combination={"op": "and"})
 
+    def test_combination_depth_bound(self):
+        """The deepest combination accepted still compiles into the plan's
+        search; one clause deeper, or far deeper, is a policy error."""
+        _, state = single_state(r=0.5)
+        comb = 0
+        for i in range(MAX_CLAUSE_DEPTH):
+            comb = ["and" if i % 2 else "or", comb]
+        knob = Knob("T", ("T",), 0.5, 1.0, 0.5)
+        props = (PropertyTarget(Metric.RELIABILITY, "T", 0.9, 0.02),)
+        assert plan(state, Policy(props, (knob,), comb)).feasible is False
+        for depth in (1, 5000):
+            deeper = comb
+            for _ in range(depth):
+                deeper = ["or", deeper]
+            with pytest.raises(PolicyError) as info:
+                Policy(props, (knob,), deeper)
+            assert str(info.value) == "combination clauses nest deeper than 100"
+
     def test_combination_evaluation(self):
         assert combination_satisfied("and", [True, True])
         assert not combination_satisfied("and", [True, False])
@@ -322,6 +342,33 @@ class TestMonitor:
         ])
         assert state.dropped == 4
         assert tuple(state.exec_windows["T"]) == (1,)
+
+    def test_timestamp_is_the_running_max_of_event_times(self):
+        """The clock moves as ``max(timestamp, float(t))`` per event would
+        move it, NaN included, and an unreadable ``t`` drops the event."""
+        stamps = [0.0, -0.0, 1.5, 7, "2.5", "-inf", float("nan"), float("inf"),
+                  float("-inf"), "nan", None, "soon", [1]]
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(300):
+            _, state = single_state()
+            state.timestamp = rng.choice([0.0, -0.0, 3.0, float("nan"), float("-inf")])
+            want, dropped = state.timestamp, 0
+            events = []
+            for _ in range(rng.randint(0, 6)):
+                event = {"kind": "exec", "leaf": "T", "success": True}
+                if rng.random() < 0.9:
+                    event["t"] = rng.choice(stamps)
+                events.append(event)
+                try:
+                    want = max(want, float(event["t"]))
+                except (KeyError, TypeError, ValueError):
+                    dropped += 1
+            monitor_ingest(state, events)
+            assert repr(state.timestamp) == repr(want)
+            assert state.dropped == dropped
+            seen.add("nan" if want != want else "dropped" if dropped else "ok")
+        assert seen == {"nan", "dropped", "ok"}
 
     def test_beliefs_are_window_means_of_the_event_stream(self, bsn):
         """Over 300 nominal ticks every leaf's ``r_``/``w_`` binding is, bit

@@ -3,23 +3,31 @@
 ``symexpr.sweep`` hoists every instruction out of the grid loops whose
 variables it does not read.  Each of its values must be the very float
 ``symexpr.evaluate`` returns on a copy of the binding with the point's axis
-values written in, and ``runtime.plan``, which searches its knob grid
-through ``sweep``, must choose what the point-by-point search chose.
+values written in.  ``runtime.plan`` searches its knob grid through
+``symexpr.search``, the same loops with the policy's scoring generated into
+the innermost one; it must choose what the point-by-point search and the
+Python ``min`` over the sweep chose, bit for bit.
 """
 
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from goalc import bundled, symexpr
-from goalc.cgm import ParamTable
+from goalc.cgm import Decomposition, ParamTable
 from goalc.compiler import compile_circuits
 from goalc.oracle import param_map, random_binding, random_model
 from goalc.runtime import (
     Actuation,
+    KnowledgeState,
+    Knob,
+    Metric,
+    Policy,
     PolicyError,
+    PropertyTarget,
     analyze,
     combination_satisfied,
     expand_assignments,
@@ -30,6 +38,7 @@ from goalc.runtime import (
 from goalc.symexpr import CircuitBuilder, ExprError
 
 from test_circuit import error_of
+from test_compiler import chain_model
 
 
 def point_by_point(circuits, binding, axes):
@@ -270,3 +279,252 @@ def test_plan_matches_the_per_point_search(bsn):
                 outcomes.add(got.feasible)
             state.set_frequencies(expand_assignments(policy, got.assignments))
     assert outcomes == {True, False}
+
+
+# -- the generated search ------------------------------------------------------
+
+
+def min_key_plan(state, policy):
+    """The planner as it was before its scoring was generated: the sweep's
+    values ranked in Python by one streaming ``min`` over
+    ``(not satisfied, objective)``."""
+    report = analyze(state, policy)
+    current = {knob.id: state.bindings[ParamTable.frequency(knob.leaves[0]).name]
+               for knob in policy.knobs}
+    if report.satisfied or not policy.knobs:
+        predicted = policy.reported([reading.current for reading in report.readings])
+        return Actuation(current, predicted, feasible=report.satisfied)
+    knobs = sorted(policy.knobs, key=lambda k: k.id)
+    grids = [knob.values() for knob in knobs]
+    driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
+    points = symexpr.sweep(policy.circuits(state.formulae), state.bindings,
+                           list(zip(driven, grids)))
+    values, currents = min(
+        zip(itertools.product(*grids), points),
+        key=lambda point: (not policy.satisfied(point[1]), policy.objective(point[1])),
+    )
+    return Actuation(
+        assignments={knob.id: v for knob, v in zip(knobs, values)},
+        predicted=policy.reported(currents),
+        feasible=policy.satisfied(currents),
+    )
+
+
+def winning_key_count(state, policy):
+    """How many grid points share the winner's ``(not satisfied, objective)``."""
+    knobs = sorted(policy.knobs, key=lambda k: k.id)
+    axes = [([ParamTable.frequency(leaf).name for leaf in knob.leaves], knob.values())
+            for knob in knobs]
+    keys = [(not policy.satisfied(v), policy.objective(v))
+            for v in symexpr.sweep(policy.circuits(state.formulae), state.bindings, axes)]
+    return keys.count(min(keys))
+
+
+def assert_same_plan(state, policy):
+    want = min_key_plan(state, policy)
+    got = plan(state, policy)
+    assert got.assignments == want.assignments
+    assert got.predicted == want.predicted
+    assert got.feasible is want.feasible
+    return got
+
+
+def random_combination(rng, n, depth=0):
+    """A combination over ``n`` properties: a string, an index or a clause."""
+    roll = rng.random()
+    if depth == 0 and roll < 0.3:
+        return rng.choice(["and", "or", "AND"])
+    if depth > 2 or depth > 0 and roll < 0.5:
+        return rng.randrange(n)
+    op = rng.choice(["and", "or"])
+    return [op] + [random_combination(rng, n, depth + 1) for _ in range(rng.randint(1, 3))]
+
+
+def random_plan_case(rng):
+    """A random model's belief state with a random policy and knob grid.
+
+    Setpoints sit near the values at the current beliefs, so plans are
+    feasible, infeasible or already satisfied; some are 0 (scale 1.0),
+    and a knob over leaves no property reads makes whole grid lines tie.
+    """
+    m = random_model(rng, max_leaves=rng.randint(2, 7))
+    goals = sorted(n.id for n in m.nodes.values() if not n.is_executable) or [m.root]
+    formulae = compile_circuits(m, goals)
+    bindings = param_map(m, random_binding(rng, m))
+    state = KnowledgeState(formulae, bindings, {}, {})
+    properties = []
+    for _ in range(rng.randint(1, 3)):
+        metric = rng.choice(list(Metric))
+        goal = rng.choice(goals)
+        forms = formulae[goal]
+        value = symexpr.evaluate(
+            forms.reliability if metric is Metric.RELIABILITY else forms.cost, bindings)
+        if rng.random() < 0.15:
+            setpoint = 0.0
+        else:
+            setpoint = max(0.0, value * rng.uniform(0.7, 1.3) + rng.uniform(-0.05, 0.05))
+            if metric is Metric.RELIABILITY:
+                setpoint = min(1.0, setpoint)
+        properties.append(PropertyTarget(metric, goal, setpoint, rng.choice([0.01, 0.1, 0.3])))
+    leaves = [n.id for n in m.nodes.values() if n.is_executable]
+    rng.shuffle(leaves)
+    knobs = []
+    while leaves and len(knobs) < 3:
+        group, leaves = leaves[:rng.randint(1, 2)], leaves[2:]
+        step = rng.choice([0.1, 0.25, 0.5])
+        lo = rng.choice([0.0, 0.1, 0.5])
+        knobs.append(Knob(f"k{rng.randrange(100)}{len(knobs)}", tuple(group), lo, 1.0, step))
+    combination = random_combination(rng, len(properties))
+    return state, Policy(tuple(properties), tuple(knobs), combination)
+
+
+class TestGeneratedSearch:
+    def test_random_models_and_policies(self):
+        seen = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            state, policy = random_plan_case(rng)
+            got = assert_same_plan(state, policy)
+            comb = policy.combination
+            seen.add(comb.lower() if isinstance(comb, str) else "nested")
+            if isinstance(comb, list) and any(isinstance(c, int) for c in comb[1:]):
+                seen.add("index")
+            if any(p.setpoint == 0.0 for p in policy.properties):
+                seen.add("setpoint 0")
+            if not analyze(state, policy).satisfied:
+                seen.add("feasible" if got.feasible else "infeasible")
+                if winning_key_count(state, policy) > 1:
+                    seen.add("tie")
+        assert seen == {"and", "or", "nested", "index", "setpoint 0",
+                        "feasible", "infeasible", "tie"}
+
+    def test_ties_go_to_the_first_point(self, bsn):
+        """A knob no property reads makes every line of the grid tie."""
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["knobs"].append({"id": "A0", "leaves": ["T1.X"], "min": 0.0, "max": 1.0,
+                             "step": 0.25})
+        policy = load_policy(json.dumps(doc), bsn)
+        state = nominal_belief(bsn)
+        assert not analyze(state, policy).satisfied
+        assert winning_key_count(state, policy) == 5
+        assert assert_same_plan(state, policy).assignments["A0"] == 0.0
+
+    def test_all_infeasible_grid(self, bsn):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["properties"][0].update(setpoint=1.0, margin=1e-6)
+        policy = load_policy(json.dumps(doc), bsn)
+        state = nominal_belief(bsn)
+        axes = [([ParamTable.frequency(leaf).name for leaf in knob.leaves], knob.values())
+                for knob in sorted(policy.knobs, key=lambda k: k.id)]
+        values = symexpr.sweep(policy.circuits(state.formulae), state.bindings, axes)
+        assert not any(policy.satisfied(v) for v in values)
+        assert assert_same_plan(state, policy).feasible is False
+
+    def test_more_knobs_than_nested_loops(self):
+        """Knobs past ``_MAX_LOOPS`` run through ``product`` in the innermost loop."""
+        n = symexpr._MAX_LOOPS + 4
+        m = chain_model(n, Decomposition.AND)
+        rng = random.Random(3)
+        bindings = param_map(m, random_binding(rng, m))
+        state = KnowledgeState(compile_circuits(m, ["G"]), bindings, {}, {})
+        wide = {0, 5, n - 3, n - 1}  # two of them past the nested loops
+        knobs = tuple(Knob(f"k{i:02d}", (f"N{i + 1}",), 0.5 if i in wide else 1.0, 1.0, 0.25)
+                      for i in range(n))
+        axes = [([f"f_N{i + 1}"], knob.values()) for i, knob in enumerate(knobs)]
+        costs = sorted(c for c, in symexpr.sweep([state.formulae["G"].cost], bindings, axes))
+        assert len(costs) == 3 ** len(wide)
+        outcomes = set()
+        for setpoint in (costs[5], costs[-1] * 3):
+            policy = Policy((PropertyTarget(Metric.COST, "G", setpoint, 1e-9),), knobs)
+            assert not analyze(state, policy).satisfied
+            outcomes.add(assert_same_plan(state, policy).feasible)
+        assert outcomes == {True, False}
+
+
+def test_search_is_min_over_the_sweep():
+    """``search`` picks what ``min`` picks over the sweep with the key
+    ``(not first, key)``: NaN and infinite keys, ties, and a first point
+    that nothing beats included."""
+    b = CircuitBuilder()
+    x, y = b.param("r_x"), b.param("r_y")
+    circuits = [b.circuit(x), b.circuit(y), b.circuit(x * y)]
+    pool = [math.nan, math.inf, 2.0, 1.0, 0.5, 0.5, 0.0, -0.0]
+    ranks = [(first, key)
+             for first in ("y0 <= 1.0", "y1 > 0.6", "True", "False", "y2 == y2")
+             for key in ("y0", "y1 - y0", "abs(y2 - 0.25)", "0.0")]
+    rng = random.Random(8)
+    for _ in range(400):
+        axes = [([name], [rng.choice(pool) for _ in range(rng.randint(1, 4))])
+                for name in rng.sample(["r_x", "r_y"], rng.randint(1, 2))]
+        first, key = rank = rng.choice(ranks)
+        scope = lambda v: {"y0": v[0], "y1": v[1], "y2": v[2]}  # noqa: E731
+        want = min(
+            zip(itertools.product(*(values for _, values in axes)),
+                symexpr.sweep(circuits, {"r_x": 0.75, "r_y": 0.25}, axes)),
+            key=lambda p: (not eval(first, {}, scope(p[1])), eval(key, {}, scope(p[1]))))
+        got = symexpr.search(circuits, {"r_x": 0.75, "r_y": 0.25}, axes, rank)
+        assert repr(got) == repr(want), (axes, rank)
+    assert symexpr.search(circuits, {"r_y": 1.0}, [(["r_x"], [])], ranks[0]) is None
+
+
+def nominal_belief(model):
+    scenario = json.loads(bundled.data_text("scenario_nominal.json"))
+    return initial_state(
+        model, ["G1"],
+        frequencies=dict.fromkeys(model.executable_leaves(), 0.5),
+        reliability_priors=scenario["estimates"]["reliability"],
+        cost_priors=scenario["estimates"]["cost"],
+        contexts=dict.fromkeys(model.contexts, 1),
+    )
+
+
+def boundary_values(setpoint, margin):
+    """Values around both margin edges, a few ulps either side."""
+    tolerance = margin * setpoint
+    out = [setpoint, 0.0, -setpoint, 2 * setpoint + 1.0, math.nan, math.inf]
+    for edge in (setpoint - tolerance, setpoint + tolerance):
+        v = edge
+        for _ in range(4):
+            v = math.nextafter(v, -math.inf)
+        for _ in range(9):
+            out.append(v)
+            v = math.nextafter(v, math.inf)
+    return out
+
+
+def test_rank_agrees_with_satisfied_and_objective_at_margin_edges():
+    """The generated ranking is :meth:`Policy.satisfied` and
+    :meth:`Policy.objective`, bit for bit, where the margin test flips."""
+    edges = set()
+    cases = [(0.9, 0.02), (0.47, 0.02), (0.5, 0.25), (1.0, 1e-3), (0.3, 0.1), (0.0, 0.02),
+             (1e-300, 0.5), (0.1, 3.0)]
+    for combination in ("and", "or", ["or", 1, ["and", 0, 2]], ["and", 2]):
+        for (s0, m0), (s1, m1), (s2, m2) in itertools.product(cases[:4], cases[4:], cases[::3]):
+            policy = Policy((PropertyTarget(Metric.RELIABILITY, "G", s0, m0),
+                             PropertyTarget(Metric.COST, "G", s1, m1),
+                             PropertyTarget(Metric.COST, "H", s2, m2)), (), combination)
+            first, key = (compile(src, "<rank>", "eval") for src in policy.rank)
+            rng = random.Random(f"{combination}{s0}{s1}{s2}")
+            columns = [boundary_values(s0, m0), boundary_values(s1, m1), boundary_values(s2, m2)]
+            for _ in range(60):
+                values = [rng.choice(column) for column in columns]
+                y = {f"y{i}": v for i, v in enumerate(values)}
+                assert eval(first, {}, y) is policy.satisfied(values), values
+                want = policy.objective(values)
+                got = eval(key, {}, y)
+                assert got == want or (math.isnan(got) and math.isnan(want)), values
+                for prop, v in zip(policy.properties, values):
+                    if abs(v - prop.setpoint) == prop.margin * prop.setpoint:
+                        edges.add("on the edge")
+                    elif abs(v - prop.setpoint) == math.nextafter(
+                            prop.margin * prop.setpoint, math.inf):
+                        edges.add("one ulp out")
+    assert edges == {"on the edge", "one ulp out"}
+
+
+def test_rank_source_holds_only_float_literals():
+    policy = Policy((PropertyTarget(Metric.RELIABILITY, "x'); import os; ('", 1, 1),),
+                    (), ["or", 0])
+    first, key = policy.rank
+    assert first == "(abs(y0 - 1.0) <= 1.0)"
+    assert key == "0.0 + abs(y0 - 1.0) / 1.0"
