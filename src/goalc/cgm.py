@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .symexpr import Parameter
 
@@ -109,6 +109,11 @@ class Node:
         """Leaf tasks and placeholders are the units that execute."""
         return self.kind in (NodeKind.LEAF_TASK, NodeKind.PLACEHOLDER)
 
+    @property
+    def order(self) -> Tuple[str, ...]:
+        """Children in evaluation order: the ``dm`` order when there is one."""
+        return self.dm_order if self.dm_order is not None else self.children
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -130,15 +135,41 @@ class GoalModel:
         except KeyError:
             raise ModelError(f"unknown node id: {node_id!r}") from None
 
+    def _walk(self, node_id: str, pushed: Callable[[Node], Sequence[str]]) -> List[str]:
+        """Ids of the subtree of ``node_id`` in the order a stack pops them.
+
+        A node comes before its subtree; the children ``pushed(node)`` names
+        are pushed in order, so the last is walked first.  Executable nodes
+        are not descended into.  A node reached twice, which only a model
+        built without :func:`parse_model` can have (a cycle or a shared
+        child), raises :class:`ModelError` rather than looping for ever.
+        """
+        out: Dict[str, None] = {}
+        stack = [node_id]
+        while stack:
+            node = self.node(stack.pop())
+            if node.id in out:
+                raise ModelError(f"node {node.id!r} is reached twice; a goal model is a tree")
+            out[node.id] = None
+            if not node.is_executable:
+                stack.extend(pushed(node))
+        return list(out)
+
+    def preorder(self, node_id: str) -> List[str]:
+        """Ids of the subtree of ``node_id``, each node before its children,
+        children in evaluation order (:attr:`Node.order`)."""
+        return self._walk(node_id, lambda node: node.order[::-1])
+
+    def postorder(self, node_id: str) -> List[str]:
+        """Ids of the subtree of ``node_id``, each node after its children,
+        children in evaluation order (:attr:`Node.order`)."""
+        return self._walk(node_id, lambda node: node.order)[::-1]
+
     def leaves_under(self, node_id: str) -> List[str]:
-        """Executable leaves in the subtree of ``node_id``, depth-first."""
-        node = self.node(node_id)
-        if node.is_executable:
-            return [node.id]
-        out: List[str] = []
-        for child in node.children:
-            out.extend(self.leaves_under(child))
-        return out
+        """Executable leaves in the subtree of ``node_id``, depth-first in
+        ``children`` order, whatever the ``dm`` order."""
+        return [nid for nid in self._walk(node_id, lambda node: node.children[::-1])
+                if self.nodes[nid].is_executable]
 
     def executable_leaves(self) -> List[str]:
         return self.leaves_under(self.root)
@@ -327,13 +358,6 @@ def _parse_enum(value, enum_cls, owner: str):
 # -- validation ---------------------------------------------------------------
 
 
-#: Levels a goal tree may have, the root being the first.  The compiler,
-#: the oracle and the PRISM emitter recurse once per level (``goalc verify``
-#: about three frames a level), so this keeps them well inside Python's
-#: default recursion limit of 1,000 frames.
-MAX_DEPTH = 100
-
-
 def validate(model: GoalModel) -> List[Violation]:
     """Check every model rule; returns violations sorted by (node id, rule).
 
@@ -397,8 +421,10 @@ def validate(model: GoalModel) -> List[Violation]:
             bad(child, "multiple-parents", f"node has parents {sorted(ps)}")
 
     if model.root in model.nodes:
-        # Depth-first from the root, with an explicit stack so that a model
-        # of any depth gets its violations rather than a RecursionError.
+        # Depth-first from the root with an explicit stack, so that a model
+        # of any depth gets its violations.  The trail of the current path
+        # tells a cycle from a shared child; ``GoalModel``'s own walks raise
+        # on either.
         reachable = {model.root}
         on_trail = {model.root}  # the nodes on the path to the current one
         pending = [(model.root, iter(model.nodes[model.root].children))]
@@ -413,10 +439,6 @@ def validate(model: GoalModel) -> List[Violation]:
                 if nid in model.nodes:
                     on_trail.add(nid)
                     pending.append((nid, iter(model.nodes[nid].children)))
-                    if len(pending) == MAX_DEPTH + 1:
-                        bad(nid, "too-deep",
-                            f"node lies {MAX_DEPTH + 1} levels deep; "
-                            f"a goal tree may be at most {MAX_DEPTH} levels deep")
         for nid in model.nodes:
             if nid not in reachable:
                 bad(nid, "unreachable-node", "node is not reachable from the root")

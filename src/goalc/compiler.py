@@ -30,9 +30,9 @@ exponentially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .cgm import Decomposition, GoalModel, ModelError, NodeKind, ParamTable
+from .cgm import Decomposition, GoalModel, ModelError, Node, NodeKind, ParamTable
 from .symexpr import CircuitBuilder, Wire
 
 
@@ -54,9 +54,9 @@ class NodeForms:
 
 
 def _fold(
-    model: GoalModel, node_id: str, builder: CircuitBuilder, memo: Dict[str, NodeForms]
+    model: GoalModel, goal_id: str, builder: CircuitBuilder, memo: Dict[str, NodeForms]
 ) -> NodeForms:
-    """The wire triple of the subtree rooted at ``node_id``, memoized by id.
+    """The wire triple of the subtree rooted at ``goal_id``, memoized by id.
 
     Rows, with ``P_i``/``W_i`` the reliability/weight of child ``i`` times its
     context factor (a node's own contexts apply where it joins its parent):
@@ -68,62 +68,69 @@ def _fold(
 
     where ``C`` is the leaf's own context factor (omitted when it has none),
     the leaf weight stays raw, and ``W = sum(W_i)``.
+
+    Nodes are composed in :meth:`GoalModel.postorder`, and each child is
+    gated as soon as it is complete, so the recorded program is the one a
+    depth-first recursion would record, at any depth.  A memoized node is
+    not composed again, but gated again when a node composed now reads it.
     """
-    if node_id in memo:
-        return memo[node_id]
-    node = model.node(node_id)
+    order = model.postorder(goal_id)
+    read = {c for node_id in order if node_id not in memo for c in model.nodes[node_id].order}
+    # child id -> (gated reliability, gated weight, its gate, its cost)
+    gated: Dict[str, Tuple[Wire, Wire, Callable[[Wire], Wire], Wire]] = {}
+    for node_id in order:
+        node = model.nodes[node_id]
+        if node_id not in memo:
+            memo[node_id] = _compose(node, builder, gated)
+        if node_id in read:
+            g, forms = _gate(builder, node.contexts), memo[node_id]
+            gated[node_id] = (g(forms.reliability), g(forms.weight), g, forms.cost)
+    return memo[goal_id]
 
-    def gate(contexts: Sequence[str]) -> Callable[[Wire], Wire]:
-        """Multiplication by the product of ``contexts`` (identity if none)."""
-        factor = None
-        for c in contexts:
-            p = builder.param(ParamTable.context(c).name)
-            factor = p if factor is None else factor * p
-        return (lambda x: x) if factor is None else (lambda x: factor * x)
 
+def _gate(builder: CircuitBuilder, contexts: Sequence[str]) -> Callable[[Wire], Wire]:
+    """Multiplication by the product of ``contexts`` (identity if none)."""
+    factor = None
+    for c in contexts:
+        p = builder.param(ParamTable.context(c).name)
+        factor = p if factor is None else factor * p
+    return (lambda x: x) if factor is None else (lambda x: factor * x)
+
+
+def _compose(node: Node, builder: CircuitBuilder, gated: Dict[str, tuple]) -> NodeForms:
+    """One node's row of :func:`_fold`; takes its children's entries out of
+    ``gated``."""
     if node.is_executable:
-        r = builder.param(ParamTable.reliability(node_id).name)
-        rf = r * builder.param(ParamTable.frequency(node_id).name)
-        w = builder.param(ParamTable.cost_weight(node_id).name)
-        own = gate(node.contexts)
+        r = builder.param(ParamTable.reliability(node.id).name)
+        rf = r * builder.param(ParamTable.frequency(node.id).name)
+        w = builder.param(ParamTable.cost_weight(node.id).name)
+        own = _gate(builder, node.contexts)
         rel, cost = own(rf), own(w * rf)
         if node.kind == NodeKind.PLACEHOLDER:
-            o = builder.param(ParamTable.opt(node_id).name)
+            o = builder.param(ParamTable.opt(node.id).name)
             rel, cost = rel * o, cost * o
-        memo[node_id] = NodeForms(rel, w, cost)
-        return memo[node_id]
+        return NodeForms(rel, w, cost)
 
     if not node.children:
-        raise ModelError(f"node {node_id!r} has no children to compose")
-    if node.dm_order is not None:
-        conjunctive, order = False, node.dm_order
-    elif node.decomposition in (Decomposition.AND, Decomposition.MEANS_END):
-        conjunctive, order = True, node.children
-    elif node.decomposition == Decomposition.OR:
-        conjunctive, order = False, node.children
-    else:
-        raise ModelError(f"node {node_id!r} has no usable decomposition")
+        raise ModelError(f"node {node.id!r} has no children to compose")
+    if node.dm_order is None and node.decomposition == Decomposition.NONE:
+        raise ModelError(f"node {node.id!r} has no usable decomposition")
+    conjunctive = node.dm_order is None and node.decomposition != Decomposition.OR
 
-    gated = []
-    for child_id in order:
-        child = _fold(model, child_id, builder, memo)
-        g = gate(model.node(child_id).contexts)
-        gated.append((g(child.reliability), g(child.weight)))
-
-    if len(gated) == 1:
+    kids = [gated.pop(c) for c in node.order]
+    if len(kids) == 1:
         # One child passes through And/Or with its own cost gated; a decision
         # over one remaining alternative keeps cost = W_1*P_1.
-        (rel, weight), = gated
-        cost = weight * rel if node.dm_order is not None else g(child.cost)
+        (rel, weight, g, cost), = kids
+        cost = weight * rel if node.dm_order is not None else g(cost)
     else:
-        weight = builder.sum(w for _, w in gated)
-        rel = gated[0][0]
-        for p, _ in gated[1:]:
+        weight = builder.sum(w for _, w, _, _ in kids)
+        rel = kids[0][0]
+        for p, _, _, _ in kids[1:]:
             prev = rel
             rel = prev * p if conjunctive else prev + p - prev * p
-        cost = weight * rel if conjunctive else weight * rel - gated[-1][1] * prev
-    memo[node_id] = NodeForms(rel, weight, cost)
-    return memo[node_id]
+        cost = weight * rel if conjunctive else weight * rel - kids[-1][1] * prev
+    return NodeForms(rel, weight, cost)
 
 
 def compile_model(

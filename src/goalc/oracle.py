@@ -134,25 +134,22 @@ def leaf_outcomes(
     exact = all(isinstance(v, (int, Fraction)) for v in binding.values.values())
     one: Number = Fraction(1) if exact else 1.0
 
-    def descend(node_id: str, gate: Number) -> None:
-        node = model.node(node_id)
+    gates: Dict[str, Number] = {goal_id: one}  # each node's parent's gate, then its own
+    for node_id in model.preorder(goal_id):
+        node = model.nodes[node_id]
+        gate = gates[node_id]
         if node_id != goal_id:
             for ctx in node.contexts:
                 gate = gate * binding.context_truth(ctx)
         if node.kind == NodeKind.PLACEHOLDER:
             gate = gate * binding.opt(node_id)
-        if node.is_executable:
-            r = _leaf_value(binding, ParamTable.reliability(node_id).name)
-            f = _leaf_value(binding, ParamTable.frequency(node_id).name)
-            execp = gate * f
-            out.append(
-                LeafOutcome(node_id, execp * r, execp * (one - r), one - execp)
-            )
-            return
-        for child in node.children:
-            descend(child, gate)
-
-    descend(goal_id, one)
+        gates[node_id] = gate
+        gates.update(dict.fromkeys(node.order, gate))
+    for leaf in model.leaves_under(goal_id):
+        r = _leaf_value(binding, ParamTable.reliability(leaf).name)
+        f = _leaf_value(binding, ParamTable.frequency(leaf).name)
+        execp = gates[leaf] * f
+        out.append(LeafOutcome(leaf, execp * r, execp * (one - r), one - execp))
     return out
 
 
@@ -177,28 +174,21 @@ def _truth_table(model: GoalModel, goal_id: str, leaves: Sequence[LeafOutcome]) 
 
     And nodes intersect their children's columns; Or and runtime-decision
     nodes unite them (with the context truths fixed, the decision's induced
-    chain is satisfied exactly when one alternative is).  The walk keeps an
-    explicit stack, and a child's column is dropped once its parent reads it.
+    chain is satisfied exactly when one alternative is).  A child's column
+    is dropped once its parent reads it.
     """
     n = len(leaves)
     index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
     full = (1 << (1 << n)) - 1
     done: Dict[str, int] = {}
-    stack = [(goal_id, False)]
-    while stack:
-        node_id, expanded = stack.pop()
-        node = model.node(node_id)
+    for node_id in model.postorder(goal_id):
+        node = model.nodes[node_id]
         if node.is_executable:
             done[node_id] = _leaf_column(index[node_id], n)
-            continue
-        children = node.dm_order if node.dm_order is not None else node.children
-        if not expanded:
-            stack.append((node_id, True))
-            stack.extend((c, False) for c in children)
-        elif node.dm_order is not None or node.decomposition == Decomposition.OR:
-            done[node_id] = functools.reduce(operator.or_, map(done.pop, children), 0)
+        elif _disjunctive(node):
+            done[node_id] = functools.reduce(operator.or_, map(done.pop, node.order), 0)
         else:
-            done[node_id] = functools.reduce(operator.and_, map(done.pop, children), full)
+            done[node_id] = functools.reduce(operator.and_, map(done.pop, node.order), full)
     return done[goal_id]
 
 
@@ -287,7 +277,10 @@ def _prob_reach_full(
 
 # -- cost ----------------------------------------------------------------------
 
-_SUCCESS, _FAILURE, _SKIPPED = 0, 1, 2
+
+def _disjunctive(node: Node) -> bool:
+    """Or and runtime-decision nodes: one satisfied child satisfies them."""
+    return node.dm_order is not None or node.decomposition == Decomposition.OR
 
 
 def cost_reach(
@@ -312,54 +305,49 @@ def cost_reach(
     exact = leaves and isinstance(leaves[0].success, Fraction)
     one = Fraction(1) if exact else 1.0
     zero = one - one
-
-    def walk(node_id: str, vec) -> Tuple[bool, Number]:
-        node = model.node(node_id)
+    # The goal's subtree as one post-order program: entry k holds a leaf's
+    # index, or the entries of node k's children, whether it is an Or and
+    # whether it stops at the first child that decides it.
+    slots: Dict[str, int] = {}
+    program: List[tuple] = []
+    for node_id in model.postorder(goal_id):
+        node = model.nodes[node_id]
+        slots[node_id] = len(program)
         if node.is_executable:
-            i = index[node.id]
-            if vec[i] == _SKIPPED:
-                return False, zero
-            return vec[i] == _SUCCESS, weights[i]
-        order = node.dm_order if node.dm_order is not None else node.children
-        is_or = node.dm_order is not None or node.decomposition == Decomposition.OR
-        sat: bool
-        cost = zero
-        if is_or:
-            short = mode in (ExecMode.DEFAULT, ExecMode.SHORT_CIRCUIT)
-            sat = False
-            for child in order:
-                csat, ccost = walk(child, vec)
-                cost = cost + ccost
-                if csat:
-                    sat = True
-                    if short:
-                        break
+            program.append((index[node_id], None, False))
         else:
-            short = mode == ExecMode.SHORT_CIRCUIT
-            sat = True
-            for child in order:
-                csat, ccost = walk(child, vec)
-                cost = cost + ccost
-                if not csat:
-                    sat = False
-                    if short:
-                        break
-        return sat, cost
+            is_or = _disjunctive(node)
+            short = (mode in (ExecMode.DEFAULT, ExecMode.SHORT_CIRCUIT) if is_or
+                     else mode == ExecMode.SHORT_CIRCUIT)
+            program.append(([slots[c] for c in node.order], is_or, short))
 
+    # Every child is evaluated, and its cost added up to the first child that
+    # decides its parent: the sums of a walk that stops there, in its order.
     total = zero
-    choices = [
-        ((_SUCCESS, lo.success), (_FAILURE, lo.failure), (_SKIPPED, lo.skipped))
-        for lo in leaves
-    ]
+    choices = [((True, w, lo.success), (False, w, lo.failure), (False, zero, lo.skipped))
+               for lo, w in zip(leaves, weights)]
     for combo in itertools.product(*choices):
-        vec = tuple(c[0] for c in combo)
-        sat, cost = walk(goal_id, vec)
-        if not sat:
+        sat: List[bool] = []
+        cost: List[Number] = []
+        for arg, is_or, short in program:
+            if is_or is None:
+                s, c, _ = combo[arg]
+            else:
+                s, c = not is_or, zero
+                for j in arg:
+                    c = c + cost[j]
+                    if sat[j] == is_or:
+                        s = is_or
+                        if short:
+                            break
+            sat.append(s)
+            cost.append(c)
+        if not sat[-1]:
             continue
         p = one
-        for _, pr in combo:
+        for _, _, pr in combo:
             p = p * pr
-        total = total + p * cost
+        total = total + p * cost[-1]
     return total
 
 
@@ -377,22 +365,15 @@ def cost_comparable(model: GoalModel, goal_id: str, binding: ConcreteBinding) ->
     """
 
     def and_only(node_id: str, allow_placeholder: bool) -> bool:
-        node = model.node(node_id)
-        if node.kind == NodeKind.PLACEHOLDER:
-            return allow_placeholder
-        if node.is_executable:
-            return True
-        if node.dm_order is not None or node.decomposition == Decomposition.OR:
-            return False
-        return all(and_only(c, allow_placeholder) for c in node.children)
+        """No Or or decision node under ``node_id``, nor a placeholder unless allowed."""
+        return all((n.is_executable or not _disjunctive(n))
+                   and (allow_placeholder or n.kind != NodeKind.PLACEHOLDER)
+                   for n in map(model.nodes.get, model.postorder(node_id)))
 
     if and_only(goal_id, allow_placeholder=True):
         return True
     goal = model.node(goal_id)
-    is_or_root = not goal.is_executable and (
-        goal.dm_order is not None or goal.decomposition == Decomposition.OR
-    )
-    if not is_or_root or len(goal.children) != 2:
+    if goal.is_executable or not _disjunctive(goal) or len(goal.children) != 2:
         return False
     if not all(and_only(c, allow_placeholder=False) for c in goal.children):
         return False

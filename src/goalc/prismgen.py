@@ -55,80 +55,57 @@ class EmissionPlan:
 def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPlan:
     """Assign slots and guards for the subtree of ``goal_id`` (root default)."""
     goal = goal_id if goal_id is not None else model.root
-    model.node(goal)  # unknown-goal check
     plan = EmissionPlan(goal_id=goal)
 
     # First pass: depth-first pre-order slot assignment.  Decision nodes take
     # a slot of their own, so their machinery resolves before their subtrees.
-    counter = [0]
-    dm_count = [0]
+    order = model.preorder(goal)
+    dm_count = 0
     first_slot: Dict[str, int] = {}  # node id -> the first slot of its subtree
-
-    def assign(node_id: str) -> None:
-        node = model.node(node_id)
-        first_slot[node_id] = counter[0] + 1
+    for node_id in order:
+        node = model.nodes[node_id]
+        first_slot[node_id] = len(plan.slots) + 1
         if node.is_executable or node.dm_order is not None:
-            counter[0] += 1
-            plan.slots[node_id] = counter[0]
+            plan.slots[node_id] = first_slot[node_id]
             plan.module_order.append(node_id)
-        if node.is_executable:
-            return
-        if node.dm_order is not None:
-            dm_count[0] += 1
+        if not node.is_executable and node.dm_order is not None:
+            dm_count += 1
             if len(node.dm_order) > MAX_DM_ALTERNATIVES:
                 raise EmitError(
                     f"decision node {node_id!r} has {len(node.dm_order)} "
                     f"alternatives; the subset encoding caps at {MAX_DM_ALTERNATIVES}"
                 )
-        for child_id in node.dm_order if node.dm_order is not None else node.children:
-            assign(child_id)
-
-    assign(goal)
 
     # Second pass: guard factors and run-enables.  A decision node consumes
     # the contexts of its immediate children (they live in the CTX constants
     # and the enable variables); every other context on the path from the
     # goal to a leaf multiplies into that leaf's entry guard.
     seen_ctx = set()
-
-    def note_contexts(ctxs: Sequence[str]) -> None:
-        for ctx in ctxs:
-            if ctx not in seen_ctx:
-                seen_ctx.add(ctx)
-                plan.context_order.append(ctx)
-
-    def walk(
-        node_id: str,
-        inherited: Tuple[str, ...],
-        enables: Tuple[int, ...],
-        own_consumed: bool,
-    ) -> None:
-        node = model.node(node_id)
+    # node id -> (inherited guard contexts, run-enables, own contexts consumed)
+    passed: Dict[str, Tuple[Tuple[str, ...], Tuple[int, ...], bool]] = {goal: ((), (), False)}
+    for node_id in order:
+        node = model.nodes[node_id]
+        inherited, enables, own_consumed = passed.pop(node_id)
         if node_id != goal:
-            note_contexts(node.contexts)
+            for ctx in node.contexts:
+                if ctx not in seen_ctx:
+                    seen_ctx.add(ctx)
+                    plan.context_order.append(ctx)
         own = () if (node_id == goal or own_consumed) else tuple(node.contexts)
         gated = inherited + own
         if node.is_executable:
             plan.guard_contexts[node_id] = gated
             plan.enable_of[node_id] = enables
-            return
-        if node.dm_order is not None:
-            plan.dm_prefix[node_id] = (
-                "CTX" if dm_count[0] == 1 else f"CTX_{mangle(node_id)}"
-            )
-            enable_slots = []
-            for child_id in node.dm_order:
-                # The enable variable borrows the slot of the first module in
-                # the enabled subtree, which stays unique under nesting.
-                enable = first_slot[child_id]
-                enable_slots.append(enable)
-                walk(child_id, gated, enables + (enable,), own_consumed=True)
-            plan.dm_enables[node_id] = enable_slots
-            return
-        for child_id in node.children:
-            walk(child_id, gated, enables, own_consumed=False)
-
-    walk(goal, (), (), False)
+        elif node.dm_order is not None:
+            plan.dm_prefix[node_id] = "CTX" if dm_count == 1 else f"CTX_{mangle(node_id)}"
+            # The enable variable borrows the slot of the first module in the
+            # enabled subtree, which stays unique under nesting.
+            plan.dm_enables[node_id] = [first_slot[c] for c in node.dm_order]
+            for child_id, enable in zip(node.dm_order, plan.dm_enables[node_id]):
+                passed[child_id] = (gated, enables + (enable,), True)
+        else:
+            for child_id in node.children:
+                passed[child_id] = (gated, enables, False)
     return plan
 
 
@@ -268,11 +245,6 @@ def emit_model(model: GoalModel, goal_id: Optional[str] = None) -> str:
 # -- success propositions and properties ---------------------------------------
 
 
-def _skipped(model: GoalModel, node_id: str, plan: EmissionPlan) -> str:
-    tests = [f"s{plan.slots[leaf]}=3" for leaf in model.leaves_under(node_id)]
-    return tests[0] if len(tests) == 1 else "(" + " & ".join(tests) + ")"
-
-
 def _ctx_test(contexts: Sequence[str]) -> str:
     tests = [f"{_ctx_const(c)}=1" for c in contexts]
     return tests[0] if len(tests) == 1 else " & ".join(tests)
@@ -289,31 +261,36 @@ def success_proposition(
     node below the goal.
     """
     plan = plan or plan_emission(model, goal_id)
+    text: Dict[str, str] = {}  # node id -> its proposition, until its parent reads it
+    skips: Dict[str, List[str]] = {}  # node id -> the skip tests of its leaves
 
-    def phi(node_id: str, is_dm_child: bool) -> str:
-        node = model.node(node_id)
-        if node.kind == NodeKind.PLACEHOLDER:
+    def read(node_id: str, is_dm_child: bool) -> str:
+        """The proposition of a child as its parent reads it."""
+        node = model.nodes[node_id]
+        core = text.pop(node_id)
+        if not node.contexts or (node.kind == NodeKind.PLACEHOLDER and not is_dm_child):
+            return core  # skipping a placeholder is already vacuously satisfying
+        tests = skips[node_id]
+        skipped = tests[0] if len(tests) == 1 else "(" + " & ".join(tests) + ")"
+        wrap = f"(!({_ctx_test(node.contexts)}) & {skipped})"
+        return f"({core} | {wrap})" if is_dm_child else f"({wrap} | {core})"
+
+    for node_id in model.postorder(plan.goal_id):
+        node = model.nodes[node_id]
+        if node.is_executable:
             x = plan.slots[node_id]
-            core = f"(s{x}=2 | s{x}=3)"
-        elif node.is_executable:
-            core = f"s{plan.slots[node_id]}=2"
-        elif node.dm_order is not None:
-            parts = [phi(c, is_dm_child=True) for c in node.dm_order]
-            core = "(" + " | ".join(parts) + ")"
+            text[node_id] = f"(s{x}=2 | s{x}=3)" if node.kind == NodeKind.PLACEHOLDER else f"s{x}=2"
+            skips[node_id] = [f"s{x}=3"]
+            continue
+        if node.dm_order is not None:
+            text[node_id] = "(" + " | ".join(read(c, True) for c in node.dm_order) + ")"
         else:
-            parts = [phi(c, is_dm_child=False) for c in node.children]
+            parts = [read(c, False) for c in node.children]
             joiner = " | " if node.decomposition == Decomposition.OR else " & "
-            core = parts[0] if len(parts) == 1 else "(" + joiner.join(parts) + ")"
-        if node_id == plan.goal_id or not node.contexts:
-            return core
-        wrap = f"(!({_ctx_test(node.contexts)}) & {_skipped(model, node_id, plan)})"
-        if is_dm_child:
-            return f"({core} | {wrap})"
-        if node.kind == NodeKind.PLACEHOLDER:
-            return core  # skipping is already vacuously satisfying
-        return f"({wrap} | {core})"
-
-    return phi(plan.goal_id, is_dm_child=False)
+            text[node_id] = parts[0] if len(parts) == 1 else "(" + joiner.join(parts) + ")"
+        # In ``children`` order, the order of ``GoalModel.leaves_under``.
+        skips[node_id] = [t for c in node.children for t in skips.pop(c)]
+    return text[plan.goal_id]
 
 
 def emit_properties(model: GoalModel, goal_id: Optional[str] = None) -> str:

@@ -7,7 +7,6 @@ import re
 import pytest
 
 from goalc import bundled, cli, prismgen
-from goalc.cgm import MAX_DEPTH
 from goalc.cli import main
 
 BROKEN_MODEL = json.dumps({
@@ -325,31 +324,20 @@ def goal_chain(levels):
 
 
 class TestDeepModels:
-    def commands(self, path, tmp_path):
-        return [
+    @pytest.mark.parametrize("levels", [100, 101, 3000])
+    def test_every_command_finishes(self, capsys, tmp_path, levels):
+        # Deeper than Python's default limit of 1,000 frames, too: no walk
+        # over the goal tree recurses, and no depth bound is enforced.
+        path = str(tmp_path / "deep.json")
+        (tmp_path / "deep.json").write_text(goal_chain(levels))
+        compiled, emitted, verified = [run_cli(capsys, *argv) for argv in (
             ["compile", path],
             ["emit-prism", path, "--out-dir", str(tmp_path)],
             ["verify", path, "--trials", "3"],
-        ]
-
-    def test_every_command_finishes_at_the_depth_bound(self, capsys, tmp_path):
-        path = tmp_path / "deep.json"
-        path.write_text(goal_chain(MAX_DEPTH))
-        compiled, emitted, verified = [
-            run_cli(capsys, *argv) for argv in self.commands(str(path), tmp_path)]
+        )]
         assert [r[0] for r in (compiled, emitted, verified)] == [0, 0, 0]
         assert json.loads(compiled[1])["formulas"]["G0"]["reliability"] == "f_T*r_T"
         assert json.loads(verified[1])["failures"] == 0
-
-    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
-    def test_deeper_models_are_domain_errors(self, capsys, tmp_path, levels):
-        path = tmp_path / "deep.json"
-        path.write_text(goal_chain(levels))
-        for argv in self.commands(str(path), tmp_path):
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, out) == (1, "")
-            assert err.startswith("error: ") and "too-deep" in err
-            assert f"at most {MAX_DEPTH} levels" in err
 
 
 class TestSimulate:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from goalc import bundled, cli
+from goalc import bundled, cli, compiler
 from goalc.cgm import (
     ContextDef,
     Decomposition,
@@ -16,10 +16,10 @@ from goalc.cgm import (
     NodeKind,
     ParamTable,
 )
-from goalc.compiler import NodeForms, compile_model, param_growth_report
+from goalc.compiler import NodeForms, compile_circuits, compile_model, param_growth_report
 from goalc.oracle import random_model
 from goalc.symexpr import (
-    SymExpr, TermBudgetError, evaluate, param, parse_expr, render, substitute,
+    CircuitBuilder, SymExpr, TermBudgetError, evaluate, param, parse_expr, render, substitute,
 )
 
 
@@ -441,3 +441,95 @@ def test_and_chain_compiles_in_linear_constructions(monkeypatch):
     assert len(forms["G"].cost.terms) == n
     assert built["exprs"] <= 10 * n
     assert built["terms"] <= 10 * n
+
+
+def recursive_fold(model, node_id, builder, memo):
+    """The depth-first recursive fold, kept as the reference for the order in
+    which ``compiler._fold`` records its instructions."""
+    if node_id in memo:
+        return memo[node_id]
+    node = model.node(node_id)
+
+    def gate(contexts):
+        factor = None
+        for c in contexts:
+            p = builder.param(ParamTable.context(c).name)
+            factor = p if factor is None else factor * p
+        return (lambda x: x) if factor is None else (lambda x: factor * x)
+
+    if node.is_executable:
+        r = builder.param(ParamTable.reliability(node_id).name)
+        rf = r * builder.param(ParamTable.frequency(node_id).name)
+        w = builder.param(ParamTable.cost_weight(node_id).name)
+        own = gate(node.contexts)
+        rel, cost = own(rf), own(w * rf)
+        if node.kind == NodeKind.PLACEHOLDER:
+            o = builder.param(ParamTable.opt(node_id).name)
+            rel, cost = rel * o, cost * o
+        memo[node_id] = NodeForms(rel, w, cost)
+        return memo[node_id]
+    dm = node.dm_order is not None
+    conjunctive = not dm and node.decomposition != Decomposition.OR
+    gated = []
+    for child_id in node.dm_order if dm else node.children:
+        child = recursive_fold(model, child_id, builder, memo)
+        g = gate(model.node(child_id).contexts)
+        gated.append((g(child.reliability), g(child.weight)))
+    if len(gated) == 1:
+        (rel, weight), = gated
+        cost = weight * rel if dm else g(child.cost)
+    else:
+        weight = builder.sum(w for _, w in gated)
+        rel = gated[0][0]
+        for p, _ in gated[1:]:
+            prev = rel
+            rel = prev * p if conjunctive else prev + p - prev * p
+        cost = weight * rel if conjunctive else weight * rel - gated[-1][1] * prev
+    memo[node_id] = NodeForms(rel, weight, cost)
+    return memo[node_id]
+
+
+class TestIterativeFold:
+    """The post-order fold records the recursive fold's program, instruction
+    for instruction, so expansion and every circuit stay the same."""
+
+    @staticmethod
+    def models(bsn):
+        yield bsn
+        for seed in range(500):
+            rng = random.Random(seed)
+            yield random_model(rng, max_leaves=rng.randint(1, 12))
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every builder the compiler makes, in order."""
+        builders = []
+
+        class Recording(CircuitBuilder):
+            def __init__(self):
+                super().__init__()
+                builders.append(self)
+
+        monkeypatch.setattr(compiler, "CircuitBuilder", Recording)
+        return builders
+
+    def test_compile_model_records_the_same_program(self, bsn, recorded):
+        for m in self.models(bsn):
+            forms = compile_model(m)
+            want, memo = CircuitBuilder(), {}
+            recursive_fold(m, m.root, want, memo)
+            assert recorded[-1]._code == want._code
+            assert list(forms) == list(memo)
+
+    def test_compile_circuits_cuts_the_same_circuits(self, bsn, recorded):
+        for i, m in enumerate(self.models(bsn)):
+            inner = sorted(n.id for n in m.nodes.values() if not n.is_executable)
+            # Nested goals, in both orders, share memoized subtrees.
+            goals = random.Random(i).sample(sorted(m.nodes), min(3, len(m.nodes)))
+            goals = goals + inner[:2] + [m.root] + inner[-1:]
+            builder, memo = CircuitBuilder(), {}
+            want = {g: [builder.circuit(w).code for w in recursive_fold(m, g, builder, memo)]
+                    for g in goals}
+            got = compile_circuits(m, goals)
+            assert {g: [c.code for c in got[g]] for g in goals} == want
+            assert recorded[-1]._code == builder._code

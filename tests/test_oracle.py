@@ -320,6 +320,66 @@ class TestCostReach:
             cost_reach(m, "G", uniform_binding(m))
 
 
+def recursive_cost_reach(m, goal_id, binding, mode=ExecMode.DEFAULT):
+    """The recursive per-vector cost walk, kept as the reference for the
+    flat post-order program of ``cost_reach``."""
+    leaves = leaf_outcomes(m, goal_id, binding)
+    index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
+    weights = [binding.values[f"w_{lo.leaf_id.replace('.', '_')}"] for lo in leaves]
+    one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
+    zero = one - one
+
+    def walk(node_id, vec):
+        node = m.node(node_id)
+        if node.is_executable:
+            i = index[node.id]
+            return (False, zero) if vec[i] == 2 else (vec[i] == 0, weights[i])
+        is_or = node.dm_order is not None or node.decomposition == Decomposition.OR
+        short = mode in ((ExecMode.DEFAULT, ExecMode.SHORT_CIRCUIT) if is_or
+                         else (ExecMode.SHORT_CIRCUIT,))
+        sat, cost = not is_or, zero
+        for child in node.dm_order if node.dm_order is not None else node.children:
+            csat, ccost = walk(child, vec)
+            cost = cost + ccost
+            if csat == is_or:
+                sat = is_or
+                if short:
+                    break
+        return sat, cost
+
+    total = zero
+    choices = [((0, lo.success), (1, lo.failure), (2, lo.skipped)) for lo in leaves]
+    for combo in itertools.product(*choices):
+        sat, cost = walk(goal_id, tuple(c[0] for c in combo))
+        if sat:
+            p = one
+            for _, pr in combo:
+                p = p * pr
+            total = total + p * cost
+    return total
+
+
+class TestCostReachMatchesTheRecursiveWalk:
+    """The flat program adds the same costs in the same order as a walk
+    that stops at the first child deciding its parent: equal bits."""
+
+    def test_random_models_every_mode(self):
+        calls = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            m = random_model(rng, max_leaves=rng.randint(1, 7))
+            floats = random_binding(rng, m, unit_frequencies=seed % 3 == 0)
+            goals = [m.root] + [n.id for n in m.nodes.values()
+                                if not n.is_executable and n.id != m.root][:2]
+            for goal in goals:
+                for b in (floats, exact(floats)):
+                    for mode in ExecMode:
+                        assert_same_value(cost_reach(m, goal, b, mode),
+                                          recursive_cost_reach(m, goal, b, mode))
+                        calls += 1
+        assert calls >= 1500
+
+
 class TestCostComparable:
     def test_and_only_any_binding(self):
         m = and_of(3)

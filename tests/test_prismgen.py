@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from goalc.cgm import parse_model
+from goalc.cgm import GoalModel, parse_model
 from goalc.prismgen import (
     MAX_DM_ALTERNATIVES,
     EmitError,
@@ -263,6 +263,15 @@ class TestProperties:
         phi = success_proposition(model)
         assert phi == "((s2=2 | (!(K1=1) & s2=3)) | (s3=2 | (!(K2=1) & s3=3)))"
 
+    def test_placeholder_alternative_is_wrapped(self):
+        # Under a decision, a skipped placeholder still needs its context off.
+        doc = json.loads(DECISION_PAIR)
+        doc["nodes"][-1].update(id="N2.X", placeholder=True)
+        doc["nodes"][0].update(children=["N1", "N2.X"], dm=["N1", "N2.X"])
+        phi = success_proposition(parse_model(json.dumps(doc)))
+        assert phi == ("((s2=2 | (!(K1=1) & s2=3)) | "
+                       "((s3=2 | s3=3) | (!(K2=1) & s3=3)))")
+
     def test_context_wrap_outside_decisions(self):
         model = parse_model(CTX_LEAF)
         assert success_proposition(model) == "((!(K1=1) & s1=3) | s1=2)"
@@ -278,3 +287,18 @@ class TestProperties:
     def test_conjunction_over_skip_tests(self, bsn):
         phi = success_proposition(bsn)
         assert "(!(C1=1) & (s2=3 & s3=3 & s4=3))" in phi
+
+    def test_no_subtree_is_walked_twice(self, bsn, monkeypatch):
+        # Each wrapped node's skip tests come from its children's, built in
+        # the one post-order pass, not from a walk of its subtree.
+        calls = []
+        leaves_under = GoalModel.leaves_under
+
+        def counted(model, node_id):
+            calls.append(node_id)
+            return leaves_under(model, node_id)
+
+        monkeypatch.setattr(GoalModel, "leaves_under", counted)
+        for model in (bsn, parse_model(CTX_LEAF), parse_model(DECISION_PAIR)):
+            emit_properties(model)
+        assert calls == []
