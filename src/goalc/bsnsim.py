@@ -7,6 +7,9 @@ attempts a configured number of executions (Bernoulli draws for both the
 attempt and its success), batteries drain per execution and recharge per
 tick, and the reliability/cost recorded in the trace is the goal's formula
 circuit evaluated at the true parameters of the configuration in force.
+Contexts that carry a condition are re-evaluated every tick over the walked
+vitals and ``data_validity``, which is always 1: the walk keeps each vital
+inside its signal's outer bounds.
 
 Three disturbance scenarios are built in: stepwise degradation of the
 central hub's reliability, a mis-commissioned initial frequency profile, and
@@ -44,68 +47,16 @@ class Mode(Enum):
     UNTAMED = "Untamed"
 
 
-class Risk(Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-
 # -- patient vitals -----------------------------------------------------------
 
-#: One (upper bound, lower bound, risk) band; a value v falls in the first
-#: band of its signal with upper >= v > lower.
-Band = Tuple[float, float, Risk]
-
-
-@dataclass(frozen=True)
-class VitalRanges:
-    bands: Mapping[str, Tuple[Band, ...]]
-
-    def __post_init__(self) -> None:
-        for signal, bands in self.bands.items():
-            cuts = [bands[0][0]] + [b[1] for b in bands]
-            if any(a <= b for a, b in zip(cuts, cuts[1:])):
-                raise ConfigError(f"{signal}: thresholds must strictly descend")
-
-    def classify(self, signal: str, value: float) -> Risk:
-        for upper, lower, risk in self.bands[signal]:
-            if upper >= value > lower:
-                return risk
-        raise ConfigError(f"{signal} value {value} outside the operational range")
-
-    def in_range(self, signal: str, value: float) -> bool:
-        bands = self.bands[signal]
-        return bands[0][0] >= value > bands[-1][1]
-
-
-#: Risk bands of the monitored patient signals.
-PATIENT_VITALS = VitalRanges({
-    "oxygen_saturation": (
-        (100, 65, Risk.LOW), (65, 55, Risk.MEDIUM), (55, 0, Risk.HIGH),
-    ),
-    "heart_rate": (
-        (300, 115, Risk.HIGH), (115, 97, Risk.MEDIUM), (97, 85, Risk.LOW),
-        (85, 70, Risk.MEDIUM), (70, 0, Risk.HIGH),
-    ),
-    "temperature": (
-        (50, 41, Risk.HIGH), (41, 38, Risk.MEDIUM), (38, 36, Risk.LOW),
-        (36, 32, Risk.MEDIUM), (32, 0, Risk.HIGH),
-    ),
-    "systolic_pressure": (
-        (300, 140, Risk.HIGH), (140, 120, Risk.MEDIUM), (120, 0, Risk.LOW),
-    ),
-    "diastolic_pressure": (
-        (300, 90, Risk.HIGH), (90, 80, Risk.MEDIUM), (80, 0, Risk.LOW),
-    ),
-})
-
-#: Start value and per-tick walk step of each generated signal.
+#: Start value, per-tick walk step and outer bounds (lower, upper] of each
+#: generated signal.
 _VITAL_WALKS = {
-    "oxygen_saturation": (97.0, 0.4),
-    "heart_rate": (90.0, 1.0),
-    "temperature": (36.8, 0.05),
-    "systolic_pressure": (115.0, 1.0),
-    "diastolic_pressure": (75.0, 0.8),
+    "oxygen_saturation": (97.0, 0.4, 0, 100),
+    "heart_rate": (90.0, 1.0, 0, 300),
+    "temperature": (36.8, 0.05, 0, 50),
+    "systolic_pressure": (115.0, 1.0, 0, 300),
+    "diastolic_pressure": (75.0, 0.8, 0, 300),
 }
 
 
@@ -289,7 +240,7 @@ class World:
             sensors=sensors,
             contexts=contexts,
             conditioned=dict(conditioned or {}),
-            vitals={s: start for s, (start, _) in _VITAL_WALKS.items()},
+            vitals={s: walk[0] for s, walk in _VITAL_WALKS.items()},
             bindings=ParamTable.bindings(
                 config.true_reliability, frequency, config.true_cost,
                 contexts, config.opt_flags),
@@ -363,14 +314,11 @@ class World:
 
     def _walk_vitals(self, t: float, events: List[Dict]) -> None:
         for signal in sorted(self.vitals):
-            _, step = _VITAL_WALKS[signal]
-            bands = PATIENT_VITALS.bands[signal]
-            upper, lower = bands[0][0], bands[-1][1]
+            _, step, lower, upper = _VITAL_WALKS[signal]
             value = self.vitals[signal] + self.rng.uniform(-step, step)
             self.vitals[signal] = min(upper, max(lower + step, value))
-        valid = all(PATIENT_VITALS.in_range(s, v) for s, v in self.vitals.items())
         env = dict(self.vitals)
-        env["data_validity"] = 1.0 if valid else 0.0
+        env["data_validity"] = 1.0  # the clamp keeps every vital in (lower, upper]
         for ctx in sorted(self.conditioned):
             truth = 1 if self.conditioned[ctx].holds(env) else 0
             if truth != self.contexts.get(ctx, truth):

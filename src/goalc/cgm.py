@@ -45,6 +45,10 @@ class NodeKind(Enum):
     PLACEHOLDER = "Placeholder"
 
 
+#: The kinds that execute: leaf tasks and placeholders.
+_EXECUTABLE = frozenset((NodeKind.LEAF_TASK, NodeKind.PLACEHOLDER))
+
+
 class Decomposition(Enum):
     AND = "And"
     OR = "Or"
@@ -107,12 +111,17 @@ class Node:
     @property
     def is_executable(self) -> bool:
         """Leaf tasks and placeholders are the units that execute."""
-        return self.kind in (NodeKind.LEAF_TASK, NodeKind.PLACEHOLDER)
+        return self.kind in _EXECUTABLE
 
     @property
     def order(self) -> Tuple[str, ...]:
         """Children in evaluation order: the ``dm`` order when there is one."""
         return self.dm_order if self.dm_order is not None else self.children
+
+    @property
+    def disjunctive(self) -> bool:
+        """Or and runtime-decision nodes: one satisfied child satisfies them."""
+        return self.dm_order is not None or self.decomposition == Decomposition.OR
 
 
 @dataclass(frozen=True)
@@ -144,16 +153,18 @@ class GoalModel:
         built without :func:`parse_model` can have (a cycle or a shared
         child), raises :class:`ModelError` rather than looping for ever.
         """
-        out: Dict[str, None] = {}
+        out: List[str] = []
+        seen = set()
         stack = [node_id]
         while stack:
             node = self.node(stack.pop())
-            if node.id in out:
+            if node.id in seen:
                 raise ModelError(f"node {node.id!r} is reached twice; a goal model is a tree")
-            out[node.id] = None
-            if not node.is_executable:
+            seen.add(node.id)
+            out.append(node.id)
+            if node.kind not in _EXECUTABLE:
                 stack.extend(pushed(node))
-        return list(out)
+        return out
 
     def preorder(self, node_id: str) -> List[str]:
         """Ids of the subtree of ``node_id``, each node before its children,
@@ -169,10 +180,7 @@ class GoalModel:
         """Executable leaves in the subtree of ``node_id``, depth-first in
         ``children`` order, whatever the ``dm`` order."""
         return [nid for nid in self._walk(node_id, lambda node: node.children[::-1])
-                if self.nodes[nid].is_executable]
-
-    def executable_leaves(self) -> List[str]:
-        return self.leaves_under(self.root)
+                if self.nodes[nid].kind in _EXECUTABLE]
 
     def placeholders(self) -> List[str]:
         return [n.id for n in self.nodes.values() if n.kind == NodeKind.PLACEHOLDER]
@@ -271,8 +279,6 @@ class ParamTable:
 
 
 # -- parsing ------------------------------------------------------------------
-
-_NODE_KEYS = {"id", "label", "kind", "decomposition", "children", "dm", "contexts", "placeholder"}
 
 
 def parse_model(text: str) -> GoalModel:

@@ -115,7 +115,7 @@ def _compose(node: Node, builder: CircuitBuilder, gated: Dict[str, tuple]) -> No
         raise ModelError(f"node {node.id!r} has no children to compose")
     if node.dm_order is None and node.decomposition == Decomposition.NONE:
         raise ModelError(f"node {node.id!r} has no usable decomposition")
-    conjunctive = node.dm_order is None and node.decomposition != Decomposition.OR
+    conjunctive = not node.disjunctive
 
     kids = [gated.pop(c) for c in node.order]
     if len(kids) == 1:

@@ -16,10 +16,8 @@ probability mass, which makes it an independent check on the compiler:
   and sums the satisfying vectors' probabilities from shared left-to-right
   prefix products, in the order and rounding of a per-vector loop;
 * cost sums the weight of every leaf that actually ran on satisfying
-  outcomes.  Which leaves run depends on the execution-order semantics:
-  by default And children all run while Or/runtime-decision children are
-  tried in order until one satisfies (short-circuit), and both semantics
-  can be forced globally.
+  outcomes: And children all run, while Or/runtime-decision children are
+  tried in order until one satisfies.
 
 Satisfaction probability is insensitive to the execution order; expected
 cost is not, and the closed cost formulae are only reproduced exactly on
@@ -35,7 +33,6 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -50,14 +47,6 @@ from .cgm import (
 )
 
 Number = Union[int, float, Fraction]
-
-
-class ExecMode(Enum):
-    """Execution-order semantics used for cost accounting."""
-
-    DEFAULT = "default"  # And children all run; Or/decision short-circuit
-    RUN_ALL = "run-all"
-    SHORT_CIRCUIT = "short-circuit"
 
 
 @dataclass(frozen=True)
@@ -185,7 +174,7 @@ def _truth_table(model: GoalModel, goal_id: str, leaves: Sequence[LeafOutcome]) 
         node = model.nodes[node_id]
         if node.is_executable:
             done[node_id] = _leaf_column(index[node_id], n)
-        elif _disjunctive(node):
+        elif node.disjunctive:
             done[node_id] = functools.reduce(operator.or_, map(done.pop, node.order), 0)
         else:
             done[node_id] = functools.reduce(operator.and_, map(done.pop, node.order), full)
@@ -278,22 +267,14 @@ def _prob_reach_full(
 # -- cost ----------------------------------------------------------------------
 
 
-def _disjunctive(node: Node) -> bool:
-    """Or and runtime-decision nodes: one satisfied child satisfies them."""
-    return node.dm_order is not None or node.decomposition == Decomposition.OR
-
-
-def cost_reach(
-    model: GoalModel,
-    goal_id: str,
-    binding: ConcreteBinding,
-    mode: ExecMode = ExecMode.DEFAULT,
-) -> Number:
+def cost_reach(model: GoalModel, goal_id: str, binding: ConcreteBinding) -> Number:
     """Expected cost mass accumulated on satisfying outcomes.
 
     Sums, over every joint leaf-outcome vector, the probability of the
     vector times the total weight of leaves that ran, counting only vectors
-    whose outcome satisfies the goal.  ``mode`` fixes which leaves run.
+    whose outcome satisfies the goal.  Every child of an And runs; the
+    children of an Or or decision node run in order up to the first one
+    satisfied.
     """
     leaves = leaf_outcomes(model, goal_id, binding)
     if len(leaves) > 12:
@@ -306,30 +287,27 @@ def cost_reach(
     one = Fraction(1) if exact else 1.0
     zero = one - one
     # The goal's subtree as one post-order program: entry k holds a leaf's
-    # index, or the entries of node k's children, whether it is an Or and
-    # whether it stops at the first child that decides it.
+    # index, or the entries of node k's children and whether it is an Or.
     slots: Dict[str, int] = {}
     program: List[tuple] = []
     for node_id in model.postorder(goal_id):
         node = model.nodes[node_id]
         slots[node_id] = len(program)
         if node.is_executable:
-            program.append((index[node_id], None, False))
+            program.append((index[node_id], None))
         else:
-            is_or = _disjunctive(node)
-            short = (mode in (ExecMode.DEFAULT, ExecMode.SHORT_CIRCUIT) if is_or
-                     else mode == ExecMode.SHORT_CIRCUIT)
-            program.append(([slots[c] for c in node.order], is_or, short))
+            program.append(([slots[c] for c in node.order], node.disjunctive))
 
     # Every child is evaluated, and its cost added up to the first child that
-    # decides its parent: the sums of a walk that stops there, in its order.
+    # satisfies an Or (an And's children all count, and an And stays
+    # unsatisfied once one fails): the sums of a walk that stops there.
     total = zero
     choices = [((True, w, lo.success), (False, w, lo.failure), (False, zero, lo.skipped))
                for lo, w in zip(leaves, weights)]
     for combo in itertools.product(*choices):
         sat: List[bool] = []
         cost: List[Number] = []
-        for arg, is_or, short in program:
+        for arg, is_or in program:
             if is_or is None:
                 s, c, _ = combo[arg]
             else:
@@ -338,7 +316,7 @@ def cost_reach(
                     c = c + cost[j]
                     if sat[j] == is_or:
                         s = is_or
-                        if short:
+                        if is_or:
                             break
             sat.append(s)
             cost.append(c)
@@ -366,14 +344,14 @@ def cost_comparable(model: GoalModel, goal_id: str, binding: ConcreteBinding) ->
 
     def and_only(node_id: str, allow_placeholder: bool) -> bool:
         """No Or or decision node under ``node_id``, nor a placeholder unless allowed."""
-        return all((n.is_executable or not _disjunctive(n))
+        return all((n.is_executable or not n.disjunctive)
                    and (allow_placeholder or n.kind != NodeKind.PLACEHOLDER)
                    for n in map(model.nodes.get, model.postorder(node_id)))
 
     if and_only(goal_id, allow_placeholder=True):
         return True
     goal = model.node(goal_id)
-    if goal.is_executable or not _disjunctive(goal) or len(goal.children) != 2:
+    if goal.is_executable or not goal.disjunctive or len(goal.children) != 2:
         return False
     if not all(and_only(c, allow_placeholder=False) for c in goal.children):
         return False
@@ -408,7 +386,6 @@ def check_formula(
     goal_id: str,
     forms,
     binding: ConcreteBinding,
-    mode: ExecMode = ExecMode.DEFAULT,
 ) -> CheckResult:
     """Compare compiled formulae against the enumeration oracle."""
     from . import symexpr  # local import to keep the oracle compiler-free elsewhere
@@ -420,7 +397,7 @@ def check_formula(
     cost_f = cost_o = delta = None
     if applicable:
         cost_f = symexpr.evaluate(forms.cost, names)
-        cost_o = float(cost_reach(model, goal_id, binding, mode))
+        cost_o = float(cost_reach(model, goal_id, binding))
         delta = abs(cost_f - cost_o)
     return CheckResult(
         goal_id=goal_id,
@@ -512,7 +489,6 @@ def random_binding(
     rng: random.Random,
     model: GoalModel,
     unit_frequencies: bool = False,
-    context_true_bias: float = 0.7,
 ) -> ConcreteBinding:
     values: Dict[str, Number] = {}
     for leaf in (n.id for n in model.nodes.values() if n.is_executable):
@@ -520,7 +496,7 @@ def random_binding(
         values[ParamTable.frequency(leaf).name] = 1 if unit_frequencies else rng.random()
         values[ParamTable.cost_weight(leaf).name] = rng.uniform(0.0, 2.0)
     contexts = {
-        cid: (1 if rng.random() < context_true_bias else 0) for cid in model.contexts
+        cid: (1 if rng.random() < 0.7 else 0) for cid in model.contexts
     }
     opts = {
         pid: (1 if rng.random() < 0.7 else 0) for pid in model.placeholders()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cgm import Decomposition, GoalModel, ModelError, Node, NodeKind, mangle
+from .cgm import GoalModel, ModelError, NodeKind, mangle
 
 #: Largest runtime-decision fan-out we will enumerate (2^k - 1 constants).
 MAX_DM_ALTERNATIVES = 12
@@ -43,8 +43,7 @@ class EmissionPlan:
     """Slot assignments and guard data for one (model, goal) emission."""
 
     goal_id: str
-    slots: Dict[str, int] = field(default_factory=dict)  # node id -> slot
-    module_order: List[str] = field(default_factory=list)
+    slots: Dict[str, int] = field(default_factory=dict)  # node id -> slot, in module order
     guard_contexts: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     enable_of: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     dm_enables: Dict[str, List[int]] = field(default_factory=dict)
@@ -67,7 +66,6 @@ def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPl
         first_slot[node_id] = len(plan.slots) + 1
         if node.is_executable or node.dm_order is not None:
             plan.slots[node_id] = first_slot[node_id]
-            plan.module_order.append(node_id)
         if not node.is_executable and node.dm_order is not None:
             dm_count += 1
             if len(node.dm_order) > MAX_DM_ALTERNATIVES:
@@ -109,12 +107,8 @@ def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPl
     return plan
 
 
-def _ctx_const(context_id: str) -> str:
-    return mangle(context_id)
-
-
 def _guard(plan: EmissionPlan, leaf_id: str, slot: int) -> str:
-    factors = [_ctx_const(c) for c in plan.guard_contexts[leaf_id]]
+    factors = [mangle(c) for c in plan.guard_contexts[leaf_id]]
     factors.extend(f"c{enable}" for enable in plan.enable_of[leaf_id])
     factors.append(f"f{slot}")
     return "*".join(factors)
@@ -199,9 +193,9 @@ def emit_model(model: GoalModel, goal_id: Optional[str] = None) -> str:
         out.append("// context truth parameters")
         for ctx in plan.context_order:
             desc = model.contexts[ctx].description or "context condition"
-            out.append(f"const int {_ctx_const(ctx)}; // {desc}")
+            out.append(f"const int {mangle(ctx)}; // {desc}")
         out.append("")
-    for node_id in plan.module_order:
+    for node_id in plan.slots:
         node = model.node(node_id)
         if node.dm_order is None:
             continue
@@ -217,15 +211,14 @@ def emit_model(model: GoalModel, goal_id: Optional[str] = None) -> str:
             )
         out.append("")
     out.append("// task parameters")
-    for node_id in plan.module_order:
+    for node_id, x in plan.slots.items():
         if model.node(node_id).dm_order is not None:
             continue
-        x = plan.slots[node_id]
         out.append(f"const double r{x}; // reliability of {node_id}")
         out.append(f"const double f{x}; // run frequency of {node_id}")
         out.append(f"const double w{x}; // execution cost of {node_id}")
     out.append("")
-    for node_id in plan.module_order:
+    for node_id in plan.slots:
         node = model.node(node_id)
         if node.dm_order is not None:
             out.append(emit_dm_module(model, node_id, plan))
@@ -233,10 +226,9 @@ def emit_model(model: GoalModel, goal_id: Optional[str] = None) -> str:
             out.append(emit_leaf_module(model, node_id, plan))
         out.append("")
     out.append('rewards "cost"')
-    for node_id in plan.module_order:
+    for node_id, x in plan.slots.items():
         if model.node(node_id).dm_order is not None:
             continue
-        x = plan.slots[node_id]
         out.append(f"  s{x} = 1 : w{x};")
     out.append("endrewards")
     return "\n".join(out) + "\n"
@@ -246,7 +238,7 @@ def emit_model(model: GoalModel, goal_id: Optional[str] = None) -> str:
 
 
 def _ctx_test(contexts: Sequence[str]) -> str:
-    tests = [f"{_ctx_const(c)}=1" for c in contexts]
+    tests = [f"{mangle(c)}=1" for c in contexts]
     return tests[0] if len(tests) == 1 else " & ".join(tests)
 
 
@@ -286,7 +278,7 @@ def success_proposition(
             text[node_id] = "(" + " | ".join(read(c, True) for c in node.dm_order) + ")"
         else:
             parts = [read(c, False) for c in node.children]
-            joiner = " | " if node.decomposition == Decomposition.OR else " & "
+            joiner = " | " if node.disjunctive else " & "
             text[node_id] = parts[0] if len(parts) == 1 else "(" + joiner.join(parts) + ")"
         # In ``children`` order, the order of ``GoalModel.leaves_under``.
         skips[node_id] = [t for c in node.children for t in skips.pop(c)]

@@ -681,10 +681,6 @@ def _compile_program(
 # -- textual form -------------------------------------------------------------
 
 
-def _render_coeff(c: Fraction) -> str:
-    return str(c)  # "3", "-2", "3/2"
-
-
 def render(expr: SymExpr) -> str:
     """Deterministic textual form: ``term +/- term`` with explicit ``*``."""
     if expr.is_zero():
@@ -695,7 +691,7 @@ def render(expr: SymExpr) -> str:
         mag = -coeff if neg else coeff
         factors = []
         if mag != 1 or not mono:
-            factors.append(_render_coeff(mag))
+            factors.append(str(mag))  # "3", "3/2"
         factors.extend(mono)
         body = "*".join(factors)
         if i == 0:

@@ -1,0 +1,44 @@
+"""The names the benchmark under ``bench/`` wraps or calls must exist in
+goalc, so that deleting one fails the tests and not only a benchmark run."""
+
+import importlib
+import inspect
+import pkgutil
+import sys
+from pathlib import Path
+
+import goalc
+from goalc import bsnsim, cgm
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def resolve(module, attr):
+    """``goalc.<module>.<attr>``, where ``attr`` may be ``Class.method``."""
+    owner = getattr(goalc, module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_traced_function_is_wrapped_and_restored(monkeypatch):
+    for info in pkgutil.iter_modules(goalc.__path__):
+        importlib.import_module(f"goalc.{info.name}")
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    try:
+        t = tracer.Tracer()
+        try:
+            t.install()  # raises AttributeError for a target that is missing
+            originals = {target: resolve(*target).__wrapped__ for target in tracer.TARGETS}
+        finally:
+            t.uninstall()
+        assert all(resolve(*target) is fn for target, fn in originals.items())
+    finally:
+        sys.modules.pop("tracer", None)
+
+
+def test_names_the_workloads_call_exist():
+    assert callable(cgm.ParamTable.all_parameters)
+    assert callable(bsnsim.World.truth_bindings)
+    assert "forms" in inspect.signature(bsnsim.run).parameters

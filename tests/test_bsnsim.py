@@ -1,4 +1,4 @@
-"""Simulator tests: battery machine, vitals bands, traces, closed loops."""
+"""Simulator tests: battery machine, vitals walk, traces, closed loops."""
 
 import dataclasses
 import hashlib
@@ -9,14 +9,11 @@ import pytest
 
 from goalc import bundled
 from goalc.bsnsim import (
-    PATIENT_VITALS,
     BatterySpec,
     ConfigError,
     Mode,
-    Risk,
     Scenario,
     TimeSeries,
-    VitalRanges,
     World,
     load_scenario,
     metrics,
@@ -97,49 +94,6 @@ def bundled_config(name, mode, duration=None):
     if duration is not None:
         config = dataclasses.replace(config, duration=duration)
     return config
-
-
-class TestVitalRanges:
-    @pytest.mark.parametrize("signal,value,risk", [
-        ("oxygen_saturation", 97.0, Risk.LOW),
-        ("oxygen_saturation", 65.0, Risk.MEDIUM),
-        ("oxygen_saturation", 55.0, Risk.HIGH),
-        ("heart_rate", 116.0, Risk.HIGH),
-        ("heart_rate", 115.0, Risk.MEDIUM),
-        ("heart_rate", 97.0, Risk.LOW),
-        ("heart_rate", 85.0, Risk.MEDIUM),
-        ("heart_rate", 70.0, Risk.HIGH),
-        ("temperature", 41.0, Risk.MEDIUM),
-        ("temperature", 38.0, Risk.LOW),
-        ("temperature", 36.0, Risk.MEDIUM),
-        ("temperature", 32.0, Risk.HIGH),
-        ("systolic_pressure", 140.0, Risk.MEDIUM),
-        ("systolic_pressure", 120.0, Risk.LOW),
-        ("diastolic_pressure", 90.0, Risk.MEDIUM),
-        ("diastolic_pressure", 80.0, Risk.LOW),
-    ])
-    def test_band_boundaries(self, signal, value, risk):
-        assert PATIENT_VITALS.classify(signal, value) is risk
-
-    def test_total_inside_operational_range(self):
-        for signal, bands in PATIENT_VITALS.bands.items():
-            upper, lower = bands[0][0], bands[-1][1]
-            step = (upper - lower) / 400
-            for i in range(1, 401):
-                value = lower + i * step
-                assert PATIENT_VITALS.classify(signal, value) in Risk
-                assert PATIENT_VITALS.in_range(signal, value)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            PATIENT_VITALS.classify("heart_rate", 0.0)
-        with pytest.raises(ConfigError):
-            PATIENT_VITALS.classify("heart_rate", 301.0)
-        assert not PATIENT_VITALS.in_range("heart_rate", 0.0)
-
-    def test_misordered_bands_rejected(self):
-        with pytest.raises(ConfigError):
-            VitalRanges({"x": ((10, 20, Risk.LOW), (20, 0, Risk.HIGH))})
 
 
 class TestScenarioConfig:
@@ -339,6 +293,34 @@ class TestWorldBindings:
         truth["r_A"] = 0.0
         assert world.bindings["r_A"] == 0.9
         assert world.truth_bindings() is not world.bindings
+
+
+class TestVitalsWalk:
+    #: Each signal's outer bounds (lower, upper].
+    BOUNDS = {
+        "oxygen_saturation": (0, 100),
+        "heart_rate": (0, 300),
+        "temperature": (0, 50),
+        "systolic_pressure": (0, 300),
+        "diastolic_pressure": (0, 300),
+    }
+
+    def test_vitals_stay_in_range_so_data_validity_never_flips(self, bsn, bsn_policy):
+        """The clamp keeps every vital inside its bounds, so the bundled
+        model's data-validity context C6 holds on every tick."""
+        config = bundled_config("scenario_nominal.json", "Tamed")
+        conditioned = {c: d.condition for c, d in bsn.contexts.items() if d.condition}
+        assert list(conditioned) == ["C6"]
+        world = World.from_config(config, bsn_policy, conditioned)
+        assert set(world.vitals) == set(self.BOUNDS)
+        events = []
+        for t in range(20_000):
+            world._walk_vitals(float(t), events)  # the walk alone, as step() runs it
+            for signal, value in world.vitals.items():
+                lower, upper = self.BOUNDS[signal]
+                assert lower < value <= upper, (t, signal, value)
+            assert world.contexts["C6"] == 1 == world.bindings["C_C6"]
+        assert events == []
 
 
 class TestTimeSeries:

@@ -58,7 +58,7 @@ class TestParse:
         assert bsn.root == "G1"
         assert bsn.node("T1").dm_order == ("T1.1", "T1.2", "T1.3", "T1.4", "T1.X")
         assert sorted(bsn.contexts) == ["C1", "C2", "C3", "C4", "C5", "C6"]
-        assert len(bsn.executable_leaves()) == 14
+        assert len(bsn.leaves_under(bsn.root)) == 14
         assert bsn.placeholders() == ["T1.X"]
         assert validate(bsn) == []
 
@@ -267,6 +267,23 @@ class TestValidate:
         first = validate(m)
         assert first == validate(m)
         assert [v.node_id for v in first] == sorted(v.node_id for v in first)
+
+
+class TestNode:
+    def test_leaf_tasks_and_placeholders_execute(self):
+        executable = [k for k in NodeKind if Node("N", "", k).is_executable]
+        assert executable == [NodeKind.LEAF_TASK, NodeKind.PLACEHOLDER]
+
+    @pytest.mark.parametrize("decomposition,dm,disjunctive", [
+        (Decomposition.AND, None, False),
+        (Decomposition.MEANS_END, None, False),
+        (Decomposition.OR, None, True),
+        (Decomposition.OR, ("B", "A"), True),
+    ])
+    def test_or_and_decision_nodes_are_disjunctive(self, decomposition, dm, disjunctive):
+        node = Node("G", "", NodeKind.GOAL, decomposition, ("A", "B"), dm)
+        assert node.disjunctive is disjunctive
+        assert not leaf("T").disjunctive
 
 
 class TestCondition:

@@ -320,7 +320,7 @@ def test_plan_matches_the_expanded_reduction(bsn):
     assert policy.combination == "and"
     expanded = compile_model(bsn)
     scenario = json.loads(bundled.data_text("scenario_nominal.json"))
-    leaves = bsn.executable_leaves()
+    leaves = bsn.leaves_under(bsn.root)
     rng = random.Random(11)
     outcomes = set()
     for _ in range(24):
@@ -356,7 +356,7 @@ def test_plan_matches_the_expanded_reduction(bsn):
 
 def test_bindings_name_every_model_parameter(bsn):
     names = sorted(p.name for p in ParamTable(bsn).all_parameters())
-    leaves = bsn.executable_leaves()
+    leaves = bsn.leaves_under(bsn.root)
     ones = {leaf: 1.0 for leaf in leaves}
     state = initial_state(
         bsn, ["G1"], frequencies=ones, reliability_priors=ones, cost_priors=ones,

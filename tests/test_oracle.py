@@ -24,7 +24,6 @@ from goalc.compiler import compile_model
 from goalc.oracle import (
     CheckResult,
     ConcreteBinding,
-    ExecMode,
     _prob_reach_full,
     check_formula,
     cost_comparable,
@@ -300,27 +299,13 @@ class TestCostReach:
         m = or_of(2)
         assert cost_reach(m, "G", uniform_binding(m)) == 1
 
-    def test_or_run_all(self):
-        # Every satisfying vector ran both leaves: 2 * 3/4.
-        m = or_of(2)
-        got = cost_reach(m, "G", uniform_binding(m), ExecMode.RUN_ALL)
-        assert got == Fraction(3, 2)
-
-    def test_and_short_circuit_mode(self):
-        # (F,*): second leaf skipped under short-circuit And, but those
-        # vectors never satisfy, so the mass is unchanged.
-        m = and_of(2)
-        dflt = cost_reach(m, "G", uniform_binding(m))
-        sc = cost_reach(m, "G", uniform_binding(m), ExecMode.SHORT_CIRCUIT)
-        assert dflt == sc == Fraction(1, 2)
-
     def test_leaf_cap(self):
         m = and_of(13)
         with pytest.raises(ModelError, match="caps at 12"):
             cost_reach(m, "G", uniform_binding(m))
 
 
-def recursive_cost_reach(m, goal_id, binding, mode=ExecMode.DEFAULT):
+def recursive_cost_reach(m, goal_id, binding):
     """The recursive per-vector cost walk, kept as the reference for the
     flat post-order program of ``cost_reach``."""
     leaves = leaf_outcomes(m, goal_id, binding)
@@ -335,15 +320,13 @@ def recursive_cost_reach(m, goal_id, binding, mode=ExecMode.DEFAULT):
             i = index[node.id]
             return (False, zero) if vec[i] == 2 else (vec[i] == 0, weights[i])
         is_or = node.dm_order is not None or node.decomposition == Decomposition.OR
-        short = mode in ((ExecMode.DEFAULT, ExecMode.SHORT_CIRCUIT) if is_or
-                         else (ExecMode.SHORT_CIRCUIT,))
         sat, cost = not is_or, zero
         for child in node.dm_order if node.dm_order is not None else node.children:
             csat, ccost = walk(child, vec)
             cost = cost + ccost
             if csat == is_or:
                 sat = is_or
-                if short:
+                if is_or:
                     break
         return sat, cost
 
@@ -361,11 +344,11 @@ def recursive_cost_reach(m, goal_id, binding, mode=ExecMode.DEFAULT):
 
 class TestCostReachMatchesTheRecursiveWalk:
     """The flat program adds the same costs in the same order as a walk
-    that stops at the first child deciding its parent: equal bits."""
+    that stops at an Or's first satisfied child: equal bits."""
 
     def test_random_models_every_mode(self):
         calls = 0
-        for seed in range(150):
+        for seed in range(460):
             rng = random.Random(seed)
             m = random_model(rng, max_leaves=rng.randint(1, 7))
             floats = random_binding(rng, m, unit_frequencies=seed % 3 == 0)
@@ -373,10 +356,8 @@ class TestCostReachMatchesTheRecursiveWalk:
                                 if not n.is_executable and n.id != m.root][:2]
             for goal in goals:
                 for b in (floats, exact(floats)):
-                    for mode in ExecMode:
-                        assert_same_value(cost_reach(m, goal, b, mode),
-                                          recursive_cost_reach(m, goal, b, mode))
-                        calls += 1
+                    assert_same_value(cost_reach(m, goal, b), recursive_cost_reach(m, goal, b))
+                    calls += 1
         assert calls >= 1500
 
 
@@ -469,7 +450,7 @@ class TestRandomHarness:
         for _ in range(300):
             m = random_model(rng, max_leaves=6)
             assert validate(m) == []
-            assert 1 <= len(m.executable_leaves()) <= 6
+            assert 1 <= len(m.leaves_under(m.root)) <= 6
 
     def test_same_seed_same_model(self):
         assert random_model(random.Random(9)) == random_model(random.Random(9))

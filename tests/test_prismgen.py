@@ -109,7 +109,7 @@ class TestGolden:
 class TestLeafModule:
     def test_five_guarded_commands(self, bsn):
         plan = plan_emission(bsn)
-        for leaf in bsn.executable_leaves():
+        for leaf in bsn.leaves_under(bsn.root):
             text = emit_leaf_module(bsn, leaf, plan)
             assert text.count("->") == 5
 
@@ -203,8 +203,8 @@ class TestChaining:
 
     def test_slots_follow_document_order(self, bsn):
         plan = plan_emission(bsn, "T1")
-        assert plan.module_order[:5] == ["T1", "T1.11", "T1.12", "T1.13", "T1.21"]
-        assert plan.module_order[-1] == "T1.X"
+        assert list(plan.slots)[:5] == ["T1", "T1.11", "T1.12", "T1.13", "T1.21"]
+        assert list(plan.slots)[-1] == "T1.X"
 
 
 class TestWholeModel:
@@ -218,7 +218,7 @@ class TestWholeModel:
         plan = plan_emission(bsn)
         text = emit_model(bsn)
         block = text[text.index('rewards "cost"'):]
-        for leaf in bsn.executable_leaves():
+        for leaf in bsn.leaves_under(bsn.root):
             x = plan.slots[leaf]
             assert f"s{x} = 1 : w{x};" in block
 

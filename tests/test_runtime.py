@@ -308,7 +308,7 @@ class TestMonitor:
 
     def test_context_event(self, bsn):
         forms = compile_model(bsn)
-        leaves = bsn.executable_leaves()
+        leaves = bsn.leaves_under(bsn.root)
         state = initial_state(
             bsn, forms,
             frequencies={l: 1.0 for l in leaves},
@@ -433,7 +433,7 @@ class TestAnalyze:
 
     def test_perfect_parts_make_perfect_whole(self, bsn):
         forms = compile_model(bsn)
-        leaves = bsn.executable_leaves()
+        leaves = bsn.leaves_under(bsn.root)
         state = initial_state(
             bsn, forms,
             frequencies={l: 1.0 for l in leaves},
@@ -467,7 +467,7 @@ class TestAnalyze:
 
 
 def test_analyze_and_plan_leave_the_state_alone(bsn):
-    leaves = bsn.executable_leaves()
+    leaves = bsn.leaves_under(bsn.root)
     policy, world, state = nominal_state(bsn, frequencies=dict.fromkeys(leaves, 0.5))
     for t in range(5):
         world.inject(t)

@@ -253,7 +253,7 @@ def test_overlapping_knobs_are_rejected(bsn):
 def test_plan_matches_the_per_point_search(bsn):
     policy = load_policy(bundled.data_text("policy.json"), bsn)
     scenario = json.loads(bundled.data_text("scenario_nominal.json"))
-    leaves = bsn.executable_leaves()
+    leaves = bsn.leaves_under(bsn.root)
     rng = random.Random(23)
     outcomes = set()
     for _ in range(24):
@@ -471,7 +471,7 @@ def nominal_belief(model):
     scenario = json.loads(bundled.data_text("scenario_nominal.json"))
     return initial_state(
         model, ["G1"],
-        frequencies=dict.fromkeys(model.executable_leaves(), 0.5),
+        frequencies=dict.fromkeys(model.leaves_under(model.root), 0.5),
         reliability_priors=scenario["estimates"]["reliability"],
         cost_priors=scenario["estimates"]["cost"],
         contexts=dict.fromkeys(model.contexts, 1),

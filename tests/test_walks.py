@@ -61,7 +61,6 @@ class TestOrders:
 
     def test_leaves_keep_children_order(self):
         assert self.M.leaves_under("G") == ["A1", "A2", "B"]
-        assert self.M.executable_leaves() == ["A1", "A2", "B"]
 
     def test_a_leaf_is_its_own_subtree(self):
         assert self.M.postorder("B") == self.M.preorder("B") == ["B"]
