@@ -11,13 +11,17 @@ probability mass, which makes it an independent check on the compiler:
 * a node's satisfaction is the plain success circuit: And nodes need every
   child satisfied, Or and runtime-decision nodes need at least one — with
   the fixed context truths the runtime choice collapses to the induced
-  chain over the viable alternatives.  ``prob_reach`` evaluates that
-  circuit once for all 2^L success vectors, as the bits of one integer,
-  and sums the satisfying vectors' probabilities from shared left-to-right
-  prefix products, in the order and rounding of a per-vector loop;
+  chain over the viable alternatives.  ``_truth_table`` evaluates that
+  circuit once for all 2^L success vectors, one integer column per node
+  with one bit per vector;
 * cost sums the weight of every leaf that actually ran on satisfying
   outcomes: And children all run, while Or/runtime-decision children are
-  tried in order until one satisfies.
+  tried in order until one satisfies.  Which vectors a leaf runs on is a
+  column too, built from its ancestors' and earlier siblings' columns.
+
+``prob_reach`` and ``cost_reach`` both sum vector probabilities over a
+column with ``_mass``: shared left-to-right prefix products, in the order
+and rounding of a per-vector loop.
 
 Satisfaction probability is insensitive to the execution order; expected
 cost is not, and the closed cost formulae are only reproduced exactly on
@@ -158,27 +162,40 @@ def _leaf_column(i: int, n: int) -> int:
     return column
 
 
-def _truth_table(model: GoalModel, goal_id: str, leaves: Sequence[LeafOutcome]) -> int:
-    """The goal's satisfaction over every success vector, one bit each.
+#: The most leaves an enumeration covers: a truth table holds 2^L bits.
+MAX_LEAVES = 20
+
+
+def _truth_table(
+    model: GoalModel, goal_id: str, leaves: Sequence[LeafOutcome]
+) -> Tuple[Dict[str, int], int]:
+    """Every node's satisfaction over every success vector, one bit each,
+    and the all-ones column.
 
     And nodes intersect their children's columns; Or and runtime-decision
     nodes unite them (with the context truths fixed, the decision's induced
-    chain is satisfied exactly when one alternative is).  A child's column
-    is dropped once its parent reads it.
+    chain is satisfied exactly when one alternative is).
     """
     n = len(leaves)
+    if n > MAX_LEAVES:
+        raise ModelError(f"goal {goal_id!r} has {n} leaves; oracle caps at {MAX_LEAVES}")
     index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
     full = (1 << (1 << n)) - 1
-    done: Dict[str, int] = {}
+    columns: Dict[str, int] = {}
     for node_id in model.postorder(goal_id):
         node = model.nodes[node_id]
         if node.is_executable:
-            done[node_id] = _leaf_column(index[node_id], n)
+            columns[node_id] = _leaf_column(index[node_id], n)
         elif node.disjunctive:
-            done[node_id] = functools.reduce(operator.or_, map(done.pop, node.order), 0)
+            columns[node_id] = functools.reduce(operator.or_, map(columns.get, node.order), 0)
         else:
-            done[node_id] = functools.reduce(operator.and_, map(done.pop, node.order), full)
-    return done[goal_id]
+            columns[node_id] = functools.reduce(operator.and_, map(columns.get, node.order), full)
+    return columns, full
+
+
+def _unit(leaves: Sequence[LeafOutcome]) -> Number:
+    """The typed one: exact when the leaf outcomes are."""
+    return Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
 
 
 def _expand(prefixes: List[Number], factors: Sequence[Tuple[Number, Number]]) -> List[Number]:
@@ -193,35 +210,22 @@ def _expand(prefixes: List[Number], factors: Sequence[Tuple[Number, Number]]) ->
 _BLOCK_BITS = 10
 
 
-def prob_reach(model: GoalModel, goal_id: str, binding: ConcreteBinding) -> Number:
-    """Probability that the goal is satisfied under the binding.
+def _mass(table: int, factors: Sequence[Tuple[Number, Number]], one: Number) -> Number:
+    """Sum over the success vectors set in ``table`` of their products.
 
-    Satisfaction only reads each leaf's success indicator, so the skipped
-    and failed outcomes are collapsed and the sum runs over the 2^L success
-    vectors (``_prob_reach_full`` keeps the literal 3^L walk for
-    cross-checking).  Two bulk steps replace a per-vector walk:
+    Vector ``j``'s product takes, for each leaf ``i``, the first factor of
+    pair ``i`` where the leaf's bit is clear and the second where it is set.
+    Vectors are taken in blocks of 2^k (k <= ``_BLOCK_BITS``): the first
+    L-k leaves pick a block and the last k vary within it.  The products are
+    expanded left to right from shared prefixes, and blocks with no set bit
+    are skipped.
 
-    * ``_truth_table`` sets bit ``j`` of one integer iff vector ``j``
-      satisfies the goal;
-    * vectors are taken in blocks of 2^k (k <= ``_BLOCK_BITS``): the first
-      L-k leaves pick a block and the last k vary within it.  Each leaf
-      contributes ``1 - s`` or ``s``, and the products are expanded left to
-      right from shared prefixes; blocks with no satisfying vector are
-      skipped.
-
-    Every product is the same ``((1*x_0)*x_1)...*x_(L-1)`` a per-vector loop
-    would form, and the satisfying ones are added in increasing ``j`` to a
-    typed zero, so the result is bit-identical to that loop, exact
-    (``Fraction``) when every bound value is exact and float otherwise.
-    At most 2^k + 2^(L-k) probabilities are held at once.
+    Every product is the same ``((one*x_0)*x_1)...*x_(L-1)`` a per-vector
+    loop would form, and the chosen ones are added in increasing ``j`` to a
+    typed zero, so the result is bit-identical to that loop.  At most
+    2^k + 2^(L-k) products are held at once.
     """
-    leaves = leaf_outcomes(model, goal_id, binding)
-    n = len(leaves)
-    if n > 20:
-        raise ModelError(f"goal {goal_id!r} has {n} leaves; oracle caps at 20")
-    table = _truth_table(model, goal_id, leaves)
-    one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
-    factors = [(one - lo.success, lo.success) for lo in leaves]
+    n = len(factors)
     k = min(n, _BLOCK_BITS)
     if n == k:
         blocks: Iterable[int] = (table,)
@@ -239,29 +243,19 @@ def prob_reach(model: GoalModel, goal_id: str, binding: ConcreteBinding) -> Numb
     return total
 
 
-def _prob_reach_full(
-    model: GoalModel, goal_id: str, binding: ConcreteBinding
-) -> Number:
-    """Literal three-outcome enumeration of satisfaction probability."""
+def prob_reach(model: GoalModel, goal_id: str, binding: ConcreteBinding) -> Number:
+    """Probability that the goal is satisfied under the binding.
+
+    Satisfaction only reads each leaf's success indicator, so the skipped
+    and failed outcomes are collapsed into ``1 - s`` and the sum runs over
+    the 2^L success vectors that ``_truth_table`` marks in the goal's
+    column.  The result is exact (``Fraction``) when every bound value is
+    exact and float otherwise.
+    """
     leaves = leaf_outcomes(model, goal_id, binding)
-    table = _truth_table(model, goal_id, leaves)
-    one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
-    total = one - one
-    choices = [
-        ((1, lo.success), (0, lo.failure), (0, lo.skipped))
-        for lo in leaves
-    ]
-    for combo in itertools.product(*choices):
-        j = 0
-        for succ, _ in combo:
-            j = (j << 1) | succ
-        if not (table >> j) & 1:
-            continue
-        p = one
-        for _, pr in combo:
-            p = p * pr
-        total = total + p
-    return total
+    columns, _ = _truth_table(model, goal_id, leaves)
+    one = _unit(leaves)
+    return _mass(columns[goal_id], [(one - lo.success, lo.success) for lo in leaves], one)
 
 
 # -- cost ----------------------------------------------------------------------
@@ -270,62 +264,35 @@ def _prob_reach_full(
 def cost_reach(model: GoalModel, goal_id: str, binding: ConcreteBinding) -> Number:
     """Expected cost mass accumulated on satisfying outcomes.
 
-    Sums, over every joint leaf-outcome vector, the probability of the
-    vector times the total weight of leaves that ran, counting only vectors
-    whose outcome satisfies the goal.  Every child of an And runs; the
-    children of an Or or decision node run in order up to the first one
-    satisfied.
+    Every child of an And runs; the children of an Or or decision node run
+    in order up to the first one satisfied.  The cost is a sum over leaves,
+    E[cost * 1{sat}] = sum_i w_i * P(leaf i ran and the goal is satisfied):
+
+    * a node is tried on the success vectors of its parent, less, under an
+      Or or decision node, those on which a sibling ordered before it is
+      satisfied; a leaf tried on a vector runs there when it executes;
+    * given that leaf i executed, its bit is its success, so the sum over
+      its tried-and-satisfying vectors weighs leaf i by (failure, success)
+      in place of (1 - success, success).
     """
     leaves = leaf_outcomes(model, goal_id, binding)
-    if len(leaves) > 12:
-        raise ModelError(
-            f"goal {goal_id!r} has {len(leaves)} leaves; cost oracle caps at 12"
-        )
-    index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
-    weights = [_leaf_value(binding, ParamTable.cost_weight(lo.leaf_id).name) for lo in leaves]
-    exact = leaves and isinstance(leaves[0].success, Fraction)
-    one = Fraction(1) if exact else 1.0
-    zero = one - one
-    # The goal's subtree as one post-order program: entry k holds a leaf's
-    # index, or the entries of node k's children and whether it is an Or.
-    slots: Dict[str, int] = {}
-    program: List[tuple] = []
-    for node_id in model.postorder(goal_id):
+    columns, full = _truth_table(model, goal_id, leaves)
+    one = _unit(leaves)
+    tried = {goal_id: full}
+    for node_id in model.preorder(goal_id):
         node = model.nodes[node_id]
-        slots[node_id] = len(program)
-        if node.is_executable:
-            program.append((index[node_id], None))
-        else:
-            program.append(([slots[c] for c in node.order], node.disjunctive))
-
-    # Every child is evaluated, and its cost added up to the first child that
-    # satisfies an Or (an And's children all count, and an And stays
-    # unsatisfied once one fails): the sums of a walk that stops there.
-    total = zero
-    choices = [((True, w, lo.success), (False, w, lo.failure), (False, zero, lo.skipped))
-               for lo, w in zip(leaves, weights)]
-    for combo in itertools.product(*choices):
-        sat: List[bool] = []
-        cost: List[Number] = []
-        for arg, is_or in program:
-            if is_or is None:
-                s, c, _ = combo[arg]
-            else:
-                s, c = not is_or, zero
-                for j in arg:
-                    c = c + cost[j]
-                    if sat[j] == is_or:
-                        s = is_or
-                        if is_or:
-                            break
-            sat.append(s)
-            cost.append(c)
-        if not sat[-1]:
-            continue
-        p = one
-        for _, _, pr in combo:
-            p = p * pr
-        total = total + p * cost[-1]
+        mask = tried[node_id]
+        for child in node.order:
+            tried[child] = mask
+            if node.disjunctive:
+                mask &= ~columns[child]
+    sat = columns[goal_id]
+    factors = [(one - lo.success, lo.success) for lo in leaves]
+    total = one - one
+    for i, lo in enumerate(leaves):
+        w = _leaf_value(binding, ParamTable.cost_weight(lo.leaf_id).name)
+        ran = factors[:i] + [(lo.failure, lo.success)] + factors[i + 1:]
+        total = total + w * _mass(tried[lo.leaf_id] & sat, ran, one)
     return total
 
 

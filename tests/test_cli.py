@@ -269,6 +269,16 @@ class TestVerify:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == self.REPORTS[goal, trials, seed]
 
+    def test_cost_is_compared_on_an_and_only_goal(self, capsys, model_file):
+        # The pinned G1 and T1 reports fall outside the closed cost class;
+        # T1.1 is an And of three leaves, so every trial compares cost.
+        code, out, _ = run_cli(capsys, "verify", model_file, "--goal", "T1.1",
+                               "--trials", "20", "--seed", "1")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 20
+        assert all(row["cost_applicable"] and row["cost_delta"] <= 1e-9 for row in rows)
+
     def test_invalid_model(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(BROKEN_MODEL)

@@ -24,7 +24,6 @@ from goalc.compiler import compile_model
 from goalc.oracle import (
     CheckResult,
     ConcreteBinding,
-    _prob_reach_full,
     check_formula,
     cost_comparable,
     cost_reach,
@@ -194,6 +193,24 @@ def reference_prob_reach(m, goal_id, binding):
     return total
 
 
+def _prob_reach_full(m, goal_id, binding):
+    """Literal three-outcome enumeration of satisfaction probability, the
+    walk ``prob_reach`` collapses to 2^L success vectors."""
+    leaves = leaf_outcomes(m, goal_id, binding)
+    circuit = _reference_circuit(m, goal_id, {lo.leaf_id: i for i, lo in enumerate(leaves)})
+    one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
+    total = one - one
+    choices = [((True, lo.success), (False, lo.failure), (False, lo.skipped))
+               for lo in leaves]
+    for combo in itertools.product(*choices):
+        if circuit([succ for succ, _ in combo]):
+            p = one
+            for _, pr in combo:
+                p = p * pr
+            total = total + p
+    return total
+
+
 def exact(binding, max_denominator=64):
     return ConcreteBinding(
         {k: Fraction(v).limit_denominator(max_denominator)
@@ -234,46 +251,56 @@ class TestProbReachMatchesPerVectorEnumeration:
             assert_same_value(prob_reach(bsn, goal, b), reference_prob_reach(bsn, goal, b))
 
 
+#: At 20 leaves the oracle holds 2^20-bit tables and blocks of
+#: probabilities, never a list of 2^20 of them (that alone is >= 32 MB).
+PEAK_BYTES = 8_000_000
+
+
+def traced(oracle_fn, m, b):
+    """The oracle's value and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        value = oracle_fn(m, "G", b)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def and_chain_of_twenty():
+    m = and_of(20)
+    return m, random_binding(random.Random(20), m)
+
+
+def fan_out_of_gated_and_triples():
+    """A 6-way decision over context-gated And-triples, branch 2's context
+    false: 18 leaves."""
+    branches, nodes, ctx = [], [], []
+    for i in range(6):
+        steps = [leaf(f"B{i}.{j}") for j in range(3)]
+        branches.append(Node(f"B{i}", "", NodeKind.TASK, Decomposition.AND,
+                             tuple(s.id for s in steps), None, (f"K{i}",)))
+        nodes += steps
+        ctx.append(ContextDef(f"K{i}", ""))
+    ids = tuple(b.id for b in branches)
+    root = Node("G", "", NodeKind.GOAL, Decomposition.OR, ids, ids)
+    m = model("G", root, *branches, *nodes, contexts=ctx)
+    b = replace(random_binding(random.Random(18), m),
+                contexts={f"K{i}": int(i != 2) for i in range(6)})
+    return m, b
+
+
 class TestProbReachAtTheCap:
-    """At 20 leaves the oracle holds one 2^20-bit table and blocks of
-    probabilities, never a list of 2^20 of them (that alone is >= 32 MB)."""
-
-    PEAK_BYTES = 8_000_000
-
-    @staticmethod
-    def traced(m, b):
-        tracemalloc.start()
-        try:
-            value = prob_reach(m, "G", b)
-            return value, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_and_chain_of_twenty(self):
-        m = and_of(20)
-        rng = random.Random(20)
-        b = random_binding(rng, m)
-        value, peak = self.traced(m, b)
-        assert peak < self.PEAK_BYTES
+        m, b = and_chain_of_twenty()
+        value, peak = traced(prob_reach, m, b)
+        assert peak < PEAK_BYTES
         closed = math.prod(b.values[f"r_N{i}"] * b.values[f"f_N{i}"] for i in range(1, 21))
         assert value == pytest.approx(closed, rel=1e-12, abs=0)
 
     def test_fan_out_of_gated_and_triples(self):
-        branches, nodes, ctx = [], [], []
-        for i in range(6):
-            steps = [leaf(f"B{i}.{j}") for j in range(3)]
-            branches.append(Node(f"B{i}", "", NodeKind.TASK, Decomposition.AND,
-                                 tuple(s.id for s in steps), None, (f"K{i}",)))
-            nodes += steps
-            ctx.append(ContextDef(f"K{i}", ""))
-        ids = tuple(b.id for b in branches)
-        root = Node("G", "", NodeKind.GOAL, Decomposition.OR, ids, ids)
-        m = model("G", root, *branches, *nodes, contexts=ctx)
-        rng = random.Random(18)
-        b = replace(random_binding(rng, m),
-                    contexts={f"K{i}": int(i != 2) for i in range(6)})
-        value, peak = self.traced(m, b)
-        assert peak < self.PEAK_BYTES
+        m, b = fan_out_of_gated_and_triples()
+        value, peak = traced(prob_reach, m, b)
+        assert peak < PEAK_BYTES
         miss = math.prod(
             1 - b.contexts[f"K{i}"] * math.prod(
                 b.values[f"r_B{i}_{j}"] * b.values[f"f_B{i}_{j}"] for j in range(3))
@@ -300,65 +327,129 @@ class TestCostReach:
         assert cost_reach(m, "G", uniform_binding(m)) == 1
 
     def test_leaf_cap(self):
-        m = and_of(13)
-        with pytest.raises(ModelError, match="caps at 12"):
+        m = and_of(21)
+        with pytest.raises(ModelError, match="caps at 20"):
             cost_reach(m, "G", uniform_binding(m))
 
 
 def recursive_cost_reach(m, goal_id, binding):
-    """The recursive per-vector cost walk, kept as the reference for the
-    flat post-order program of ``cost_reach``."""
+    """The per-vector cost walk over all 3^L outcome vectors, kept as the
+    reference for ``cost_reach``'s sum over leaves."""
     leaves = leaf_outcomes(m, goal_id, binding)
     index = {lo.leaf_id: i for i, lo in enumerate(leaves)}
     weights = [binding.values[f"w_{lo.leaf_id.replace('.', '_')}"] for lo in leaves]
     one = Fraction(1) if leaves and isinstance(leaves[0].success, Fraction) else 1.0
     zero = one - one
 
-    def walk(node_id, vec):
+    def build(node_id):
+        """The node's walk over an outcome vector (0 success, 1 failure,
+        2 skipped): lists the leaves that ran, returns satisfaction."""
         node = m.node(node_id)
         if node.is_executable:
             i = index[node.id]
-            return (False, zero) if vec[i] == 2 else (vec[i] == 0, weights[i])
-        is_or = node.dm_order is not None or node.decomposition == Decomposition.OR
-        sat, cost = not is_or, zero
-        for child in node.dm_order if node.dm_order is not None else node.children:
-            csat, ccost = walk(child, vec)
-            cost = cost + ccost
-            if csat == is_or:
-                sat = is_or
-                if is_or:
-                    break
-        return sat, cost
 
+            def run(vec, ran):
+                if vec[i] != 2:
+                    ran.append(i)
+                return vec[i] == 0
+            return run
+        children = [build(c) for c in
+                    (node.dm_order if node.dm_order is not None else node.children)]
+        if node.dm_order is not None or node.decomposition == Decomposition.OR:
+            # Tried in order; ``any`` stops at the first satisfied child.
+            return lambda vec, ran: any(child(vec, ran) for child in children)
+        # Every child runs, satisfied or not.
+        return lambda vec, ran: all([child(vec, ran) for child in children])
+
+    walk = build(goal_id)
+    # Every vector's probability, in ``itertools.product`` order, from shared
+    # prefix products.
+    probs = [one]
+    for lo in leaves:
+        probs = [p * x for p in probs for x in (lo.success, lo.failure, lo.skipped)]
     total = zero
-    choices = [((0, lo.success), (1, lo.failure), (2, lo.skipped)) for lo in leaves]
-    for combo in itertools.product(*choices):
-        sat, cost = walk(goal_id, tuple(c[0] for c in combo))
-        if sat:
-            p = one
-            for _, pr in combo:
-                p = p * pr
-            total = total + p * cost
+    for vec, p in zip(itertools.product((0, 1, 2), repeat=len(leaves)), probs):
+        ran = []
+        if walk(vec, ran):
+            total = total + p * sum((weights[i] for i in ran), zero)
     return total
 
 
 class TestCostReachMatchesTheRecursiveWalk:
-    """The flat program adds the same costs in the same order as a walk
-    that stops at an Or's first satisfied child: equal bits."""
+    """The sum over leaves equals a walk that stops at an Or's first
+    satisfied child: exactly in ``Fraction``s.  In floats it adds the same
+    terms grouped by leaf rather than by outcome vector, so the roundings
+    differ."""
 
     def test_random_models_every_mode(self):
         calls = 0
         for seed in range(460):
             rng = random.Random(seed)
-            m = random_model(rng, max_leaves=rng.randint(1, 7))
+            m = random_model(rng, max_leaves=rng.randint(1, 10))
             floats = random_binding(rng, m, unit_frequencies=seed % 3 == 0)
             goals = [m.root] + [n.id for n in m.nodes.values()
                                 if not n.is_executable and n.id != m.root][:2]
             for goal in goals:
-                for b in (floats, exact(floats)):
-                    assert_same_value(cost_reach(m, goal, b), recursive_cost_reach(m, goal, b))
-                    calls += 1
+                got, want = cost_reach(m, goal, floats), recursive_cost_reach(m, goal, floats)
+                assert type(got) is float and got == pytest.approx(want, rel=1e-12, abs=0)
+                rational = exact(floats)
+                assert_same_value(cost_reach(m, goal, rational),
+                                  recursive_cost_reach(m, goal, rational))
+                calls += 2
         assert calls >= 1500
+
+
+class TestCostReachAtTheCap:
+    def test_and_chain_of_twenty(self):
+        # Only the all-success vector satisfies, and on it every leaf ran.
+        m, b = and_chain_of_twenty()
+        value, peak = traced(cost_reach, m, b)
+        assert peak < PEAK_BYTES
+        v = b.values
+        closed = sum(v[f"w_N{i}"] for i in range(1, 21)) * math.prod(
+            v[f"r_N{i}"] * v[f"f_N{i}"] for i in range(1, 21))
+        assert value == pytest.approx(closed, rel=1e-12, abs=0)
+
+    def test_fan_out_of_gated_and_triples(self):
+        m, b = fan_out_of_gated_and_triples()
+        value, peak = traced(cost_reach, m, b)
+        assert peak < PEAK_BYTES
+        # Fold the branches from the last: p = P(sat), a = E[cost * 1{sat}],
+        # e = E[cost].  A branch tried before the rest pays its own cost on
+        # every outcome and lets the rest run only when it is unsatisfied.
+        v = b.values
+        p = a = e = 0.0
+        for i in reversed(range(6)):
+            gate = b.contexts[f"K{i}"]
+            steps = [f"B{i}_{j}" for j in range(3)]
+            pi = gate * math.prod(v[f"r_{s}"] * v[f"f_{s}"] for s in steps)
+            ai = pi * sum(v[f"w_{s}"] for s in steps)
+            ei = gate * sum(v[f"w_{s}"] * v[f"f_{s}"] for s in steps)
+            p, a, e = pi + (1 - pi) * p, ai + (ei - ai) * p + (1 - pi) * a, ei + (1 - pi) * e
+        assert value == pytest.approx(a, rel=1e-12, abs=0)
+
+
+class TestCostReachOnTheBundledGoal:
+    """G1 = And(G3, G4) with G3 = T1 and G4 = T2 under C6: 14 leaves."""
+
+    @pytest.fixture(scope="class")
+    def bsn(self):
+        return parse_model(bundled.data_text("bsn.json"))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_and_of_independent_subgoals(self, bsn, seed):
+        b = exact(random_binding(random.Random(seed), bsn), 8)
+        b = replace(b, contexts={**b.contexts, "C6": 1})
+        want = (cost_reach(bsn, "T1", b) * prob_reach(bsn, "G4", b)
+                + cost_reach(bsn, "G4", b) * prob_reach(bsn, "T1", b))
+        got = cost_reach(bsn, "G1", b)
+        assert isinstance(got, Fraction) and got == want and got > 0
+
+    def test_false_data_validity_context_leaves_nothing(self, bsn):
+        b = random_binding(random.Random(3), bsn)
+        b = replace(b, contexts={**b.contexts, "C6": 0})
+        assert cost_reach(bsn, "G1", b) == 0
+        assert prob_reach(bsn, "G1", b) == 0
 
 
 class TestCostComparable:
