@@ -7,6 +7,9 @@ attempts a configured number of executions (Bernoulli draws for both the
 attempt and its success), batteries drain per execution and recharge per
 tick, and the reliability/cost recorded in the trace is the goal's formula
 circuit evaluated at the true parameters of the configuration in force.
+Telemetry is one ``exec`` record per leaf and tick, holding that tick's
+outcomes in order and the cost charged per run, plus a ``context`` record
+per availability or condition flip.
 Contexts that carry a condition are re-evaluated every tick over the walked
 vitals and ``data_validity``, which is always 1: the walk keeps each vital
 inside its signal's outer bounds.
@@ -273,33 +276,40 @@ class World:
         # alone.
 
     def step(self, t: float) -> List[Dict]:
-        """Advance one tick and return the telemetry it produced."""
+        """Advance one tick and return the telemetry it produced: one
+        ``exec`` record per leaf that ran, with the tick's outcomes in order
+        and the cost charged per run, and one ``context`` record per flip
+        (the shapes :func:`runtime.monitor_ingest` reads)."""
         events: List[Dict] = []
         for state in self.sensors:
             if state.on:
                 for leaf in state.spec.leaves:
-                    events.extend(self._run_leaf(leaf, t, state))
+                    self._run_leaf(leaf, t, state, events)
             state.level = min(1.0, state.level + state.spec.battery.recharge)
             self._settle_battery(state, t, events)
         if self.config.hub_leaf:
-            events.extend(self._run_leaf(self.config.hub_leaf, t, None))
+            self._run_leaf(self.config.hub_leaf, t, None, events)
         self._walk_vitals(t, events)
         return events
 
-    def _run_leaf(self, leaf: str, t: float, sensor: Optional[_SensorState]) -> List[Dict]:
-        events: List[Dict] = []
-        f = self.frequency[leaf]
-        r = self.reliability[leaf]
-        w = self.cost[leaf]
-        for _ in range(self.config.executions_per_tick):
-            if self.rng.random() >= f:
-                continue
-            success = self.rng.random() < r
-            events.append({"t": t, "kind": "exec", "leaf": leaf, "success": success})
-            events.append({"t": t, "kind": "cost", "leaf": leaf, "value": w})
-            if sensor is not None:
-                sensor.level = max(0.0, sensor.level - sensor.spec.battery.drain)
-        return events
+    def _run_leaf(
+        self, leaf: str, t: float, sensor: Optional[_SensorState], events: List[Dict]
+    ) -> None:
+        f, r, draw = self.frequency[leaf], self.reliability[leaf], self.rng.random
+        # Per attempt, the filter draws whether it runs and then, only if it
+        # does, the element draws whether it succeeds.
+        outcomes = [draw() < r for _ in range(self.config.executions_per_tick) if draw() < f]
+        if not outcomes:
+            return
+        events.append({"t": t, "kind": "exec", "leaf": leaf, "outcomes": outcomes,
+                       "cost": self.cost[leaf]})
+        if sensor is not None:
+            level, drain = sensor.level, sensor.spec.battery.drain
+            for _ in outcomes:
+                level -= drain
+            # Drains are non-negative, so one clamp at the end gives what a
+            # clamp after every run would: 0 once the level goes negative.
+            sensor.level = max(0.0, level)
 
     def _settle_battery(self, state: _SensorState, t: float, events: List[Dict]) -> None:
         was_on = state.on

@@ -19,8 +19,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import symexpr
@@ -302,8 +303,9 @@ class KnowledgeState:
     ``bindings`` is the binding the circuits read.  A leaf's ``r_``/``w_``
     entry is its prior until its sliding window holds a sample, and the
     window's mean after; a controller that never ingests telemetry acts on
-    its static priors forever.  The monitor and :meth:`set_frequencies`
-    update the state in place.
+    its static priors forever.  ``successes`` counts the successes in each
+    exec window, so the ``r_`` mean needs no sum over the window.  The
+    monitor and :meth:`set_frequencies` update the state in place.
     """
 
     formulae: Mapping[str, NodeForms]  # goal id -> circuit triple
@@ -312,6 +314,10 @@ class KnowledgeState:
     cost_windows: Dict[str, Deque[float]]
     timestamp: float = 0.0
     dropped: int = 0
+    successes: Dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.successes = {leaf: sum(w) for leaf, w in self.exec_windows.items()}
 
     def set_frequencies(self, assignments: Mapping[str, float]) -> None:
         """Bind the commanded frequency of each leaf in ``assignments``."""
@@ -390,33 +396,47 @@ def monitor_ingest(
 ) -> KnowledgeState:
     """Fold a telemetry batch into the windowed estimates, in place.
 
-    Event shapes: ``{"t", "kind": "exec", "leaf", "success"}``,
-    ``{"t", "kind": "cost", "leaf", "value"}``, and
-    ``{"t", "kind": "context", "context", "value"}``.  Malformed events are
-    counted in ``dropped`` and skipped; an empty batch only moves the clock.
-    Returns ``state``.
+    Record shapes:
+
+    * ``{"t", "kind": "exec", "leaf", "outcomes": [bool, ...], "cost": w}``:
+      one leaf's executions in one tick, in order, each charged ``w``.  The
+      outcomes extend the leaf's exec window, and one ``w`` per outcome its
+      cost window.
+    * ``{"t", "kind": "context", "context", "value"}``.
+
+    A malformed record (a missing or unreadable ``t``, an unknown ``kind`` or
+    leaf, ``outcomes`` not a list of booleans, a ``cost`` that is negative
+    or not finite) is counted in ``dropped`` and rejected whole: it reaches
+    no window, binding or clock.  An exec record without outcomes, like an
+    empty batch, only moves the clock.  Returns ``state``.
     """
-    bindings = state.bindings
+    bindings, successes = state.bindings, state.successes
     exec_windows, cost_windows = state.exec_windows, state.cost_windows
     timestamp, dropped = state.timestamp, state.dropped
-    grew_exec, grew_cost = set(), set()
     for event in events:
         try:
             t = float(event["t"])
-            if t > timestamp:  # max(timestamp, t), NaN included, without the call
-                timestamp = t
             kind = event["kind"]
             if kind == "exec":
-                leaf = str(event["leaf"])
-                exec_windows[leaf].append(1 if event["success"] else 0)
-                grew_exec.add(leaf)
-            elif kind == "cost":
-                leaf = str(event["leaf"])
-                value = float(event["value"])
-                if leaf not in cost_windows or not 0.0 <= value < math.inf:
-                    raise ValueError(value)
-                cost_windows[leaf].append(value)
-                grew_cost.add(leaf)
+                leaf, outcomes, cost = event["leaf"], event["outcomes"], float(event["cost"])
+                if (leaf not in exec_windows or not isinstance(outcomes, list)
+                        or not 0.0 <= cost < math.inf):
+                    raise ValueError(event)
+                ones = outcomes.count(True)
+                if ones + outcomes.count(False) != len(outcomes):
+                    raise ValueError(outcomes)
+                if outcomes:
+                    window = exec_windows[leaf]
+                    # The deque evicts the oldest samples of window + outcomes.
+                    excess = len(window) + len(outcomes) - window.maxlen
+                    if excess > 0:
+                        ones -= sum(islice(chain(window, outcomes), excess))
+                    window.extend(outcomes)
+                    successes[leaf] += ones
+                    bindings[ParamTable.reliability(leaf).name] = successes[leaf] / len(window)
+                    window = cost_windows[leaf]
+                    window.extend([cost] * len(outcomes))
+                    bindings[ParamTable.cost_weight(leaf).name] = sum(window) / len(window)
             elif kind == "context":
                 name = ParamTable.context(str(event["context"])).name
                 bindings[name] = 1 if event["value"] else 0
@@ -424,12 +444,9 @@ def monitor_ingest(
                 raise ValueError(kind)
         except (KeyError, TypeError, ValueError):
             dropped += 1
-
-    for leaves, windows, param in ((grew_exec, exec_windows, ParamTable.reliability),
-                                   (grew_cost, cost_windows, ParamTable.cost_weight)):
-        for leaf in leaves:
-            window = windows[leaf]
-            bindings[param(leaf).name] = sum(window) / len(window)
+            continue
+        if t > timestamp:  # max(timestamp, t), NaN included, without the call
+            timestamp = t
     if now is not None:
         timestamp = max(timestamp, now)
     state.timestamp, state.dropped = timestamp, dropped

@@ -180,7 +180,7 @@ class TestBattery:
         for t in range(96):
             events = world.step(float(t))
             execs_by_tick[t] = sum(
-                1 for e in events if e["kind"] == "exec" and e["leaf"] == "A"
+                len(e["outcomes"]) for e in events if e["kind"] == "exec" and e["leaf"] == "A"
             )
             flips.extend(e for e in events if e["kind"] == "context")
         assert [(e["context"], e["value"]) for e in flips] == [
@@ -215,6 +215,80 @@ class TestBattery:
             world.step(float(t))
         assert world.sensors[0].on
         assert world.contexts["CX"] == 1
+
+
+class PerExecutionWorld(World):
+    """The reference the simulator's telemetry is checked against: one
+    ``exec`` and one ``cost`` event per execution, drawn in the same order,
+    and the battery clamped at 0 after every run."""
+
+    def _run_leaf(self, leaf, t, sensor, events):
+        f, r, w = self.frequency[leaf], self.reliability[leaf], self.cost[leaf]
+        for _ in range(self.config.executions_per_tick):
+            if self.rng.random() >= f:
+                continue
+            success = self.rng.random() < r
+            events.append({"t": t, "kind": "exec", "leaf": leaf, "success": success})
+            events.append({"t": t, "kind": "cost", "leaf": leaf, "value": w})
+            if sensor is not None:
+                sensor.level = max(0.0, sensor.level - sensor.spec.battery.drain)
+
+
+def grouped(events):
+    """Per-execution events as one record per leaf and tick."""
+    out = []
+    for e in events:
+        if e["kind"] == "exec":
+            last = out[-1] if out else {}
+            if last.get("kind") == "exec" and (last["t"], last["leaf"]) == (e["t"], e["leaf"]):
+                last["outcomes"].append(e["success"])
+            else:
+                out.append({"t": e["t"], "kind": "exec", "leaf": e["leaf"],
+                            "outcomes": [e["success"]], "cost": None})
+        elif e["kind"] == "cost":
+            assert out[-1]["cost"] in (None, e["value"])
+            out[-1]["cost"] = e["value"]
+        else:
+            out.append(e)
+    return out
+
+
+class TestTelemetry:
+    @pytest.mark.parametrize("name", [
+        "scenario_nominal.json", "scenario_hub_degradation.json",
+        "scenario_battery_cycling.json", "scenario_miscommissioned.json",
+    ])
+    def test_bundled_records_group_the_per_execution_stream(self, bsn, bsn_policy, name):
+        """Tick by tick, the records are the per-execution stream grouped
+        by leaf, and battery levels and bindings match it bit for bit."""
+        config = bundled_config(name, "Tamed")
+        conditioned = {c: d.condition for c, d in bsn.contexts.items() if d.condition}
+        world = World.from_config(config, bsn_policy, conditioned)
+        reference = PerExecutionWorld.from_config(config, bsn_policy, conditioned)
+        for t in range(300):
+            for w in (world, reference):
+                w.inject(float(t))
+            assert world.step(float(t)) == grouped(reference.step(float(t))), t
+            assert [s.level for s in world.sensors] == [s.level for s in reference.sensors]
+            assert world.bindings == reference.bindings
+
+    @pytest.mark.parametrize("level,drain,recharge", [
+        (1.0, 0.3, 0.1), (1.0, 0.02, 0.01), (0.05, 0.035, 0.2), (0.5, 0.0, 0.0),
+    ])
+    def test_one_clamp_per_record_is_the_clamp_per_run(self, level, drain, recharge):
+        battery = {"level": level, "drain": drain, "recharge": recharge}
+        doc = json.loads(tiny_scenario())
+        doc["sensors"][0]["battery"] = battery
+        world, reference = (cls.from_config(load_scenario(json.dumps(doc)),
+                                            load_policy(TINY_POLICY, parse_model(TINY)))
+                            for cls in (World, PerExecutionWorld))
+        levels = []
+        for t in range(120):
+            assert world.step(float(t)) == grouped(reference.step(float(t))), t
+            assert world.sensors[0].level == reference.sensors[0].level, t
+            levels.append(world.sensors[0].level)
+        if drain:  # some tick's runs drove the level below 0, so it ended at 0 + recharge
+            assert recharge in levels
 
 
 class TestWorldInjection:

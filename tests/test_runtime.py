@@ -57,6 +57,11 @@ def single_state(r=0.9, f=1.0, w=1.0, **kwargs):
     )
 
 
+def record(outcomes, t=0, leaf="T", cost=1.0):
+    """One leaf's telemetry for one tick, as ``World.step`` emits it."""
+    return {"t": t, "kind": "exec", "leaf": leaf, "outcomes": list(outcomes), "cost": cost}
+
+
 def nominal_state(bsn, **overrides):
     """The bundled policy, the nominal scenario's world, and a knowledge
     state over the scenario's priors (``overrides`` replace arguments of
@@ -259,21 +264,20 @@ class TestKnowledge:
 
     def test_windows_override_priors(self):
         _, state = single_state(r=0.7)
-        state = monitor_ingest(state, [
-            {"t": 1, "kind": "exec", "leaf": "T", "success": True},
-        ])
+        state = monitor_ingest(state, [record([True], t=1)])
         assert state.bindings["r_T"] == 1.0
 
 
 class TestMonitor:
-    def events(self, successes, total, leaf="T"):
-        return [
-            {"t": i, "kind": "exec", "leaf": leaf, "success": i < successes}
-            for i in range(total)
-        ]
+    def events(self, successes, total, leaf="T", per_tick=10):
+        """``total`` executions, the first ``successes`` of them successful,
+        as one record per tick of up to ``per_tick`` executions."""
+        outcomes = [i < successes for i in range(total)]
+        return [record(outcomes[i:i + per_tick], t=i // per_tick, leaf=leaf)
+                for i in range(0, total, per_tick)]
 
     def test_success_ratio(self):
-        _, state = single_state()
+        _, state = single_state(r=0.5)  # a prior no ingested sample reproduces
         state = monitor_ingest(state, self.events(90, 100))
         assert state.bindings["r_T"] == 0.90
 
@@ -291,8 +295,8 @@ class TestMonitor:
     def test_cost_mean(self):
         _, state = single_state()
         state = monitor_ingest(state, [
-            {"t": 0, "kind": "cost", "leaf": "T", "value": 1.0},
-            {"t": 1, "kind": "cost", "leaf": "T", "value": 3.0},
+            record([True], t=0, cost=1.0),
+            record([False], t=1, cost=3.0),
         ])
         assert state.bindings["w_T"] == 2.0
 
@@ -300,8 +304,8 @@ class TestMonitor:
     def test_non_finite_cost_sample_dropped(self, value):
         _, state = single_state(w=0.5)
         state = monitor_ingest(state, [
-            {"t": 0, "kind": "cost", "leaf": "T", "value": value},
-            {"t": 1, "kind": "cost", "leaf": "T", "value": 1.0},
+            record([True], t=0, cost=value),
+            record([True], t=1, cost=1.0),
         ])
         assert state.dropped == 1
         assert tuple(state.cost_windows["T"]) == (1.0,)
@@ -333,15 +337,102 @@ class TestMonitor:
 
     def test_malformed_events_counted_and_skipped(self):
         _, state = single_state()
+        missing_t = record([True])
+        del missing_t["t"]
         state = monitor_ingest(state, [
-            {"t": 0, "kind": "exec", "leaf": "nope", "success": True},
-            {"t": 0, "kind": "cost", "leaf": "T", "value": -2.0},
+            record([True], leaf="nope"),
+            record([True], cost=-2.0),
             {"t": 0, "kind": "telepathy"},
-            {"kind": "exec", "leaf": "T", "success": True},
-            {"t": 1, "kind": "exec", "leaf": "T", "success": True},
+            missing_t,
+            record([True], t=1),
         ])
         assert state.dropped == 4
         assert tuple(state.exec_windows["T"]) == (1,)
+
+    @pytest.mark.parametrize("edit", [
+        {"t": None}, {"t": "soon"}, {"t": [1]},
+        {"leaf": "nope"}, {"leaf": ["T"]},
+        {"outcomes": (True,)}, {"outcomes": "TT"}, {"outcomes": None},
+        {"outcomes": [True, 0.5]}, {"outcomes": [True, "yes"]}, {"outcomes": [None]},
+        {"cost": -2.0}, {"cost": float("nan")}, {"cost": float("inf")},
+        {"cost": float("-inf")}, {"cost": "abc"}, {"cost": None},
+        {"kind": "telepathy"},
+    ], ids=repr)
+    def test_malformed_record_is_rejected_whole(self, edit):
+        """A malformed record adds 1 to ``dropped`` and reaches no window,
+        running count, binding or clock."""
+        _, state = single_state(r=0.5, w=0.5)
+        monitor_ingest(state, [record([True, False], t=1, cost=2.0)])
+        before = self.snapshot(state)
+        monitor_ingest(state, [{**record([True, True, True], t=5, cost=4.0), **edit}])
+        assert state.dropped == 1
+        assert self.snapshot(state) == before
+
+    @pytest.mark.parametrize("key", ["t", "kind", "leaf", "outcomes", "cost"])
+    def test_record_missing_a_key_is_rejected_whole(self, key):
+        _, state = single_state(r=0.5, w=0.5)
+        before = self.snapshot(state)
+        event = record([True], t=5)
+        del event[key]
+        monitor_ingest(state, [event])
+        assert state.dropped == 1
+        assert self.snapshot(state) == before
+
+    def test_per_execution_shapes_are_malformed(self):
+        """The one execution record is per leaf and tick; the former
+        per-execution ``exec``/``cost`` events are rejected."""
+        _, state = single_state(r=0.5, w=0.5)
+        before = self.snapshot(state)
+        monitor_ingest(state, [
+            {"t": 0, "kind": "exec", "leaf": "T", "success": True},
+            {"t": 0, "kind": "cost", "leaf": "T", "value": 1.0},
+        ])
+        assert state.dropped == 2
+        assert self.snapshot(state) == before
+
+    def test_empty_outcomes_only_move_the_clock(self):
+        for filled in (False, True):
+            _, state = single_state(r=0.5, w=0.5)
+            if filled:
+                monitor_ingest(state, [record([True, False], t=1, cost=2.0)])
+            windows, successes, bindings = self.snapshot(state)[:3]
+            monitor_ingest(state, [record([], t=4, cost=3.0)])
+            assert self.snapshot(state) == (windows, successes, bindings, 4.0)
+            assert state.dropped == 0
+
+    def test_running_count_is_the_window_sum(self):
+        """Across records shorter and longer than the window, the success
+        count equals the window's sum, and both bindings equal the means of
+        the last ``window_size`` outcomes and costs of the stream."""
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(200):
+            size = rng.randint(1, 12)
+            _, state = single_state(window_size=size)
+            outcomes, costs = [], []
+            for t in range(rng.randint(1, 8)):
+                batch = [rng.random() < 0.6 for _ in range(rng.choice([0, 1, 3, 7, 30]))]
+                cost = rng.choice([0.25, 0.1, 1.0 / 3.0, 7.0])
+                monitor_ingest(state, [record(batch, t=t, cost=cost)])
+                outcomes += batch
+                costs += [cost] * len(batch)
+                window = state.exec_windows["T"]
+                assert state.successes["T"] == sum(window)
+                assert type(state.successes["T"]) is int
+                assert list(window) == outcomes[-size:]
+                if outcomes:
+                    tail, cost_tail = outcomes[-size:], costs[-size:]
+                    assert state.bindings["r_T"] == sum(tail) / len(tail)
+                    assert state.bindings["w_T"] == sum(cost_tail) / len(cost_tail)
+                seen.add("longer" if len(batch) > size else "evicts"
+                         if len(outcomes) > size else "fills")
+        assert seen == {"longer", "evicts", "fills"}
+
+    @staticmethod
+    def snapshot(state):
+        return ({leaf: (tuple(state.exec_windows[leaf]), tuple(state.cost_windows[leaf]))
+                 for leaf in state.exec_windows},
+                dict(state.successes), dict(state.bindings), state.timestamp)
 
     def test_timestamp_is_the_running_max_of_event_times(self):
         """The clock moves as ``max(timestamp, float(t))`` per event would
@@ -356,7 +447,8 @@ class TestMonitor:
             want, dropped = state.timestamp, 0
             events = []
             for _ in range(rng.randint(0, 6)):
-                event = {"kind": "exec", "leaf": "T", "success": True}
+                event = record([True])
+                del event["t"]
                 if rng.random() < 0.9:
                     event["t"] = rng.choice(stamps)
                 events.append(event)
@@ -382,9 +474,11 @@ class TestMonitor:
             world.inject(t)
             events = world.step(t)
             for e in events:
-                if e["kind"] in samples:
-                    value = (1 if e["success"] else 0) if e["kind"] == "exec" else e["value"]
-                    samples[e["kind"]].setdefault(e["leaf"], []).append(value)
+                if e["kind"] == "exec":
+                    samples["exec"].setdefault(e["leaf"], []).extend(
+                        1 if success else 0 for success in e["outcomes"])
+                    samples["cost"].setdefault(e["leaf"], []).extend(
+                        e["cost"] for _ in e["outcomes"])
             assert monitor_ingest(state, events, now=t) is state
             for kind, prefix in (("exec", "r_"), ("cost", "w_")):
                 for leaf in world.config.estimate_reliability:
