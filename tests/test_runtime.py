@@ -57,6 +57,9 @@ def single_state(r=0.9, f=1.0, w=1.0, **kwargs):
     )
 
 
+MISSING = object()  # a record key left out
+
+
 def record(outcomes, t=0, leaf="T", cost=1.0):
     """One leaf's telemetry for one tick, as ``World.step`` emits it."""
     return {"t": t, "kind": "exec", "leaf": leaf, "outcomes": list(outcomes), "cost": cost}
@@ -276,6 +279,12 @@ class TestMonitor:
         return [record(outcomes[i:i + per_tick], t=i // per_tick, leaf=leaf)
                 for i in range(0, total, per_tick)]
 
+    @staticmethod
+    def snapshot(state):
+        return ({leaf: (tuple(state.exec_windows[leaf]), tuple(state.cost_windows[leaf]))
+                 for leaf in state.exec_windows},
+                dict(state.successes), dict(state.bindings), state.timestamp)
+
     def test_success_ratio(self):
         _, state = single_state(r=0.5)  # a prior no ingested sample reproduces
         state = monitor_ingest(state, self.events(90, 100))
@@ -349,45 +358,30 @@ class TestMonitor:
         assert state.dropped == 4
         assert tuple(state.exec_windows["T"]) == (1,)
 
-    @pytest.mark.parametrize("edit", [
-        {"t": None}, {"t": "soon"}, {"t": [1]},
-        {"leaf": "nope"}, {"leaf": ["T"]},
-        {"outcomes": (True,)}, {"outcomes": "TT"}, {"outcomes": None},
-        {"outcomes": [True, 0.5]}, {"outcomes": [True, "yes"]}, {"outcomes": [None]},
-        {"cost": -2.0}, {"cost": float("nan")}, {"cost": float("inf")},
-        {"cost": float("-inf")}, {"cost": "abc"}, {"cost": None},
-        {"kind": "telepathy"},
-    ], ids=repr)
-    def test_malformed_record_is_rejected_whole(self, edit):
+    @pytest.mark.parametrize("key,value", [
+        ("t", MISSING), ("t", None), ("t", "soon"), ("t", [1]),
+        ("kind", MISSING), ("kind", "telepathy"), ("kind", "cost"),
+        ("leaf", MISSING), ("leaf", "nope"), ("leaf", ["T"]),
+        ("outcomes", MISSING), ("outcomes", (True,)), ("outcomes", "TT"),
+        ("outcomes", None), ("outcomes", [True, 0.5]), ("outcomes", [True, "yes"]),
+        ("outcomes", [None]),
+        ("cost", MISSING), ("cost", -2.0), ("cost", float("nan")), ("cost", float("inf")),
+        ("cost", float("-inf")), ("cost", "abc"), ("cost", None),
+    ], ids=lambda v: "missing" if v is MISSING else repr(v))
+    def test_malformed_record_is_rejected_whole(self, key, value):
         """A malformed record adds 1 to ``dropped`` and reaches no window,
-        running count, binding or clock."""
+        running count, binding or clock.  The former per-execution shapes
+        (kind ``"cost"``; an ``exec`` record without ``outcomes``) are
+        malformed too."""
         _, state = single_state(r=0.5, w=0.5)
         monitor_ingest(state, [record([True, False], t=1, cost=2.0)])
         before = self.snapshot(state)
-        monitor_ingest(state, [{**record([True, True, True], t=5, cost=4.0), **edit}])
-        assert state.dropped == 1
-        assert self.snapshot(state) == before
-
-    @pytest.mark.parametrize("key", ["t", "kind", "leaf", "outcomes", "cost"])
-    def test_record_missing_a_key_is_rejected_whole(self, key):
-        _, state = single_state(r=0.5, w=0.5)
-        before = self.snapshot(state)
-        event = record([True], t=5)
-        del event[key]
+        event = record([True, True, True], t=5, cost=4.0)
+        event[key] = value
+        if value is MISSING:
+            del event[key]
         monitor_ingest(state, [event])
         assert state.dropped == 1
-        assert self.snapshot(state) == before
-
-    def test_per_execution_shapes_are_malformed(self):
-        """The one execution record is per leaf and tick; the former
-        per-execution ``exec``/``cost`` events are rejected."""
-        _, state = single_state(r=0.5, w=0.5)
-        before = self.snapshot(state)
-        monitor_ingest(state, [
-            {"t": 0, "kind": "exec", "leaf": "T", "success": True},
-            {"t": 0, "kind": "cost", "leaf": "T", "value": 1.0},
-        ])
-        assert state.dropped == 2
         assert self.snapshot(state) == before
 
     def test_empty_outcomes_only_move_the_clock(self):
@@ -427,12 +421,6 @@ class TestMonitor:
                 seen.add("longer" if len(batch) > size else "evicts"
                          if len(outcomes) > size else "fills")
         assert seen == {"longer", "evicts", "fills"}
-
-    @staticmethod
-    def snapshot(state):
-        return ({leaf: (tuple(state.exec_windows[leaf]), tuple(state.cost_windows[leaf]))
-                 for leaf in state.exec_windows},
-                dict(state.successes), dict(state.bindings), state.timestamp)
 
     def test_timestamp_is_the_running_max_of_event_times(self):
         """The clock moves as ``max(timestamp, float(t))`` per event would
