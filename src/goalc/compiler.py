@@ -21,10 +21,10 @@ present, the ``children`` order otherwise.
 The fold records its arithmetic into a :class:`symexpr.CircuitBuilder`, so
 its working form is a circuit: a straight-line program linear in model size.
 :func:`compile_circuits` cuts out the circuits of some goals (what the
-feedback loop evaluates); :func:`compile_model` expands every node's
-circuit into canonical polynomials (the export and verification format),
-optionally within a term budget, since that expansion can grow
-exponentially.
+feedback loop evaluates); :func:`compile_model` gives every node's
+canonical polynomials (the export and verification format).  Since that
+expansion can grow exponentially, each polynomial is expanded only when it
+is first read, or all of them up front within a term budget.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .symexpr import CircuitBuilder, Wire
 class NodeForms:
     """The (reliability, weight, cost) formula triple of one node.
 
-    The fields are :class:`SymExpr` from :func:`compile_model` and
+    The fields are :class:`SymExpr` from :func:`compile_model` (deferred
+    ones, expanded when first read, unless a term budget was given) and
     :class:`Circuit` from :func:`compile_circuits`; iterating yields them
     in that order.
     """
@@ -139,15 +140,20 @@ def compile_model(
     """Canonical polynomials of every node in the subtree of ``goal``.
 
     ``goal`` defaults to the root.  Nodes come in fold order, children
-    before their parent.  The subtree is folded once into a circuit, which
-    is then expanded; ``max_terms`` bounds that expansion and raises
-    :class:`symexpr.TermBudgetError` beyond it (see
+    before their parent.  The subtree is folded once into a circuit.
+    Without ``max_terms``, each polynomial is deferred: it is expanded when
+    first read, and only through the instructions it depends on, so a
+    caller pays for the formulas it reads (see
+    :meth:`symexpr.CircuitBuilder.defer`).  With ``max_terms``, every
+    polynomial is expanded before this returns, in one replay that raises
+    :class:`symexpr.TermBudgetError` at the first step past the budget (see
     :meth:`symexpr.CircuitBuilder.expand`).
     """
     builder = CircuitBuilder()
     memo: Dict[str, NodeForms] = {}
     _fold(model, goal if goal is not None else model.root, builder, memo)
-    exprs = builder.expand([w for wires in memo.values() for w in wires], max_terms)
+    wires = [w for forms in memo.values() for w in forms]
+    exprs = builder.defer(wires) if max_terms is None else builder.expand(wires, max_terms)
     return {nid: NodeForms(*exprs[3 * k:3 * k + 3]) for k, nid in enumerate(memo)}
 
 

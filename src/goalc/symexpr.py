@@ -15,7 +15,10 @@ float program of the arithmetic that built it, linear in model size where
 the canonical form can grow exponentially.  Its instructions load
 parameters by name, so a circuit is plain data.  A :class:`CircuitBuilder`
 records such programs and expands them into canonical form, optionally
-within a term budget.  :func:`evaluate` takes either form; :func:`sweep`
+within a term budget.  A :class:`SymExpr` may be deferred
+(:meth:`CircuitBuilder.defer`): it is expanded the first time its terms are
+read, by any accessor, ``==``, ``hash``, :func:`render` or :func:`evaluate`,
+and is then an ordinary polynomial.  :func:`evaluate` takes either form; :func:`sweep`
 evaluates circuits over a whole grid of bindings at once, and
 :func:`search` runs a caller's ranking inside that grid's innermost loop
 and returns the best point.  All three run Python functions generated by
@@ -101,12 +104,36 @@ Term = Tuple[Fraction, Tuple[str, ...]]
 
 
 class SymExpr:
-    """An immutable polynomial in canonical form."""
+    """An immutable polynomial in canonical form.
 
-    __slots__ = ("_terms",)
+    A deferred one (:meth:`_deferred`) holds the :class:`Wire` of its
+    register in ``_source`` and no terms yet.  The first read of ``_terms``
+    finds the slot unset and falls through to :meth:`__getattr__`, which
+    expands the register and fills the slot, so later reads pay nothing and
+    the builder is no longer held.
+    """
+
+    __slots__ = ("_terms", "_source")
 
     def __init__(self, terms: Iterable[Tuple[Number, Iterable[str]]]) -> None:
         self._terms: Tuple[Term, ...] = _normalize(terms)
+
+    @classmethod
+    def _deferred(cls, source: "Wire") -> "SymExpr":
+        """The polynomial of ``source``, expanded when its terms are first read."""
+        expr = cls.__new__(cls)
+        expr._source = source
+        return expr
+
+    def __getattr__(self, name: str) -> Tuple[Term, ...]:
+        # Reached only for an unset slot: the terms of a deferred polynomial.
+        if name != "_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        wire = self._source
+        (expr,) = wire._builder.expand([wire])
+        self._terms = expr._terms
+        self._source = None
+        return self._terms
 
     # -- accessors ---------------------------------------------------------
 
@@ -323,12 +350,20 @@ class CircuitBuilder:
 
     :meth:`param` loads a parameter by name (each one once) and :meth:`sum`
     adds wires n-ary.  :meth:`circuit` cuts out the program of one result;
-    :meth:`expand` turns results into canonical polynomials.
+    :meth:`expand` turns results into canonical polynomials, and
+    :meth:`defer` hands out polynomials that :meth:`expand` expands when
+    they are first read.  Expansion state carries across calls: what one
+    call expanded, the next one reuses.
     """
 
     def __init__(self) -> None:
         self._code: List[tuple] = []
         self._loads: Dict[str, int] = {}  # registers, not wires: no cycle
+        self._values: Dict[int, SymExpr] = {}  # expanded polynomials still held
+        # Per register: reads by instructions never expanded, plus one per
+        # expand or defer that named it as an output (never given back).
+        self._readers: List[int] = []
+        self._done = bytearray()  # per instruction: expanded at least once
 
     def _emit(self, instruction: tuple) -> Wire:
         self._code.append(instruction)
@@ -345,39 +380,69 @@ class CircuitBuilder:
     def sum(self, wires: Iterable[Wire]) -> Wire:
         return self._emit(("sum", tuple(w.index for w in wires)))
 
+    def _count_readers(self) -> List[int]:
+        """``_readers`` (and ``_done``), extended to the instructions recorded
+        since the last call."""
+        code, readers = self._code, self._readers
+        for i in range(len(readers), len(code)):
+            readers.append(0)
+            self._done.append(0)
+            ins = code[i]
+            if ins[0] != "load":
+                for j in ins[1] if ins[0] == "sum" else ins[1:]:
+                    readers[j] += 1
+        return readers
+
     def expand(
         self, outputs: Sequence[Wire], max_terms: Optional[int] = None
     ) -> List[SymExpr]:
-        """The canonical polynomials of ``outputs``, replaying the program once.
+        """The canonical polynomials of ``outputs``: the one expansion engine.
 
-        Instructions are expanded in program order, and each polynomial that
-        is not an output is dropped after its last use: an And chain keeps
-        its running product alive, not every partial one.  With ``max_terms``
-        set, an instruction whose operands hold more than ``max_terms``
-        terms between them before like terms merge (``|a|*|b|`` for ``*``,
-        the sum of the sizes for ``+``, ``-`` and ``sum``) raises
-        :class:`TermBudgetError` before it is expanded, so the budget bounds
-        the work as well as the result.
+        The instructions the outputs depend on are replayed in program
+        order, except those whose polynomials the builder still holds from
+        an earlier call.  A polynomial is dropped once every instruction
+        that reads it has been expanded (an And chain keeps its running
+        product alive, not every partial one), unless it is an output of
+        this call or of :meth:`defer`: those are held for the builder's
+        life.  So however a program's outputs are asked for, no instruction
+        is expanded twice, and asking for all of them in one call replays
+        the whole program once.
+
+        With ``max_terms`` set, an instruction whose operands hold more than
+        ``max_terms`` terms between them before like terms merge
+        (``|a|*|b|`` for ``*``, the sum of the sizes for ``+``, ``-`` and
+        ``sum``) raises :class:`TermBudgetError` before it is expanded, so
+        the budget bounds the work as well as the result.  An instruction's
+        polynomial is stored before its operands are counted down, so an
+        exception raised mid-replay loses nothing: the next call resumes.
+
+        Asking for a register that was dropped before it was asked for
+        replays it, and what it needs that was dropped too; their reads
+        were counted down already, and the replayed polynomials are dropped
+        again before this returns, unless they are outputs.
         """
-        code = self._code
-        last = list(range(len(code)))  # the instruction that reads a register last
-        for i, ins in enumerate(code):
-            if ins[0] != "load":
-                for j in ins[1] if ins[0] == "sum" else ins[1:]:
-                    last[j] = i
+        code, values, done = self._code, self._values, self._done
+        readers = self._count_readers()
         for w in outputs:
-            last[w.index] = len(code)
-        values: List[Optional[SymExpr]] = []
-        for i, ins in enumerate(code):
+            readers[w.index] += 1
+        todo, stack = set(), [w.index for w in outputs]
+        while stack:
+            i = stack.pop()
+            if i in todo or i in values:
+                continue
+            todo.add(i)
+            ins = code[i]
+            if ins[0] != "load":
+                stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
+        for i in sorted(todo):
+            ins = code[i]
             op = ins[0]
             if op == "load":
-                values.append(param(ins[1]))
+                values[i] = param(ins[1])
+                done[i] = 1
                 continue
             regs = ins[1] if op == "sum" else ins[1:]
             args = [values[j] for j in regs]
-            for j in regs:
-                if last[j] == i:
-                    values[j] = None
             if max_terms is not None:
                 sizes = [len(a._terms) for a in args]
                 need = sizes[0] * sizes[1] if op == "*" else sum(sizes)
@@ -385,8 +450,35 @@ class CircuitBuilder:
                     raise TermBudgetError(
                         f"formula expands past {max_terms} terms "
                         f"(one {op!r} step needs {need} before like terms merge)")
-            values.append(sum_exprs(args) if op == "sum" else _ARITHMETIC[op](*args))
-        return [values[w.index] for w in outputs]
+            values[i] = sum_exprs(args) if op == "sum" else _ARITHMETIC[op](*args)
+            if not done[i]:
+                done[i] = 1
+                for j in regs:
+                    readers[j] -= 1
+                    if not readers[j]:
+                        del values[j]
+        result = [values[w.index] for w in outputs]
+        for i in todo:
+            if not readers[i]:
+                values.pop(i, None)
+        return result
+
+    def defer(self, outputs: Sequence[Wire]) -> List[SymExpr]:
+        """Deferred polynomials of ``outputs``, each expanded by :meth:`expand`
+        when its terms are first read.
+
+        The outputs that name one register share one :class:`SymExpr`.  Its
+        register counts as an output of :meth:`expand` from now on: once
+        expanded, by this read or as an operand of another, it is held, and
+        never expanded again.
+        """
+        readers = self._count_readers()
+        exprs: Dict[int, SymExpr] = {}
+        for w in outputs:
+            if w.index not in exprs:
+                readers[w.index] += 1
+                exprs[w.index] = SymExpr._deferred(w)
+        return [exprs[w.index] for w in outputs]
 
     def circuit(self, out: Wire) -> "Circuit":
         """The instructions ``out`` depends on, renumbered, as a circuit."""

@@ -156,14 +156,33 @@ class TestCircuit:
         px, py, pk = (symexpr.parse_expr(n) for n in ("r_a", "r_b", "C_k"))
         assert b.expand([out, x, k]) == [(px + py + pk * px) * (px - py) + pk, px, pk]
 
-    def test_budget_counts_terms_before_they_merge(self):
+    def test_expand_replays_what_an_earlier_call_dropped(self):
         b = CircuitBuilder()
         x, y = (b.param(n) for n in ("r_a", "r_b"))
-        s = b.sum([x, y, x])  # needs 3 terms, merges to 2
-        out = s * s  # needs 2 * 2 = 4, merges to 3
+        s = b.sum([x, y, x])
+        square = s * s
+        out = square * x + y
+        px, py = (symexpr.parse_expr(n) for n in ("r_a", "r_b"))
+        sq = (px + py + px) * (px + py + px)
+        assert b.expand([out]) == [sq * px + py]
+        # Both intermediates were dropped after their last reader ran.
+        assert b.expand([square, s]) == [sq, px + py + px]
+        assert b.expand([out, square]) == [sq * px + py, sq]
+
+    def test_budget_counts_terms_before_they_merge(self):
+        def square():
+            b = CircuitBuilder()
+            x, y = (b.param(n) for n in ("r_a", "r_b"))
+            s = b.sum([x, y, x])  # needs 3 terms, merges to 2
+            return b, s * s  # needs 2 * 2 = 4, merges to 3
+
+        # A fresh builder each time: a builder expands each instruction once.
+        b, out = square()
         assert len(b.expand([out], max_terms=4)[0].terms) == 3
+        b, out = square()
         with pytest.raises(symexpr.TermBudgetError, match="expands past 3 terms"):
             b.expand([out], max_terms=3)
+        b, out = square()
         with pytest.raises(ExprError, match="'sum' step needs 3"):
             b.expand([out], max_terms=2)
 

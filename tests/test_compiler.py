@@ -3,10 +3,14 @@
 import hashlib
 import json
 import random
+import tracemalloc
+import weakref
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from goalc import bundled, cli, compiler
+from goalc import bundled, cli, compiler, symexpr
 from goalc.cgm import (
     ContextDef,
     Decomposition,
@@ -20,6 +24,7 @@ from goalc.compiler import NodeForms, compile_circuits, compile_model, param_gro
 from goalc.oracle import random_model
 from goalc.symexpr import (
     CircuitBuilder, SymExpr, TermBudgetError, evaluate, param, parse_expr, render, substitute,
+    sum_exprs,
 )
 
 
@@ -533,3 +538,237 @@ class TestIterativeFold:
             got = compile_circuits(m, goals)
             assert {g: [c.code for c in got[g]] for g in goals} == want
             assert recorded[-1]._code == builder._code
+
+
+def fan_out(n):
+    """A decision Or over ``n`` context-gated And-triples: its expanded cost
+    grows about 2.5x per branch (the CLI tests build it from JSON)."""
+    branches = tuple(f"B{i}" for i in range(n))
+    nodes = [Node("G", "", NodeKind.GOAL, Decomposition.OR, branches, branches)]
+    for i, branch in enumerate(branches):
+        steps = tuple(f"{branch}.{j}" for j in range(3))
+        nodes.append(Node(branch, "", NodeKind.TASK, Decomposition.AND, steps,
+                          contexts=(f"K{i}",)))
+        nodes.extend(leaf(step) for step in steps)
+    return model("G", *nodes, contexts=[ContextDef(f"K{i}", "") for i in range(n)])
+
+
+FIELDS = ("reliability", "weight", "cost")
+
+
+def eager_expand(code, outputs):
+    """Every register in ``outputs`` by one replay of the whole program, each
+    polynomial that is not an output dropped after its last use: the
+    expansion ``compile_model`` ran up front before it deferred it, kept as
+    the reference."""
+    last = list(range(len(code)))
+    for i, ins in enumerate(code):
+        if ins[0] != "load":
+            for j in ins[1] if ins[0] == "sum" else ins[1:]:
+                last[j] = i
+    for i in outputs:
+        last[i] = len(code)
+    values = []
+    for i, ins in enumerate(code):
+        op = ins[0]
+        if op == "load":
+            values.append(param(ins[1]))
+            continue
+        regs = ins[1] if op == "sum" else ins[1:]
+        args = [values[j] for j in regs]
+        for j in regs:
+            if last[j] == i:
+                values[j] = None
+        values.append(sum_exprs(args) if op == "sum" else symexpr._ARITHMETIC[op](*args))
+    return [values[i] for i in outputs]
+
+
+def eager_forms(m):
+    """``{node: {field: polynomial}}`` and the program length, by
+    :func:`eager_expand` over the compiler's fold."""
+    builder, memo = CircuitBuilder(), {}
+    compiler._fold(m, m.root, builder, memo)
+    exprs = iter(eager_expand(builder._code, [w.index for f in memo.values() for w in f]))
+    return {nid: dict(zip(FIELDS, exprs)) for nid in memo}, len(builder._code)
+
+
+class CountedSets(dict):
+    """A builder's held polynomials, counting the expansions of each register."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = Counter()
+
+    def __setitem__(self, index, value):
+        self.sets[index] += 1
+        super().__setitem__(index, value)
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """``(weak reference to the builder, expansions per register)`` of every
+    builder the compiler makes, in order."""
+    made = []
+
+    class Counted(CircuitBuilder):
+        def __init__(self):
+            super().__init__()
+            self._values = CountedSets()
+            made.append((weakref.ref(self), self._values.sets))
+
+    monkeypatch.setattr(compiler, "CircuitBuilder", Counted)
+    return made
+
+
+def read_orders(forms, seed):
+    """Every (node, field) of ``forms`` in fold order, in reverse, root first,
+    and shuffled."""
+    fold = [(nid, f) for nid in forms for f in FIELDS]
+    root = list(forms)[-1]
+    shuffled = list(fold)
+    random.Random(seed).shuffle(shuffled)
+    return {
+        "fold": fold,
+        "reverse": fold[::-1],
+        "root-first": [p for p in fold if p[0] == root] + [p for p in fold if p[0] != root],
+        "random": shuffled,
+    }
+
+
+#: Ways of reading a deferred polynomial for the first time.
+FIRST_READS = (
+    lambda e, want: e.terms,
+    lambda e, want: e == want,
+    lambda e, want: hash(e),
+    lambda e, want: render(e),
+    lambda e, want: evaluate(e, dict.fromkeys(want.parameter_names(), 1)),
+)
+
+
+class TestDeferredExpansion:
+    """``compile_model`` expands each polynomial when first read: in any read
+    order the results are the eager replay's, and no instruction is expanded
+    twice."""
+
+    @staticmethod
+    def models(bsn):
+        yield "bsn", bsn
+        yield "fan_out(6)", fan_out(6)
+        yield "and50", chain_model(50, Decomposition.AND)
+        for seed in range(300):
+            rng = random.Random(seed)
+            yield f"random {seed}", random_model(rng, max_leaves=rng.randint(1, 12))
+
+    def test_every_read_order_gives_the_eager_polynomials_once(self, bsn, expansions):
+        for k, (name, m) in enumerate(self.models(bsn)):
+            want, length = eager_forms(m)
+            for order, pairs in read_orders(want, k).items():
+                forms = compile_model(m)
+                assert list(forms) == list(want)
+                builder, sets = expansions[-1]
+                for n, (nid, field) in enumerate(pairs):
+                    got, ref = getattr(forms[nid], field), want[nid][field]
+                    FIRST_READS[n % len(FIRST_READS)](got, ref)
+                    assert got == ref and hash(got) == hash(ref), (name, order, nid, field)
+                    assert got.terms == ref.terms
+                    assert all(type(c) is Fraction for c, _ in got.terms)
+                    assert render(got) == render(ref)
+                    assert max(sets.values()) == 1, (name, order)
+                # A full read expands exactly what the eager replay does, and
+                # then no polynomial holds the builder.
+                assert sets == Counter(range(length)), (name, order)
+                assert builder() is None, (name, order)
+
+    def test_one_read_expands_only_what_it_depends_on(self, bsn, expansions):
+        builder, memo = CircuitBuilder(), {}
+        compiler._fold(bsn, bsn.root, builder, memo)
+        needed = len(builder.circuit(memo[bsn.root].reliability))
+        forms = compile_model(bsn)
+        assert not expansions[-1][1]
+        forms[bsn.root].reliability.terms
+        assert sorted(expansions[-1][1].values()) == [1] * needed
+        assert needed < len(builder._code)
+
+
+class TestBudgetedCompile:
+    """With ``max_terms``, ``compile_model`` expands every polynomial before it
+    returns, so the budget error comes from the call, word for word."""
+
+    @pytest.mark.parametrize("shape,budget,message", [
+        ("bsn", 433,
+         "formula expands past 433 terms (one '*' step needs 434 before like terms merge)"),
+        ("fan_out(12)", 100_000,
+         "formula expands past 100000 terms "
+         "(one '*' step needs 147420 before like terms merge)"),
+    ])
+    def test_error_text_is_pinned(self, bsn, shape, budget, message):
+        m = bsn if shape == "bsn" else fan_out(12)
+        with pytest.raises(TermBudgetError) as err:
+            compile_model(m, max_terms=budget)
+        assert str(err.value) == message
+
+    def test_reading_a_budgeted_result_builds_nothing(self, bsn, monkeypatch):
+        forms = compile_model(bsn, max_terms=434)
+        built = []
+        init = SymExpr.__init__
+        monkeypatch.setattr(SymExpr, "__init__",
+                            lambda obj, terms: built.append(init(obj, terms)))
+        binding = dict.fromkeys(forms[bsn.root].cost.parameter_names(), 1)
+        for f in forms.values():
+            for e in f:
+                render(e), hash(e), evaluate(e, binding)
+        assert built == []
+
+
+class Interrupt(BaseException):
+    """Stands for an asynchronous abort, such as a timer's exception."""
+
+
+class TestInterruptedRead:
+    @pytest.mark.parametrize("after", [0, 1, 7, 40])
+    def test_a_read_resumes_after_an_exception(self, bsn, expansions, monkeypatch, after):
+        want, length = eager_forms(bsn)
+        forms = compile_model(bsn)
+        root = forms[bsn.root]
+        raised = Interrupt()
+        mul, calls = symexpr._ARITHMETIC["*"], []
+
+        def interrupted(a, b):
+            calls.append(None)
+            if len(calls) > after:
+                raise raised
+            return mul(a, b)
+
+        monkeypatch.setitem(symexpr._ARITHMETIC, "*", interrupted)
+        with pytest.raises(Interrupt) as err:
+            render(root.cost)
+        assert err.value is raised
+        del err
+        raised.__traceback__ = None  # its frames hold the builder
+        monkeypatch.setitem(symexpr._ARITHMETIC, "*", mul)
+        assert root.cost == want[bsn.root]["cost"]
+        assert render(root.cost) == render(want[bsn.root]["cost"])
+        for nid, f in forms.items():
+            assert dict(zip(FIELDS, f)) == want[nid]
+        builder, sets = expansions[-1]
+        assert sets == Counter(range(length))
+        assert builder() is None
+
+
+def test_one_read_peaks_far_below_the_eager_compile():
+    """tracemalloc peaks (bytes) of fan_out(10): deferred compile plus reading
+    the root reliability, against the eager full compile."""
+    m = fan_out(10)
+    tracemalloc.start()
+    try:
+        forms = compile_model(m)
+        forms["G"].reliability.terms
+        deferred = tracemalloc.get_traced_memory()[1]
+        del forms
+        tracemalloc.reset_peak()
+        forms = eager_forms(m)
+        eager = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"deferred {deferred} B, eager {eager} B")
+    assert deferred * 10 < eager
