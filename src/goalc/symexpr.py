@@ -363,7 +363,9 @@ class CircuitBuilder:
         # Per register: reads by instructions never expanded, plus one per
         # expand or defer that named it as an output (never given back).
         self._readers: List[int] = []
-        self._done = bytearray()  # per instruction: expanded at least once
+        # Per instruction: the terms its operands held before they merged
+        # when it was expanded, or None while it has not been.
+        self._needs: List[Optional[int]] = []
 
     def _emit(self, instruction: tuple) -> Wire:
         self._code.append(instruction)
@@ -381,12 +383,12 @@ class CircuitBuilder:
         return self._emit(("sum", tuple(w.index for w in wires)))
 
     def _count_readers(self) -> List[int]:
-        """``_readers`` (and ``_done``), extended to the instructions recorded
+        """``_readers`` (and ``_needs``), extended to the instructions recorded
         since the last call."""
         code, readers = self._code, self._readers
         for i in range(len(readers), len(code)):
             readers.append(0)
-            self._done.append(0)
+            self._needs.append(None)
             ins = code[i]
             if ins[0] != "load":
                 for j in ins[1] if ins[0] == "sum" else ins[1:]:
@@ -412,56 +414,63 @@ class CircuitBuilder:
         ``max_terms`` terms between them before like terms merge
         (``|a|*|b|`` for ``*``, the sum of the sizes for ``+``, ``-`` and
         ``sum``) raises :class:`TermBudgetError` before it is expanded, so
-        the budget bounds the work as well as the result.  An instruction's
-        polynomial is stored before its operands are counted down, so an
-        exception raised mid-replay loses nothing: the next call resumes.
+        the budget bounds the work as well as the result.  Every expansion
+        records that size, and a budgeted call checks the whole of its
+        outputs' program in program order, what earlier calls expanded
+        included, so it raises what it would raise on a fresh builder, at
+        the same step.  An instruction's polynomial is stored before its
+        operands are counted down, so an exception raised mid-replay loses
+        nothing: the next call resumes.
 
-        Asking for a register that was dropped before it was asked for
-        replays it, and what it needs that was dropped too; their reads
-        were counted down already, and the replayed polynomials are dropped
-        again before this returns, unless they are outputs.
+        Asking for a register that an earlier call dropped raises
+        :class:`ExprError`: ask for it in the same call as its last reader,
+        or :meth:`defer` it first.
         """
-        code, values, done = self._code, self._values, self._done
+        code, values, needs = self._code, self._values, self._needs
         readers = self._count_readers()
         for w in outputs:
+            if needs[w.index] is not None and w.index not in values:
+                raise ExprError(f"register {w.index} was dropped after its last "
+                                "reader was expanded; ask for it with that reader")
+        for w in outputs:
             readers[w.index] += 1
+        # The instructions to replay; under a budget also the held ones,
+        # whose recorded sizes are checked again.
         todo, stack = set(), [w.index for w in outputs]
         while stack:
             i = stack.pop()
-            if i in todo or i in values:
+            if i in todo or (max_terms is None and i in values):
                 continue
             todo.add(i)
             ins = code[i]
             if ins[0] != "load":
                 stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
         for i in sorted(todo):
-            ins = code[i]
+            ins, need = code[i], needs[i]
             op = ins[0]
             if op == "load":
-                values[i] = param(ins[1])
-                done[i] = 1
+                if need is None:
+                    values[i] = param(ins[1])
+                    needs[i] = 1
                 continue
             regs = ins[1] if op == "sum" else ins[1:]
-            args = [values[j] for j in regs]
-            if max_terms is not None:
+            if need is None:
+                args = [values[j] for j in regs]
                 sizes = [len(a._terms) for a in args]
                 need = sizes[0] * sizes[1] if op == "*" else sum(sizes)
-                if need > max_terms:
-                    raise TermBudgetError(
-                        f"formula expands past {max_terms} terms "
-                        f"(one {op!r} step needs {need} before like terms merge)")
+            if max_terms is not None and need > max_terms:
+                raise TermBudgetError(
+                    f"formula expands past {max_terms} terms "
+                    f"(one {op!r} step needs {need} before like terms merge)")
+            if needs[i] is not None:
+                continue  # expanded by an earlier call
             values[i] = sum_exprs(args) if op == "sum" else _ARITHMETIC[op](*args)
-            if not done[i]:
-                done[i] = 1
-                for j in regs:
-                    readers[j] -= 1
-                    if not readers[j]:
-                        del values[j]
-        result = [values[w.index] for w in outputs]
-        for i in todo:
-            if not readers[i]:
-                values.pop(i, None)
-        return result
+            needs[i] = need
+            for j in regs:
+                readers[j] -= 1
+                if not readers[j]:
+                    del values[j]
+        return [values[w.index] for w in outputs]
 
     def defer(self, outputs: Sequence[Wire]) -> List[SymExpr]:
         """Deferred polynomials of ``outputs``, each expanded by :meth:`expand`
@@ -470,7 +479,8 @@ class CircuitBuilder:
         The outputs that name one register share one :class:`SymExpr`.  Its
         register counts as an output of :meth:`expand` from now on: once
         expanded, by this read or as an operand of another, it is held, and
-        never expanded again.
+        never expanded again.  A register that :meth:`expand` dropped
+        already cannot be read this way (see there).
         """
         readers = self._count_readers()
         exprs: Dict[int, SymExpr] = {}

@@ -156,35 +156,43 @@ class TestCircuit:
         px, py, pk = (symexpr.parse_expr(n) for n in ("r_a", "r_b", "C_k"))
         assert b.expand([out, x, k]) == [(px + py + pk * px) * (px - py) + pk, px, pk]
 
-    def test_expand_replays_what_an_earlier_call_dropped(self):
+    def test_expand_keeps_its_outputs_and_drops_the_rest(self):
         b = CircuitBuilder()
         x, y = (b.param(n) for n in ("r_a", "r_b"))
-        s = b.sum([x, y, x])
-        square = s * s
-        out = square * x + y
+        i, k = x * y, x + y
+        out = k * k
         px, py = (symexpr.parse_expr(n) for n in ("r_a", "r_b"))
-        sq = (px + py + px) * (px + py + px)
-        assert b.expand([out]) == [sq * px + py]
-        # Both intermediates were dropped after their last reader ran.
-        assert b.expand([square, s]) == [sq, px + py + px]
-        assert b.expand([out, square]) == [sq * px + py, sq]
+        assert b.expand([out]) == [(px + py) * (px + py)]
+        # k was dropped once out was expanded; x and y are held for i.
+        with pytest.raises(ExprError, match=f"register {k.index} was dropped"):
+            b.expand([k, i])
+        assert b.expand([i, out]) == [px * py, (px + py) * (px + py)]
+        with pytest.raises(ExprError, match=f"register {x.index} was dropped"):
+            b.expand([x])
 
     def test_budget_counts_terms_before_they_merge(self):
-        def square():
-            b = CircuitBuilder()
-            x, y = (b.param(n) for n in ("r_a", "r_b"))
-            s = b.sum([x, y, x])  # needs 3 terms, merges to 2
-            return b, s * s  # needs 2 * 2 = 4, merges to 3
-
-        # A fresh builder each time: a builder expands each instruction once.
-        b, out = square()
+        b = CircuitBuilder()
+        x, y = (b.param(n) for n in ("r_a", "r_b"))
+        s = b.sum([x, y, x])  # needs 3 terms, merges to 2
+        out = s * s  # needs 2 * 2 = 4, merges to 3
         assert len(b.expand([out], max_terms=4)[0].terms) == 3
-        b, out = square()
+        # The builder holds out now; its steps are checked all the same.
         with pytest.raises(symexpr.TermBudgetError, match="expands past 3 terms"):
             b.expand([out], max_terms=3)
-        b, out = square()
         with pytest.raises(ExprError, match="'sum' step needs 3"):
             b.expand([out], max_terms=2)
+
+    def test_budget_covers_a_deferred_read(self):
+        b = CircuitBuilder()
+        x, y = (b.param(n) for n in ("r_a", "r_b"))
+        out = b.sum([x, y, x]) * b.sum([y, x])
+        (deferred,) = b.defer([out])
+        assert len(deferred.terms) == 3
+        with pytest.raises(symexpr.TermBudgetError) as err:
+            b.expand([out], max_terms=3)
+        assert str(err.value) == ("formula expands past 3 terms "
+                                  "(one '*' step needs 4 before like terms merge)")
+        assert b.expand([out], max_terms=4) == [deferred]
 
     def test_code_is_plain_data(self, bsn):
         """A circuit rebuilt from its code's JSON text evaluates bit-identically."""
