@@ -40,9 +40,9 @@ class InputError(ValueError):
 
 
 #: Terms ``compile`` and ``verify`` let a formula expansion reach (see
-#: :meth:`symexpr.CircuitBuilder.expand`), so that a model whose formulas
-#: explode fails within a second instead of running for minutes.  The
-#: bundled model needs 434.
+#: :class:`symexpr.CircuitBuilder`), so that a model whose formulas explode
+#: fails within a second instead of running for minutes.  The bundled
+#: model needs 434.
 MAX_TERMS = 100_000
 
 
@@ -100,6 +100,10 @@ def _load_model(path: str):
 def _cmd_compile(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     forms = compile_model(model, args.goal, MAX_TERMS)
+    for f in forms.values():
+        # About the order the fold recorded them in (weight first), so a
+        # budget error names the program's earliest step past the budget.
+        f.weight.terms, f.reliability.terms, f.cost.terms
     doc = {
         "actor": model.actor,
         "goal": args.goal or model.root,
@@ -196,6 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     goal = args.goal or model.root
     forms = compile_model(model, goal, MAX_TERMS)[goal]
+    # Expanded before the first trial, so a formula past the budget fails
+    # before any oracle runs; the rest of the subtree is never expanded.
+    forms.reliability.terms, forms.cost.terms
 
     master = random.Random(args.seed)
     rows = []

@@ -24,7 +24,7 @@ its working form is a circuit: a straight-line program linear in model size.
 feedback loop evaluates); :func:`compile_model` gives every node's
 canonical polynomials (the export and verification format).  Since that
 expansion can grow exponentially, each polynomial is expanded only when it
-is first read, or all of them up front within a term budget.
+is first read, within a term budget if one is given.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ class NodeForms:
     """The (reliability, weight, cost) formula triple of one node.
 
     The fields are :class:`SymExpr` from :func:`compile_model` (deferred
-    ones, expanded when first read, unless a term budget was given) and
-    :class:`Circuit` from :func:`compile_circuits`; iterating yields them
-    in that order.
+    ones, expanded when first read) and :class:`Circuit` from
+    :func:`compile_circuits`; iterating yields them in that order.
     """
 
     reliability: Any
@@ -140,20 +139,17 @@ def compile_model(
     """Canonical polynomials of every node in the subtree of ``goal``.
 
     ``goal`` defaults to the root.  Nodes come in fold order, children
-    before their parent.  The subtree is folded once into a circuit.
-    Without ``max_terms``, each polynomial is deferred: it is expanded when
-    first read, and only through the instructions it depends on, so a
-    caller pays for the formulas it reads (see
-    :meth:`symexpr.CircuitBuilder.defer`).  With ``max_terms``, every
-    polynomial is expanded before this returns, in one replay that raises
-    :class:`symexpr.TermBudgetError` at the first step past the budget (see
-    :meth:`symexpr.CircuitBuilder.expand`).
+    before their parent.  The subtree is folded once into a circuit, and
+    each polynomial is deferred: it is expanded when first read, and only
+    through the instructions it depends on, so a caller pays for the
+    formulas it reads (see :meth:`symexpr.CircuitBuilder.defer`).  With
+    ``max_terms``, a read raises :class:`symexpr.TermBudgetError` at the
+    first step past the budget among the instructions it replays.
     """
-    builder = CircuitBuilder()
+    builder = CircuitBuilder(max_terms)
     memo: Dict[str, NodeForms] = {}
     _fold(model, goal if goal is not None else model.root, builder, memo)
-    wires = [w for forms in memo.values() for w in forms]
-    exprs = builder.defer(wires) if max_terms is None else builder.expand(wires, max_terms)
+    exprs = builder.defer([w for forms in memo.values() for w in forms])
     return {nid: NodeForms(*exprs[3 * k:3 * k + 3]) for k, nid in enumerate(memo)}
 
 

@@ -14,11 +14,11 @@ A :class:`Circuit` is the same formula left unexpanded: the straight-line
 float program of the arithmetic that built it, linear in model size where
 the canonical form can grow exponentially.  Its instructions load
 parameters by name, so a circuit is plain data.  A :class:`CircuitBuilder`
-records such programs and expands them into canonical form, optionally
-within a term budget.  A :class:`SymExpr` may be deferred
-(:meth:`CircuitBuilder.defer`): it is expanded the first time its terms are
-read, by any accessor, ``==``, ``hash``, :func:`render` or :func:`evaluate`,
-and is then an ordinary polynomial.  :func:`evaluate` takes either form; :func:`sweep`
+records such programs and hands out their canonical polynomials deferred
+(:meth:`CircuitBuilder.defer`): each is expanded, within the builder's term
+budget if it has one, the first time its terms are read, by any accessor,
+``==``, ``hash``, :func:`render` or :func:`evaluate`, and is then an
+ordinary polynomial.  :func:`evaluate` takes either form; :func:`sweep`
 evaluates circuits over a whole grid of bindings at once, and
 :func:`search` runs a caller's ranking inside that grid's innermost loop
 and returns the best point.  All three run Python functions generated by
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
 )
 
 Number = Union[int, float, Fraction]
@@ -130,8 +130,7 @@ class SymExpr:
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         wire = self._source
-        (expr,) = wire._builder.expand([wire])
-        self._terms = expr._terms
+        self._terms = wire._builder._expand(wire.index)._terms
         self._source = None
         return self._terms
 
@@ -349,23 +348,30 @@ class CircuitBuilder:
     """Records arithmetic on wires as one shared straight-line program.
 
     :meth:`param` loads a parameter by name (each one once) and :meth:`sum`
-    adds wires n-ary.  :meth:`circuit` cuts out the program of one result;
-    :meth:`expand` turns results into canonical polynomials, and
-    :meth:`defer` hands out polynomials that :meth:`expand` expands when
-    they are first read.  Expansion state carries across calls: what one
-    call expanded, the next one reuses.
+    adds wires n-ary.  :meth:`circuit` cuts out the program of one result,
+    and :meth:`defer` hands out its canonical polynomial, expanded when it
+    is first read.  Expansion state carries across reads: what one read
+    expanded, the next one reuses.
+
+    ``max_terms`` is the builder's term budget: an instruction whose
+    operands hold more than ``max_terms`` terms between them before like
+    terms merge (``|a|*|b|`` for ``*``, the sum of the sizes for ``+``,
+    ``-`` and ``sum``, 1 for a load) raises :class:`TermBudgetError` before
+    it is expanded, so the budget bounds the work as well as the result.
+    The budget never changes, so every polynomial the builder holds is
+    within it, and a read raises at the first step past it among the
+    instructions it replays.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_terms: Optional[int] = None) -> None:
+        self._max_terms = max_terms
         self._code: List[tuple] = []
         self._loads: Dict[str, int] = {}  # registers, not wires: no cycle
         self._values: Dict[int, SymExpr] = {}  # expanded polynomials still held
-        # Per register: reads by instructions never expanded, plus one per
-        # expand or defer that named it as an output (never given back).
+        self._dropped: Set[int] = set()  # registers expanded, then let go
+        # Per register: reads by instructions never expanded, plus one if
+        # :meth:`defer` handed it out (never given back).
         self._readers: List[int] = []
-        # Per instruction: the terms its operands held before they merged
-        # when it was expanded, or None while it has not been.
-        self._needs: List[Optional[int]] = []
 
     def _emit(self, instruction: tuple) -> Wire:
         self._code.append(instruction)
@@ -383,105 +389,31 @@ class CircuitBuilder:
         return self._emit(("sum", tuple(w.index for w in wires)))
 
     def _count_readers(self) -> List[int]:
-        """``_readers`` (and ``_needs``), extended to the instructions recorded
-        since the last call."""
+        """``_readers``, extended to the instructions recorded since the
+        last call."""
         code, readers = self._code, self._readers
         for i in range(len(readers), len(code)):
             readers.append(0)
-            self._needs.append(None)
             ins = code[i]
             if ins[0] != "load":
                 for j in ins[1] if ins[0] == "sum" else ins[1:]:
                     readers[j] += 1
         return readers
 
-    def expand(
-        self, outputs: Sequence[Wire], max_terms: Optional[int] = None
-    ) -> List[SymExpr]:
-        """The canonical polynomials of ``outputs``: the one expansion engine.
-
-        The instructions the outputs depend on are replayed in program
-        order, except those whose polynomials the builder still holds from
-        an earlier call.  A polynomial is dropped once every instruction
-        that reads it has been expanded (an And chain keeps its running
-        product alive, not every partial one), unless it is an output of
-        this call or of :meth:`defer`: those are held for the builder's
-        life.  So however a program's outputs are asked for, no instruction
-        is expanded twice, and asking for all of them in one call replays
-        the whole program once.
-
-        With ``max_terms`` set, an instruction whose operands hold more than
-        ``max_terms`` terms between them before like terms merge
-        (``|a|*|b|`` for ``*``, the sum of the sizes for ``+``, ``-`` and
-        ``sum``) raises :class:`TermBudgetError` before it is expanded, so
-        the budget bounds the work as well as the result.  Every expansion
-        records that size, and a budgeted call checks the whole of its
-        outputs' program in program order, what earlier calls expanded
-        included, so it raises what it would raise on a fresh builder, at
-        the same step.  An instruction's polynomial is stored before its
-        operands are counted down, so an exception raised mid-replay loses
-        nothing: the next call resumes.
-
-        Asking for a register that an earlier call dropped raises
-        :class:`ExprError`: ask for it in the same call as its last reader,
-        or :meth:`defer` it first.
-        """
-        code, values, needs = self._code, self._values, self._needs
-        readers = self._count_readers()
-        for w in outputs:
-            if needs[w.index] is not None and w.index not in values:
-                raise ExprError(f"register {w.index} was dropped after its last "
-                                "reader was expanded; ask for it with that reader")
-        for w in outputs:
-            readers[w.index] += 1
-        # The instructions to replay; under a budget also the held ones,
-        # whose recorded sizes are checked again.
-        todo, stack = set(), [w.index for w in outputs]
-        while stack:
-            i = stack.pop()
-            if i in todo or (max_terms is None and i in values):
-                continue
-            todo.add(i)
-            ins = code[i]
-            if ins[0] != "load":
-                stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
-        for i in sorted(todo):
-            ins, need = code[i], needs[i]
-            op = ins[0]
-            if op == "load":
-                if need is None:
-                    values[i] = param(ins[1])
-                    needs[i] = 1
-                continue
-            regs = ins[1] if op == "sum" else ins[1:]
-            if need is None:
-                args = [values[j] for j in regs]
-                sizes = [len(a._terms) for a in args]
-                need = sizes[0] * sizes[1] if op == "*" else sum(sizes)
-            if max_terms is not None and need > max_terms:
-                raise TermBudgetError(
-                    f"formula expands past {max_terms} terms "
-                    f"(one {op!r} step needs {need} before like terms merge)")
-            if needs[i] is not None:
-                continue  # expanded by an earlier call
-            values[i] = sum_exprs(args) if op == "sum" else _ARITHMETIC[op](*args)
-            needs[i] = need
-            for j in regs:
-                readers[j] -= 1
-                if not readers[j]:
-                    del values[j]
-        return [values[w.index] for w in outputs]
-
     def defer(self, outputs: Sequence[Wire]) -> List[SymExpr]:
-        """Deferred polynomials of ``outputs``, each expanded by :meth:`expand`
-        when its terms are first read.
+        """The canonical polynomials of ``outputs``, each expanded when its
+        terms are first read.
 
-        The outputs that name one register share one :class:`SymExpr`.  Its
-        register counts as an output of :meth:`expand` from now on: once
-        expanded, by this read or as an operand of another, it is held, and
-        never expanded again.  A register that :meth:`expand` dropped
-        already cannot be read this way (see there).
+        The outputs that name one register share one :class:`SymExpr`, and
+        its register is held for the builder's life once expanded, by this
+        read or as an operand of another.  A register the builder dropped
+        already raises :class:`ExprError`: defer it before its last reader
+        is expanded.
         """
+        for w in outputs:
+            if w.index in self._dropped:
+                raise ExprError(f"register {w.index} was dropped after its last "
+                                "reader was expanded; defer it before reading that")
         readers = self._count_readers()
         exprs: Dict[int, SymExpr] = {}
         for w in outputs:
@@ -489,6 +421,53 @@ class CircuitBuilder:
                 readers[w.index] += 1
                 exprs[w.index] = SymExpr._deferred(w)
         return [exprs[w.index] for w in outputs]
+
+    def _expand(self, index: int) -> SymExpr:
+        """The canonical polynomial of the deferred register ``index``.
+
+        The instructions it depends on are replayed in program order,
+        except those whose polynomials the builder still holds.  A
+        polynomial is dropped once every instruction that reads it has been
+        expanded (an And chain keeps its running product alive, not every
+        partial one), unless :meth:`defer` handed it out.  So however the
+        deferred polynomials are read, no instruction is expanded twice.
+        An instruction's polynomial is stored before its operands are
+        counted down, so an exception raised mid-replay loses nothing: the
+        next read resumes.
+        """
+        code, values, max_terms = self._code, self._values, self._max_terms
+        readers = self._count_readers()
+        todo, stack = set(), [index]
+        while stack:
+            i = stack.pop()
+            if i in todo or i in values:
+                continue
+            todo.add(i)
+            ins = code[i]
+            if ins[0] != "load":
+                stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
+        for i in sorted(todo):
+            ins = code[i]
+            op = ins[0]
+            regs = () if op == "load" else ins[1] if op == "sum" else ins[1:]
+            args = [values[j] for j in regs]
+            if max_terms is not None:
+                sizes = [len(a._terms) for a in args]
+                need = 1 if op == "load" else sizes[0] * sizes[1] if op == "*" else sum(sizes)
+                if need > max_terms:
+                    raise TermBudgetError(
+                        f"formula expands past {max_terms} terms "
+                        f"(one {op!r} step needs {need} before like terms merge)")
+            if op == "load":
+                values[i] = param(ins[1])
+            else:
+                values[i] = sum_exprs(args) if op == "sum" else _ARITHMETIC[op](*args)
+            for j in regs:
+                readers[j] -= 1
+                if not readers[j]:
+                    del values[j]
+                    self._dropped.add(j)
+        return values[index]
 
     def circuit(self, out: Wire) -> "Circuit":
         """The instructions ``out`` depends on, renumbered, as a circuit."""
@@ -835,22 +814,26 @@ def parse_expr(text: str) -> SymExpr:
     return SymExpr(terms)
 
 
-def _split_terms(text: str):
+def _split_terms(text: str) -> List[Tuple[int, str]]:
+    """``text`` cut into (sign, term) pairs at each ``+`` and ``-``: only the
+    first term may come without an operator, and every operator needs a
+    term after it."""
     out = []
-    sign = 1
-    token = []
+    sign, token, after_operator = 1, [], False
     for ch in text:
         if ch in "+-":
-            if "".join(token).strip():
-                out.append((sign, "".join(token).strip()))
-                token = []
-            sign = -1 if ch == "-" else 1
+            term = "".join(token).strip()
+            if term:
+                out.append((sign, term))
+            elif after_operator:
+                raise ExprError(f"two operators in a row in expression: {text!r}")
+            sign, token, after_operator = -1 if ch == "-" else 1, [], True
         else:
             token.append(ch)
-    if "".join(token).strip():
-        out.append((sign, "".join(token).strip()))
-    if not out:
-        raise ExprError(f"no terms in expression: {text!r}")
+    term = "".join(token).strip()
+    if not term:
+        raise ExprError(f"operator with no term after it in expression: {text!r}")
+    out.append((sign, term))
     return out
 
 

@@ -154,7 +154,7 @@ class TestCircuit:
         k = b.param("C_k")
         out = b.sum([x, y, k * x]) * (x - y) + k * k
         px, py, pk = (symexpr.parse_expr(n) for n in ("r_a", "r_b", "C_k"))
-        assert b.expand([out, x, k]) == [(px + py + pk * px) * (px - py) + pk, px, pk]
+        assert b.defer([out, x, k]) == [(px + py + pk * px) * (px - py) + pk, px, pk]
 
     def test_expand_keeps_its_outputs_and_drops_the_rest(self):
         b = CircuitBuilder()
@@ -162,37 +162,43 @@ class TestCircuit:
         i, k = x * y, x + y
         out = k * k
         px, py = (symexpr.parse_expr(n) for n in ("r_a", "r_b"))
-        assert b.expand([out]) == [(px + py) * (px + py)]
+        assert b.defer([out]) == [(px + py) * (px + py)]
         # k was dropped once out was expanded; x and y are held for i.
         with pytest.raises(ExprError, match=f"register {k.index} was dropped"):
-            b.expand([k, i])
-        assert b.expand([i, out]) == [px * py, (px + py) * (px + py)]
+            b.defer([i, k])
+        assert b.defer([i, out]) == [px * py, (px + py) * (px + py)]
+        assert b._readers[i.index] == 1  # the refused call deferred nothing
         with pytest.raises(ExprError, match=f"register {x.index} was dropped"):
-            b.expand([x])
+            b.defer([x])
 
-    def test_budget_counts_terms_before_they_merge(self):
-        b = CircuitBuilder()
+    @staticmethod
+    def squared_sum(max_terms):
+        """``(a + b + a)**2`` deferred from a builder with ``max_terms``."""
+        b = CircuitBuilder(max_terms)
         x, y = (b.param(n) for n in ("r_a", "r_b"))
         s = b.sum([x, y, x])  # needs 3 terms, merges to 2
-        out = s * s  # needs 2 * 2 = 4, merges to 3
-        assert len(b.expand([out], max_terms=4)[0].terms) == 3
-        # The builder holds out now; its steps are checked all the same.
+        return b.defer([s * s])[0]  # needs 2 * 2 = 4, merges to 3
+
+    def test_budget_counts_terms_before_they_merge(self):
+        assert len(self.squared_sum(4).terms) == 3
         with pytest.raises(symexpr.TermBudgetError, match="expands past 3 terms"):
-            b.expand([out], max_terms=3)
+            self.squared_sum(3).terms
         with pytest.raises(ExprError, match="'sum' step needs 3"):
-            b.expand([out], max_terms=2)
+            self.squared_sum(2).terms
+        with pytest.raises(ExprError, match="'load' step needs 1"):
+            self.squared_sum(0).terms
 
     def test_budget_covers_a_deferred_read(self):
-        b = CircuitBuilder()
+        b = CircuitBuilder(3)
         x, y = (b.param(n) for n in ("r_a", "r_b"))
-        out = b.sum([x, y, x]) * b.sum([y, x])
-        (deferred,) = b.defer([out])
-        assert len(deferred.terms) == 3
-        with pytest.raises(symexpr.TermBudgetError) as err:
-            b.expand([out], max_terms=3)
-        assert str(err.value) == ("formula expands past 3 terms "
-                                  "(one '*' step needs 4 before like terms merge)")
-        assert b.expand([out], max_terms=4) == [deferred]
+        s = b.sum([x, y, x])
+        small, big = b.defer([s, s * b.sum([y, x])])
+        for _ in range(2):  # the failed step is checked again on the next read
+            with pytest.raises(symexpr.TermBudgetError) as err:
+                big.terms
+            assert str(err.value) == ("formula expands past 3 terms "
+                                      "(one '*' step needs 4 before like terms merge)")
+        assert small == symexpr.parse_expr("2*r_a + r_b")
 
     def test_code_is_plain_data(self, bsn):
         """A circuit rebuilt from its code's JSON text evaluates bit-identically."""

@@ -202,6 +202,16 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_doubled_sign_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "formulas.json"
+        path.write_text(json.dumps({"goal": "G1", "formulas": {
+            "G1": {"reliability": "r_a - -r_b", "cost": "w_a"}}}))
+        bind = tmp_path / "bind.json"
+        bind.write_text(json.dumps({"r_a": 0.5, "r_b": 0.25, "w_a": 1.0}))
+        code, out, err = run_cli(capsys, "eval", str(path), "--bind", str(bind))
+        assert (code, out) == (1, "")
+        assert err == "error: two operators in a row in expression: 'r_a - -r_b'\n"
+
     def test_non_numeric_binding(self, capsys, formulas_file, tmp_path):
         bind = self.unit_binding(formulas_file, tmp_path)
         values = json.loads(open(bind).read())
@@ -321,7 +331,8 @@ class TestTermBudget:
         path.write_text(fan_out(12))
         code, out, err = run_cli(capsys, command, str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: formula expands past 100000 terms")
+        assert err == ("error: formula expands past 100000 terms "
+                       "(one '*' step needs 147420 before like terms merge)\n")
 
 
 def goal_chain(levels):

@@ -270,9 +270,9 @@ class TestCompileModel:
 
     def test_term_budget_is_exact(self, bsn):
         # G1's cost needs 434 terms at its widest step.
-        assert compile_model(bsn, max_terms=434) == compile_model(bsn)
+        assert read_all(compile_model(bsn, max_terms=434)) == compile_model(bsn)
         with pytest.raises(TermBudgetError, match="expands past 433 terms"):
-            compile_model(bsn, max_terms=433)
+            read_all(compile_model(bsn, max_terms=433))
 
     def test_json_round_trip(self, bsn, tmp_path, capsys):
         path = tmp_path / "bsn.json"
@@ -511,8 +511,8 @@ class TestIterativeFold:
         builders = []
 
         class Recording(CircuitBuilder):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, max_terms=None):
+                super().__init__(max_terms)
                 builders.append(self)
 
         monkeypatch.setattr(compiler, "CircuitBuilder", Recording)
@@ -558,9 +558,9 @@ FIELDS = ("reliability", "weight", "cost")
 
 def eager_expand(code, outputs):
     """Every register in ``outputs`` by one replay of the whole program, each
-    polynomial that is not an output dropped after its last use: the
-    expansion ``compile_model`` ran up front before it deferred it, kept as
-    the reference."""
+    polynomial that is not an output dropped after its last use, and each
+    instruction's ``(op, terms its operands hold before they merge)``: the
+    reference for deferred reads and the term budget."""
     last = list(range(len(code)))
     for i, ins in enumerate(code):
         if ins[0] != "load":
@@ -568,28 +568,53 @@ def eager_expand(code, outputs):
                 last[j] = i
     for i in outputs:
         last[i] = len(code)
-    values = []
+    values, steps = [], []
     for i, ins in enumerate(code):
         op = ins[0]
         if op == "load":
             values.append(param(ins[1]))
+            steps.append((op, 1))
             continue
         regs = ins[1] if op == "sum" else ins[1:]
         args = [values[j] for j in regs]
+        sizes = [len(a.terms) for a in args]
+        steps.append((op, sizes[0] * sizes[1] if op == "*" else sum(sizes)))
         for j in regs:
             if last[j] == i:
                 values[j] = None
         values.append(sum_exprs(args) if op == "sum" else symexpr._ARITHMETIC[op](*args))
-    return [values[i] for i in outputs]
+    return [values[i] for i in outputs], steps
 
 
 def eager_forms(m):
-    """``{node: {field: polynomial}}`` and the program length, by
+    """``{node: {field: polynomial}}`` and the program's steps, by
     :func:`eager_expand` over the compiler's fold."""
     builder, memo = CircuitBuilder(), {}
     compiler._fold(m, m.root, builder, memo)
-    exprs = iter(eager_expand(builder._code, [w.index for f in memo.values() for w in f]))
-    return {nid: dict(zip(FIELDS, exprs)) for nid in memo}, len(builder._code)
+    exprs, steps = eager_expand(builder._code, [w.index for f in memo.values() for w in f])
+    exprs = iter(exprs)
+    return {nid: dict(zip(FIELDS, exprs)) for nid in memo}, steps
+
+
+def read_all(forms):
+    """``forms`` after reading every polynomial as ``goalc compile`` does: in
+    fold order, weight before reliability before cost."""
+    for f in forms.values():
+        f.weight.terms, f.reliability.terms, f.cost.terms
+    return forms
+
+
+def cone(code, outputs):
+    """The registers ``outputs`` depend on, themselves included."""
+    seen, stack = set(), list(outputs)
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            ins = code[i]
+            if ins[0] != "load":
+                stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
+    return seen
 
 
 class CountedSets(dict):
@@ -611,8 +636,8 @@ def expansions(monkeypatch):
     made = []
 
     class Counted(CircuitBuilder):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, max_terms=None):
+            super().__init__(max_terms)
             self._values = CountedSets()
             made.append((weakref.ref(self), self._values.sets))
 
@@ -661,7 +686,7 @@ class TestDeferredExpansion:
 
     def test_every_read_order_gives_the_eager_polynomials_once(self, bsn, expansions):
         for k, (name, m) in enumerate(self.models(bsn)):
-            want, length = eager_forms(m)
+            want, steps = eager_forms(m)
             for order, pairs in read_orders(want, k).items():
                 forms = compile_model(m)
                 assert list(forms) == list(want)
@@ -676,7 +701,7 @@ class TestDeferredExpansion:
                     assert max(sets.values()) == 1, (name, order)
                 # A full read expands exactly what the eager replay does, and
                 # then no polynomial holds the builder.
-                assert sets == Counter(range(length)), (name, order)
+                assert sets == Counter(range(len(steps))), (name, order)
                 assert builder() is None, (name, order)
 
     def test_one_read_expands_only_what_it_depends_on(self, bsn, expansions):
@@ -691,8 +716,9 @@ class TestDeferredExpansion:
 
 
 class TestBudgetedCompile:
-    """With ``max_terms``, ``compile_model`` expands every polynomial before it
-    returns, so the budget error comes from the call, word for word."""
+    """With ``max_terms``, reading every polynomial of ``compile_model`` as
+    ``goalc compile`` does raises exactly what one replay of the whole
+    program in program order would, word for word."""
 
     @pytest.mark.parametrize("shape,budget,message", [
         ("bsn", 433,
@@ -703,21 +729,49 @@ class TestBudgetedCompile:
     ])
     def test_error_text_is_pinned(self, bsn, shape, budget, message):
         m = bsn if shape == "bsn" else fan_out(12)
+        forms = compile_model(m, max_terms=budget)
         with pytest.raises(TermBudgetError) as err:
-            compile_model(m, max_terms=budget)
+            read_all(forms)
         assert str(err.value) == message
 
-    def test_reading_a_budgeted_result_builds_nothing(self, bsn, monkeypatch):
-        forms = compile_model(bsn, max_terms=434)
-        built = []
-        init = SymExpr.__init__
-        monkeypatch.setattr(SymExpr, "__init__",
-                            lambda obj, terms: built.append(init(obj, terms)))
-        binding = dict.fromkeys(forms[bsn.root].cost.parameter_names(), 1)
-        for f in forms.values():
-            for e in f:
-                render(e), hash(e), evaluate(e, binding)
-        assert built == []
+    def test_a_full_read_raises_exactly_past_the_largest_step(self):
+        """Seeded random models, each at the budgets of {2, 4, ..., 256} on
+        either side of its largest step and one drawn at random."""
+        budgets = range(2, 257, 2)
+        for seed in range(300):
+            rng = random.Random(seed)
+            m = random_model(rng, max_leaves=rng.randint(1, 12))
+            _, steps = eager_forms(m)
+            largest = max(need for _, need in steps)
+            below = [b for b in budgets if b < largest][-1:]
+            within = [b for b in budgets if b >= largest][:1]
+            for b in below + within + [rng.choice(budgets)]:
+                over = [(op, need) for op, need in steps if need > b]
+                forms = compile_model(m, max_terms=b)
+                if not over:
+                    read_all(forms)
+                    continue
+                with pytest.raises(TermBudgetError) as err:
+                    read_all(forms)
+                op, need = over[0]
+                assert str(err.value) == (
+                    f"formula expands past {b} terms "
+                    f"(one {op!r} step needs {need} before like terms merge)"), (seed, b)
+
+
+def test_verify_expands_only_what_it_reports(bsn, expansions, tmp_path, capsys):
+    """``goalc verify --goal G1`` expands the instructions of G1's reliability
+    and cost circuits, each once, and no other instruction of the subtree."""
+    path = tmp_path / "bsn.json"
+    path.write_text(bundled.data_text("bsn.json"))
+    assert cli.main(["verify", str(path), "--goal", "G1", "--trials", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+    builder, memo = CircuitBuilder(), {}
+    g1 = compiler._fold(bsn, "G1", builder, memo)
+    read = cone(builder._code, [g1.reliability.index, g1.cost.index])
+    ((_, sets),) = expansions
+    assert sets == Counter(read)
+    assert len(read) < len(builder._code)
 
 
 class Interrupt(BaseException):
@@ -727,7 +781,7 @@ class Interrupt(BaseException):
 class TestInterruptedRead:
     @pytest.mark.parametrize("after", [0, 1, 7, 40])
     def test_a_read_resumes_after_an_exception(self, bsn, expansions, monkeypatch, after):
-        want, length = eager_forms(bsn)
+        want, steps = eager_forms(bsn)
         forms = compile_model(bsn)
         root = forms[bsn.root]
         raised = Interrupt()
@@ -751,7 +805,7 @@ class TestInterruptedRead:
         for nid, f in forms.items():
             assert dict(zip(FIELDS, f)) == want[nid]
         builder, sets = expansions[-1]
-        assert sets == Counter(range(length))
+        assert sets == Counter(range(len(steps)))
         assert builder() is None
 
 

@@ -262,6 +262,7 @@ class TestTextualForm:
     def test_sign_layout(self):
         e = V("r_a") - V("r_b") - constant(2)
         assert render(e) == "-2 + r_a - r_b"
+        assert parse_expr(render(e)) == e  # the leading sign reads back
 
     def test_round_trip_random(self):
         rng = random.Random(23)
@@ -278,7 +279,8 @@ class TestTextualForm:
         assert kinds == {"C_x": ParamKind.CONTEXT, "r_a": ParamKind.RELIABILITY}
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "   ", "r_a*", "1 + %", "2r"):
+        for bad in ("", "   ", "r_a*", "1 + %", "2r",
+                    "r_a - -r_b", "r_a - + r_b", "- -r_a", "r_a +", "-"):
             with pytest.raises(ExprError):
                 parse_expr(bad)
 
