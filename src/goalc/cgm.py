@@ -133,10 +133,22 @@ class Violation:
 
 @dataclass(frozen=True)
 class GoalModel:
+    """A goal tree: its actor, root id, nodes by id and context definitions.
+
+    The walks :meth:`preorder`, :meth:`postorder` and :meth:`leaves_under`
+    compute each (order, node) once per model object, when first asked
+    for, and return the stored list to every later caller, so callers
+    must not mutate what they return, nor the model's ``nodes`` once it
+    has been walked.  A walk that raises stores nothing.  A model made by
+    :func:`dataclasses.replace` starts with no stored walks.
+    """
+
     actor: str
     root: str
     nodes: Mapping[str, Node]
     contexts: Mapping[str, ContextDef] = field(default_factory=dict)
+    _orders: Dict[Tuple[str, str], List[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -166,21 +178,34 @@ class GoalModel:
                 stack.extend(pushed(node))
         return out
 
+    def _stored(self, key: Tuple[str, str], walk: Callable[[], List[str]]) -> List[str]:
+        """The order stored under ``key``, made by ``walk()`` on first request."""
+        out = self._orders.get(key)
+        if out is None:
+            out = self._orders[key] = walk()
+        return out
+
     def preorder(self, node_id: str) -> List[str]:
         """Ids of the subtree of ``node_id``, each node before its children,
-        children in evaluation order (:attr:`Node.order`)."""
-        return self._walk(node_id, lambda node: node.order[::-1])
+        children in evaluation order (:attr:`Node.order`).  Shared: do not
+        mutate."""
+        return self._stored(("pre", node_id),
+                            lambda: self._walk(node_id, lambda node: node.order[::-1]))
 
     def postorder(self, node_id: str) -> List[str]:
         """Ids of the subtree of ``node_id``, each node after its children,
-        children in evaluation order (:attr:`Node.order`)."""
-        return self._walk(node_id, lambda node: node.order)[::-1]
+        children in evaluation order (:attr:`Node.order`).  Shared: do not
+        mutate."""
+        return self._stored(("post", node_id),
+                            lambda: self._walk(node_id, lambda node: node.order)[::-1])
 
     def leaves_under(self, node_id: str) -> List[str]:
         """Executable leaves in the subtree of ``node_id``, depth-first in
-        ``children`` order, whatever the ``dm`` order."""
-        return [nid for nid in self._walk(node_id, lambda node: node.children[::-1])
-                if self.nodes[nid].kind in _EXECUTABLE]
+        ``children`` order, whatever the ``dm`` order.  Shared: do not
+        mutate."""
+        return self._stored(("leaves", node_id), lambda: [
+            nid for nid in self._walk(node_id, lambda node: node.children[::-1])
+            if self.nodes[nid].kind in _EXECUTABLE])
 
     def placeholders(self) -> List[str]:
         return [n.id for n in self.nodes.values() if n.kind == NodeKind.PLACEHOLDER]

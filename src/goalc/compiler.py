@@ -29,28 +29,25 @@ is first read, within a term budget if one is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .cgm import Decomposition, GoalModel, ModelError, Node, NodeKind, ParamTable
 from .symexpr import CircuitBuilder, Wire
 
 
-@dataclass(frozen=True)
-class NodeForms:
+class NodeForms(NamedTuple):
     """The (reliability, weight, cost) formula triple of one node.
 
     The fields are :class:`SymExpr` from :func:`compile_model` (deferred
     ones, expanded when first read) and :class:`Circuit` from
-    :func:`compile_circuits`; iterating yields them in that order.
+    :func:`compile_circuits`; iterating and unpacking yield them in that
+    order.  It is a named tuple, so its fields cannot be assigned, and it
+    also compares equal to the plain 3-tuple of the same formulas.
     """
 
     reliability: Any
     weight: Any
     cost: Any
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter((self.reliability, self.weight, self.cost))
 
 
 def _fold(
@@ -76,25 +73,30 @@ def _fold(
     """
     order = model.postorder(goal_id)
     read = {c for node_id in order if node_id not in memo for c in model.nodes[node_id].order}
-    # child id -> (gated reliability, gated weight, its gate, its cost)
-    gated: Dict[str, Tuple[Wire, Wire, Callable[[Wire], Wire], Wire]] = {}
+    # child id -> (gated reliability, gated weight, its gate factor or None, its cost)
+    gated: Dict[str, Tuple[Wire, Wire, Optional[Wire], Wire]] = {}
     for node_id in order:
         node = model.nodes[node_id]
         if node_id not in memo:
             memo[node_id] = _compose(node, builder, gated)
         if node_id in read:
-            g, forms = _gate(builder, node.contexts), memo[node_id]
-            gated[node_id] = (g(forms.reliability), g(forms.weight), g, forms.cost)
+            rel, weight, cost = memo[node_id]
+            g = _gate(builder, node.contexts)
+            if g is not None:
+                rel, weight = g * rel, g * weight
+            gated[node_id] = (rel, weight, g, cost)
     return memo[goal_id]
 
 
-def _gate(builder: CircuitBuilder, contexts: Sequence[str]) -> Callable[[Wire], Wire]:
-    """Multiplication by the product of ``contexts`` (identity if none)."""
+def _gate(builder: CircuitBuilder, contexts: Sequence[str]) -> Optional[Wire]:
+    """The product of ``contexts``' truth parameters, the factor a node's
+    formulas are gated by; None if it has no contexts, so that a
+    context-free node records nothing and multiplies nothing."""
     factor = None
     for c in contexts:
         p = builder.param(ParamTable.context(c).name)
         factor = p if factor is None else factor * p
-    return (lambda x: x) if factor is None else (lambda x: factor * x)
+    return factor
 
 
 def _compose(node: Node, builder: CircuitBuilder, gated: Dict[str, tuple]) -> NodeForms:
@@ -104,8 +106,8 @@ def _compose(node: Node, builder: CircuitBuilder, gated: Dict[str, tuple]) -> No
         r = builder.param(ParamTable.reliability(node.id).name)
         rf = r * builder.param(ParamTable.frequency(node.id).name)
         w = builder.param(ParamTable.cost_weight(node.id).name)
-        own = _gate(builder, node.contexts)
-        rel, cost = own(rf), own(w * rf)
+        g = _gate(builder, node.contexts)
+        rel, cost = (rf, w * rf) if g is None else (g * rf, g * (w * rf))
         if node.kind == NodeKind.PLACEHOLDER:
             o = builder.param(ParamTable.opt(node.id).name)
             rel, cost = rel * o, cost * o
@@ -122,7 +124,10 @@ def _compose(node: Node, builder: CircuitBuilder, gated: Dict[str, tuple]) -> No
         # One child passes through And/Or with its own cost gated; a decision
         # over one remaining alternative keeps cost = W_1*P_1.
         (rel, weight, g, cost), = kids
-        cost = weight * rel if node.dm_order is not None else g(cost)
+        if node.dm_order is not None:
+            cost = weight * rel
+        elif g is not None:
+            cost = g * cost
     else:
         weight = builder.sum(w for _, w, _, _ in kids)
         rel = kids[0][0]

@@ -234,9 +234,19 @@ ZERO = constant(0)
 ONE = constant(1)
 
 
+_UNIT = Fraction(1)
+
+
 def param(name: str) -> SymExpr:
-    """The polynomial consisting of the single parameter ``name``."""
-    return SymExpr([(1, (name,))])
+    """The polynomial consisting of the single parameter ``name``.
+
+    Its one term, ``((Fraction(1), (name,)),)``, is already in normal form,
+    so it is built directly rather than through :func:`_normalize`; it
+    equals ``SymExpr([(1, (name,))])`` for every name.
+    """
+    expr = SymExpr.__new__(SymExpr)
+    expr._terms = ((_UNIT, (name,)),)
+    return expr
 
 
 def sum_exprs(exprs: Iterable[SymExpr]) -> SymExpr:
@@ -344,6 +354,16 @@ class Wire:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+def _over_budget(max_terms: int, op: str, need: int) -> TermBudgetError:
+    return TermBudgetError(f"formula expands past {max_terms} terms "
+                           f"(one {op!r} step needs {need} before like terms merge)")
+
+
+def _dropped_error(index: int) -> ExprError:
+    return ExprError(f"register {index} was dropped after its last reader was "
+                     "expanded; defer it before reading that")
+
+
 class CircuitBuilder:
     """Records arithmetic on wires as one shared straight-line program.
 
@@ -412,8 +432,7 @@ class CircuitBuilder:
         """
         for w in outputs:
             if w.index in self._dropped:
-                raise ExprError(f"register {w.index} was dropped after its last "
-                                "reader was expanded; defer it before reading that")
+                raise _dropped_error(w.index)
         readers = self._count_readers()
         exprs: Dict[int, SymExpr] = {}
         for w in outputs:
@@ -434,14 +453,23 @@ class CircuitBuilder:
         An instruction's polynomial is stored before its operands are
         counted down, so an exception raised mid-replay loses nothing: the
         next read resumes.
+
+        Each instruction is dispatched on its op: a load builds its one-term
+        polynomial from the name alone, ``+``, ``-`` and ``*`` read their two
+        registers, and ``sum`` reads its list.  A dropped register that an
+        instruction recorded since then reads raises :class:`ExprError`,
+        in :meth:`defer`'s words, before anything is replayed.
         """
         code, values, max_terms = self._code, self._values, self._max_terms
+        dropped = self._dropped
         readers = self._count_readers()
         todo, stack = set(), [index]
         while stack:
             i = stack.pop()
             if i in todo or i in values:
                 continue
+            if i in dropped:
+                raise _dropped_error(i)
             todo.add(i)
             ins = code[i]
             if ins[0] != "load":
@@ -449,24 +477,33 @@ class CircuitBuilder:
         for i in sorted(todo):
             ins = code[i]
             op = ins[0]
-            regs = () if op == "load" else ins[1] if op == "sum" else ins[1:]
-            args = [values[j] for j in regs]
-            if max_terms is not None:
-                sizes = [len(a._terms) for a in args]
-                need = 1 if op == "load" else sizes[0] * sizes[1] if op == "*" else sum(sizes)
-                if need > max_terms:
-                    raise TermBudgetError(
-                        f"formula expands past {max_terms} terms "
-                        f"(one {op!r} step needs {need} before like terms merge)")
             if op == "load":
+                if max_terms is not None and max_terms < 1:
+                    raise _over_budget(max_terms, op, 1)
                 values[i] = param(ins[1])
+                continue
+            if op == "sum":
+                regs = ins[1]
+                args = [values[j] for j in regs]
+                if max_terms is not None:
+                    need = sum(len(a._terms) for a in args)
+                    if need > max_terms:
+                        raise _over_budget(max_terms, op, need)
+                values[i] = sum_exprs(args)
             else:
-                values[i] = sum_exprs(args) if op == "sum" else _ARITHMETIC[op](*args)
+                regs = ins[1:]
+                a, b = values[ins[1]], values[ins[2]]
+                if max_terms is not None:
+                    m, n = len(a._terms), len(b._terms)
+                    need = m * n if op == "*" else m + n
+                    if need > max_terms:
+                        raise _over_budget(max_terms, op, need)
+                values[i] = _ARITHMETIC[op](a, b)
             for j in regs:
                 readers[j] -= 1
                 if not readers[j]:
                     del values[j]
-                    self._dropped.add(j)
+                    dropped.add(j)
         return values[index]
 
     def circuit(self, out: Wire) -> "Circuit":

@@ -188,6 +188,48 @@ class TestCircuit:
         with pytest.raises(ExprError, match="'load' step needs 1"):
             self.squared_sum(0).terms
 
+    #: One instruction of each op over ``two = a + b`` and ``three = a + b + c``
+    #: (2 and 3 terms), and the terms its operands hold before they merge.
+    OPS = {
+        "load": (lambda b, two, three: b.param("r_a"), 1),
+        "+": (lambda b, two, three: three + two, 5),
+        "-": (lambda b, two, three: three - two, 5),
+        "*": (lambda b, two, three: three * two, 6),
+        "sum": (lambda b, two, three: b.sum([two, three, two]), 7),
+    }
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_budget_checks_each_op(self, op):
+        record, need = self.OPS[op]
+
+        def read(max_terms):
+            b = CircuitBuilder(max_terms)
+            x, y, z = (b.param(n) for n in ("r_a", "r_b", "r_c"))
+            return b.defer([record(b, b.sum([x, y]), b.sum([x, y, z]))])[0]
+
+        assert read(need) == read(None)
+        for _ in range(2):
+            with pytest.raises(symexpr.TermBudgetError) as err:
+                read(need - 1).terms
+            assert str(err.value) == (f"formula expands past {need - 1} terms "
+                                      f"(one {op!r} step needs {need} before like terms merge)")
+
+    def test_a_register_dropped_before_a_later_reader_raises(self):
+        b = CircuitBuilder()
+        x, y = (b.param(n) for n in ("r_a", "r_b"))
+        k = x + y
+        px, py = (symexpr.parse_expr(n) for n in ("r_a", "r_b"))
+        square, = b.defer([k * k])
+        assert square == (px + py) * (px + py)  # drops k, x and y
+        late, = b.defer([k * x])  # recorded after its operands were dropped
+        for _ in range(2):
+            with pytest.raises(ExprError) as err:
+                late.terms
+            assert str(err.value) in {
+                f"register {i} was dropped after its last reader was expanded; "
+                "defer it before reading that" for i in (k.index, x.index)}
+        assert square == (px + py) * (px + py)
+
     def test_budget_covers_a_deferred_read(self):
         b = CircuitBuilder(3)
         x, y = (b.param(n) for n in ("r_a", "r_b"))

@@ -288,6 +288,21 @@ class TestCompileModel:
                 assert parse_expr(text) == getattr(f, part)
 
 
+class TestNodeForms:
+    def test_is_a_read_only_named_triple(self):
+        f = NodeForms("r", "w", "c")
+        rel, weight, cost = f
+        assert (rel, weight, cost) == ("r", "w", "c")
+        assert list(f) == ["r", "w", "c"]
+        assert (f.reliability, f.weight, f.cost) == ("r", "w", "c")
+        assert NodeForms(reliability="r", weight="w", cost="c") == f
+        assert f == ("r", "w", "c")  # a named tuple equals the plain tuple
+        for field in FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(f, field, "x")
+        assert f == ("r", "w", "c")
+
+
 class TestPinnedOutput:
     """sha256 of compile output bytes; a change of fold or expansion must not
     move a single byte."""

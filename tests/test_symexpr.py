@@ -13,6 +13,7 @@ from goalc.symexpr import (
     ParamKind,
     SymExpr,
     ZERO,
+    _PREFIX_KINDS,
     constant,
     evaluate,
     kind_from_name,
@@ -28,6 +29,19 @@ from goalc.symexpr import (
 
 def V(name):
     return param(name)
+
+
+class TestParam:
+    """``param`` builds its one term directly; it must equal the normalized
+    construction for every kind of name, binary ones included."""
+
+    @pytest.mark.parametrize("name", [prefix + "x_1" for prefix, _ in _PREFIX_KINDS] + ["x"])
+    def test_matches_the_normalized_term(self, name):
+        p = param(name)
+        assert p.terms == SymExpr([(1, (name,))]).terms
+        assert type(p.terms[0][0]) is Fraction
+        assert p == SymExpr([(1, (name,))]) and hash(p) == hash(SymExpr([(1, (name,))]))
+        assert p * p == SymExpr([(1, (name, name))])
 
 
 class TestCanonicalForm:

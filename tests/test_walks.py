@@ -1,6 +1,7 @@
 """Walks over the goal tree: their orders, a node reached twice, and a model
 3,000 levels deep, past Python's default recursion limit of 1,000 frames."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -108,6 +109,56 @@ class TestNodeReachedTwice:
     def test_validation_reports_them(self):
         assert {v.rule for v in validate(CYCLE)} == {"cycle"}
         assert {v.rule for v in validate(SHARED)} == {"multiple-parents"}
+
+
+def orders_model():
+    """A fresh copy of ``TestOrders.M``, with no walks stored yet."""
+    return dataclasses.replace(TestOrders.M)
+
+
+class TestStoredOrders:
+    """Each (order, node) is walked once per model object and shared."""
+
+    def test_each_order_is_walked_once_and_only_when_asked(self, monkeypatch):
+        walks = []
+        walk = GoalModel._walk
+
+        def counted(self, node_id, pushed):
+            walks.append(node_id)
+            return walk(self, node_id, pushed)
+
+        monkeypatch.setattr(GoalModel, "_walk", counted)
+        m = orders_model()
+        first = m.postorder("G")
+        assert walks == ["G"]
+        for _ in range(3):
+            assert m.postorder("G") == ["B", "A1", "A2", "A", "G"]
+            assert m.preorder("G") == ["G", "B", "A", "A1", "A2"]
+            assert m.leaves_under("G") == ["A1", "A2", "B"]
+            assert m.postorder("A") == ["A1", "A2", "A"]
+        assert walks == ["G", "G", "G", "A"]
+        assert m.postorder("G") is first
+
+    @pytest.mark.parametrize("walk", [GoalModel.preorder, GoalModel.postorder,
+                                      GoalModel.leaves_under])
+    @pytest.mark.parametrize("m,twice", [(CYCLE, "G"), (SHARED, "T")])
+    def test_a_node_reached_twice_raises_on_every_call(self, m, twice, walk):
+        for _ in range(2):
+            with pytest.raises(ModelError, match=f"node '{twice}' is reached twice"):
+                walk(m, m.root)
+
+    def test_a_replaced_model_walks_its_new_tree(self):
+        m = orders_model()
+        assert m.leaves_under("G") == ["A1", "A2", "B"]
+        assert m.postorder("A") == ["A1", "A2", "A"]
+        nodes = dict(m.nodes, A=goal("A", Decomposition.OR, ("A2", "A1")))
+        new = dataclasses.replace(m, nodes=nodes)
+        assert new.leaves_under("G") == ["A2", "A1", "B"]
+        assert new.postorder("A") == ["A2", "A1", "A"]
+        assert new.preorder("G") == ["G", "B", "A", "A2", "A1"]
+        assert m.leaves_under("G") == ["A1", "A2", "B"]
+        assert m.postorder("A") == ["A1", "A2", "A"]
+        assert new == dataclasses.replace(new) and new != m
 
 
 LEVELS = 3000
