@@ -147,9 +147,12 @@ def compile_model(
     before their parent.  The subtree is folded once into a circuit, and
     each polynomial is deferred: it is expanded when first read, and only
     through the instructions it depends on, so a caller pays for the
-    formulas it reads (see :meth:`symexpr.CircuitBuilder.defer`).  With
-    ``max_terms``, a read raises :class:`symexpr.TermBudgetError` at the
-    first step past the budget among the instructions it replays.
+    formulas it reads.  All of them read through one replay of that circuit
+    (see :meth:`symexpr.CircuitBuilder.defer`), which an unread polynomial
+    holds in place of the builder, and which is freed once every polynomial
+    has been read.  With ``max_terms``, a read raises
+    :class:`symexpr.TermBudgetError` at the first step past the budget among
+    the instructions it replays.
     """
     builder = CircuitBuilder(max_terms)
     memo: Dict[str, NodeForms] = {}
@@ -170,21 +173,3 @@ def compile_circuits(model: GoalModel, goals: Iterable[str]) -> Dict[str, NodeFo
     return {goal: NodeForms(*map(builder.circuit, _fold(model, goal, builder, memo)))
             for goal in goals}
 
-
-def param_growth_report(
-    model: GoalModel, goal: Optional[str] = None
-) -> Dict[str, Dict[str, int]]:
-    """Distinct parameter counts of each node's reliability and cost formulae.
-
-    Context-free And/Or subtrees grow by 2 reliability and 3 cost parameters
-    per leaf; fully context-dependent subtrees (runtime-decision alternatives
-    included) grow by 3 and 4.
-    """
-    forms = compile_model(model, goal)
-    return {
-        nid: {
-            "reliability": len(f.reliability.parameter_names()),
-            "cost": len(f.cost.parameter_names()),
-        }
-        for nid, f in forms.items()
-    }

@@ -14,8 +14,9 @@ A :class:`Circuit` is the same formula left unexpanded: the straight-line
 float program of the arithmetic that built it, linear in model size where
 the canonical form can grow exponentially.  Its instructions load
 parameters by name, so a circuit is plain data.  A :class:`CircuitBuilder`
-records such programs and hands out their canonical polynomials deferred
-(:meth:`CircuitBuilder.defer`): each is expanded, within the builder's term
+only records such programs; :meth:`CircuitBuilder.defer` hands out their
+canonical polynomials deferred, all read through one replay of the program
+recorded before that call: each is expanded, within the builder's term
 budget if it has one, the first time its terms are read, by any accessor,
 ``==``, ``hash``, :func:`render` or :func:`evaluate`, and is then an
 ordinary polynomial.  :func:`evaluate` takes either form; :func:`sweep`
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+    Callable, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 Number = Union[int, float, Fraction]
@@ -106,11 +108,11 @@ Term = Tuple[Fraction, Tuple[str, ...]]
 class SymExpr:
     """An immutable polynomial in canonical form.
 
-    A deferred one (:meth:`_deferred`) holds the :class:`Wire` of its
-    register in ``_source`` and no terms yet.  The first read of ``_terms``
-    finds the slot unset and falls through to :meth:`__getattr__`, which
-    expands the register and fills the slot, so later reads pay nothing and
-    the builder is no longer held.
+    A deferred one (:meth:`_deferred`) holds ``(replay, register)`` in
+    ``_source`` and no terms yet.  The first read of ``_terms`` finds the
+    slot unset and falls through to :meth:`__getattr__`, which expands the
+    register and fills the slot, so later reads pay nothing and the replay
+    is no longer held.
     """
 
     __slots__ = ("_terms", "_source")
@@ -119,18 +121,19 @@ class SymExpr:
         self._terms: Tuple[Term, ...] = _normalize(terms)
 
     @classmethod
-    def _deferred(cls, source: "Wire") -> "SymExpr":
-        """The polynomial of ``source``, expanded when its terms are first read."""
+    def _deferred(cls, replay: "_Replay", index: int) -> "SymExpr":
+        """The polynomial of ``replay``'s register ``index``, expanded when
+        its terms are first read."""
         expr = cls.__new__(cls)
-        expr._source = source
+        expr._source = (replay, index)
         return expr
 
     def __getattr__(self, name: str) -> Tuple[Term, ...]:
         # Reached only for an unset slot: the terms of a deferred polynomial.
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        wire = self._source
-        self._terms = wire._builder._expand(wire.index)._terms
+        replay, index = self._source
+        self._terms = replay.expand(index)._terms
         self._source = None
         return self._terms
 
@@ -271,7 +274,8 @@ def evaluate(expr: Union[SymExpr, "Circuit"], binding: Mapping[str, Number]) -> 
     Terms are accumulated in canonical order, and a circuit runs its
     instructions in order, so repeated evaluation of the same expression and
     binding yields bit-identical floats.  Raises :class:`ExprError` for
-    missing parameters or out-of-domain binary values.
+    missing parameters, out-of-domain binary values, or a polynomial's
+    coefficient or binding past the float range.
     """
     if isinstance(expr, Circuit):
         try:
@@ -289,11 +293,16 @@ def evaluate(expr: Union[SymExpr, "Circuit"], binding: Mapping[str, Number]) -> 
             raise ExprError(f"missing binding for parameter {name!r}")
         _check_binary(name, binding[name])
     total = 0.0
-    for coeff, mono in expr.terms:
-        v = float(coeff)
-        for name in mono:
-            v *= binding[name]
-        total += v
+    try:
+        for coeff, mono in expr.terms:
+            v = float(coeff)
+            for name in mono:
+                v *= binding[name]
+            total += v
+    except OverflowError:
+        # A float overflows to inf; only an exact coefficient or an integer
+        # binding past the float range cannot be made a float at all.
+        raise ExprError("a coefficient or binding is beyond the float range") from None
     return total
 
 
@@ -359,9 +368,19 @@ def _over_budget(max_terms: int, op: str, need: int) -> TermBudgetError:
                            f"(one {op!r} step needs {need} before like terms merge)")
 
 
-def _dropped_error(index: int) -> ExprError:
-    return ExprError(f"register {index} was dropped after its last reader was "
-                     "expanded; defer it before reading that")
+def _cone(code: Sequence[tuple], index: int, held: Container[int] = ()) -> Set[int]:
+    """The registers ``index`` depends on, itself included, walking back no
+    further than the registers in ``held``."""
+    cone, stack = set(), [index]
+    while stack:
+        i = stack.pop()
+        if i in cone or i in held:
+            continue
+        cone.add(i)
+        ins = code[i]
+        if ins[0] != "load":
+            stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
+    return cone
 
 
 class CircuitBuilder:
@@ -369,29 +388,25 @@ class CircuitBuilder:
 
     :meth:`param` loads a parameter by name (each one once) and :meth:`sum`
     adds wires n-ary.  :meth:`circuit` cuts out the program of one result,
-    and :meth:`defer` hands out its canonical polynomial, expanded when it
-    is first read.  Expansion state carries across reads: what one read
-    expanded, the next one reuses.
+    and :meth:`defer` hands out canonical polynomials, each expanded when it
+    is first read.  The builder only records: each :meth:`defer` call gets
+    its own replay of the program recorded before it, so recording more, or
+    deferring again, never disturbs polynomials already handed out.
 
     ``max_terms`` is the builder's term budget: an instruction whose
     operands hold more than ``max_terms`` terms between them before like
     terms merge (``|a|*|b|`` for ``*``, the sum of the sizes for ``+``,
     ``-`` and ``sum``, 1 for a load) raises :class:`TermBudgetError` before
     it is expanded, so the budget bounds the work as well as the result.
-    The budget never changes, so every polynomial the builder holds is
-    within it, and a read raises at the first step past it among the
-    instructions it replays.
+    The budget never changes, so every polynomial a replay holds is within
+    it, and a read raises at the first step past it among the instructions
+    it replays.
     """
 
     def __init__(self, max_terms: Optional[int] = None) -> None:
         self._max_terms = max_terms
         self._code: List[tuple] = []
         self._loads: Dict[str, int] = {}  # registers, not wires: no cycle
-        self._values: Dict[int, SymExpr] = {}  # expanded polynomials still held
-        self._dropped: Set[int] = set()  # registers expanded, then let go
-        # Per register: reads by instructions never expanded, plus one if
-        # :meth:`defer` handed it out (never given back).
-        self._readers: List[int] = []
 
     def _emit(self, instruction: tuple) -> Wire:
         self._code.append(instruction)
@@ -408,73 +423,82 @@ class CircuitBuilder:
     def sum(self, wires: Iterable[Wire]) -> Wire:
         return self._emit(("sum", tuple(w.index for w in wires)))
 
-    def _count_readers(self) -> List[int]:
-        """``_readers``, extended to the instructions recorded since the
-        last call."""
-        code, readers = self._code, self._readers
-        for i in range(len(readers), len(code)):
-            readers.append(0)
-            ins = code[i]
-            if ins[0] != "load":
-                for j in ins[1] if ins[0] == "sum" else ins[1:]:
-                    readers[j] += 1
-        return readers
-
     def defer(self, outputs: Sequence[Wire]) -> List[SymExpr]:
         """The canonical polynomials of ``outputs``, each expanded when its
         terms are first read.
 
-        The outputs that name one register share one :class:`SymExpr`, and
-        its register is held for the builder's life once expanded, by this
-        read or as an operand of another.  A register the builder dropped
-        already raises :class:`ExprError`: defer it before its last reader
-        is expanded.
+        All of them are read through one :class:`_Replay` of the program
+        recorded so far, so what one read expanded, the next one reuses.
+        The outputs that name one register share one :class:`SymExpr`.
+        A polynomial holds its replay, not the builder, until it is read.
         """
-        for w in outputs:
-            if w.index in self._dropped:
-                raise _dropped_error(w.index)
-        readers = self._count_readers()
+        replay = _Replay(self._code, self._max_terms)
         exprs: Dict[int, SymExpr] = {}
         for w in outputs:
             if w.index not in exprs:
-                readers[w.index] += 1
-                exprs[w.index] = SymExpr._deferred(w)
+                exprs[w.index] = replay.output(w.index)
         return [exprs[w.index] for w in outputs]
 
-    def _expand(self, index: int) -> SymExpr:
-        """The canonical polynomial of the deferred register ``index``.
+    def circuit(self, out: Wire) -> "Circuit":
+        """The instructions ``out`` depends on, renumbered, as a circuit."""
+        order = sorted(_cone(self._code, out.index))
+        new = {old: k for k, old in enumerate(order)}
+        code = []
+        for old in order:
+            op, *args = self._code[old]
+            if op == "load":
+                code.append((op, args[0]))
+            elif op == "sum":
+                code.append((op, tuple(new[i] for i in args[0])))
+            else:
+                code.append((op, new[args[0]], new[args[1]]))
+        return Circuit(code)
+
+
+class _Replay:
+    """The expansion of one :meth:`CircuitBuilder.defer` call: a fixed
+    program, the polynomials expanded from it that are still needed, and
+    per register the number of instructions that read it, plus one if it is
+    an output (never given back), all counted once, up front."""
+
+    def __init__(self, code: Sequence[tuple], max_terms: Optional[int]) -> None:
+        self._code = code = tuple(code)
+        self._max_terms = max_terms
+        self._values: Dict[int, SymExpr] = {}  # expanded polynomials still held
+        readers = [0] * len(code)
+        for ins in code:
+            if ins[0] != "load":
+                for j in ins[1] if ins[0] == "sum" else ins[1:]:
+                    readers[j] += 1
+        self._readers = readers
+
+    def output(self, index: int) -> SymExpr:
+        """The deferred polynomial of register ``index``, held for the
+        replay's life; called before any read."""
+        self._readers[index] += 1
+        return SymExpr._deferred(self, index)
+
+    def expand(self, index: int) -> SymExpr:
+        """The canonical polynomial of the output register ``index``.
 
         The instructions it depends on are replayed in program order,
-        except those whose polynomials the builder still holds.  A
+        except those whose polynomials the replay still holds.  A
         polynomial is dropped once every instruction that reads it has been
         expanded (an And chain keeps its running product alive, not every
-        partial one), unless :meth:`defer` handed it out.  So however the
-        deferred polynomials are read, no instruction is expanded twice.
-        An instruction's polynomial is stored before its operands are
-        counted down, so an exception raised mid-replay loses nothing: the
-        next read resumes.
+        partial one), unless it is an output.  So however the outputs are
+        read, no instruction is expanded twice, and no read needs a dropped
+        register: walking back from an output, each register is held or not
+        yet expanded, since its reader on the way is.  An instruction's
+        polynomial is stored before its operands are counted down, so an
+        exception raised mid-replay loses nothing: the next read resumes.
 
         Each instruction is dispatched on its op: a load builds its one-term
         polynomial from the name alone, ``+``, ``-`` and ``*`` read their two
-        registers, and ``sum`` reads its list.  A dropped register that an
-        instruction recorded since then reads raises :class:`ExprError`,
-        in :meth:`defer`'s words, before anything is replayed.
+        registers, and ``sum`` reads its list.
         """
-        code, values, max_terms = self._code, self._values, self._max_terms
-        dropped = self._dropped
-        readers = self._count_readers()
-        todo, stack = set(), [index]
-        while stack:
-            i = stack.pop()
-            if i in todo or i in values:
-                continue
-            if i in dropped:
-                raise _dropped_error(i)
-            todo.add(i)
-            ins = code[i]
-            if ins[0] != "load":
-                stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
-        for i in sorted(todo):
+        code, values, readers = self._code, self._values, self._readers
+        max_terms = self._max_terms
+        for i in sorted(_cone(code, index, values)):
             ins = code[i]
             op = ins[0]
             if op == "load":
@@ -503,35 +527,7 @@ class CircuitBuilder:
                 readers[j] -= 1
                 if not readers[j]:
                     del values[j]
-                    dropped.add(j)
         return values[index]
-
-    def circuit(self, out: Wire) -> "Circuit":
-        """The instructions ``out`` depends on, renumbered, as a circuit."""
-        needed = set()
-        stack = [out.index]
-        while stack:
-            i = stack.pop()
-            if i in needed:
-                continue
-            needed.add(i)
-            op, *args = self._code[i]
-            if op == "sum":
-                stack.extend(args[0])
-            elif op != "load":
-                stack.extend(args)
-        order = sorted(needed)
-        new = {old: k for k, old in enumerate(order)}
-        code = []
-        for old in order:
-            op, *args = self._code[old]
-            if op == "load":
-                code.append((op, args[0]))
-            elif op == "sum":
-                code.append((op, tuple(new[i] for i in args[0])))
-            else:
-                code.append((op, new[args[0]], new[args[1]]))
-        return Circuit(code)
 
 
 class Circuit:
@@ -817,11 +813,6 @@ def render(expr: SymExpr) -> str:
         else:
             pieces.append((" - " if neg else " + ") + body)
     return "".join(pieces)
-
-
-def size_bytes(expr: SymExpr) -> int:
-    """Storage size of the rendered form in bytes."""
-    return len(render(expr).encode("utf-8"))
 
 
 def parse_expr(text: str) -> SymExpr:

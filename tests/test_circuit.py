@@ -27,7 +27,7 @@ from goalc.runtime import (
 )
 from goalc.symexpr import Circuit, CircuitBuilder, ExprError
 
-from test_compiler import chain_model
+from test_compiler import chain_model, eager_expand
 
 
 def features(m):
@@ -161,15 +161,16 @@ class TestCircuit:
         x, y = (b.param(n) for n in ("r_a", "r_b"))
         i, k = x * y, x + y
         out = k * k
-        px, py = (symexpr.parse_expr(n) for n in ("r_a", "r_b"))
-        assert b.defer([out]) == [(px + py) * (px + py)]
-        # k was dropped once out was expanded; x and y are held for i.
-        with pytest.raises(ExprError, match=f"register {k.index} was dropped"):
-            b.defer([i, k])
-        assert b.defer([i, out]) == [px * py, (px + py) * (px + py)]
-        assert b._readers[i.index] == 1  # the refused call deferred nothing
-        with pytest.raises(ExprError, match=f"register {x.index} was dropped"):
-            b.defer([x])
+        square, product = b.defer([out, i])
+        replay = product._source[0]
+        want, _ = eager_expand(b._code, [out.index, i.index, k.index, x.index])
+        assert square == want[0]
+        # out is held; k is dropped; x and y are held for i, not yet read.
+        assert set(replay._values) == {out.index, x.index, y.index}
+        assert product == want[1]
+        assert set(replay._values) == {out.index, i.index}
+        # A second deferral replays, on its own, what the first one dropped.
+        assert b.defer([i, k, x]) == want[1:]
 
     @staticmethod
     def squared_sum(max_terms):
@@ -214,21 +215,18 @@ class TestCircuit:
             assert str(err.value) == (f"formula expands past {need - 1} terms "
                                       f"(one {op!r} step needs {need} before like terms merge)")
 
-    def test_a_register_dropped_before_a_later_reader_raises(self):
+    def test_a_later_deferral_reads_what_an_earlier_read_dropped(self):
         b = CircuitBuilder()
         x, y = (b.param(n) for n in ("r_a", "r_b"))
         k = x + y
-        px, py = (symexpr.parse_expr(n) for n in ("r_a", "r_b"))
-        square, = b.defer([k * k])
-        assert square == (px + py) * (px + py)  # drops k, x and y
-        late, = b.defer([k * x])  # recorded after its operands were dropped
+        square = k * k
+        first, = b.defer([square])
+        first.terms  # its replay drops k, x and y
+        late = k * x  # recorded after that read
+        want, _ = eager_expand(b._code, [late.index, square.index])
         for _ in range(2):
-            with pytest.raises(ExprError) as err:
-                late.terms
-            assert str(err.value) in {
-                f"register {i} was dropped after its last reader was expanded; "
-                "defer it before reading that" for i in (k.index, x.index)}
-        assert square == (px + py) * (px + py)
+            assert b.defer([late, square]) == want
+        assert first == want[1]
 
     def test_budget_covers_a_deferred_read(self):
         b = CircuitBuilder(3)

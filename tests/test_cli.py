@@ -242,6 +242,16 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == "error: cost of 'G1' is not finite under this binding: inf\n"
 
+    def test_coefficient_past_the_float_range(self, capsys, tmp_path):
+        formulas = tmp_path / "formulas.json"
+        formulas.write_text(json.dumps(
+            {"goal": "G", "formulas": {"G": {"reliability": "1e400*r_a", "cost": "r_a"}}}))
+        bind = tmp_path / "bind.json"
+        bind.write_text(json.dumps({"r_a": 0.5}))
+        code, out, err = run_cli(capsys, "eval", str(formulas), "--bind", str(bind))
+        assert (code, out) == (1, "")
+        assert err == "error: a coefficient or binding is beyond the float range\n"
+
 
 class TestVerify:
     def test_clean_report(self, capsys, model_file):

@@ -20,7 +20,7 @@ from goalc.cgm import (
     NodeKind,
     ParamTable,
 )
-from goalc.compiler import NodeForms, compile_circuits, compile_model, param_growth_report
+from goalc.compiler import NodeForms, compile_circuits, compile_model
 from goalc.oracle import random_model
 from goalc.symexpr import (
     CircuitBuilder, SymExpr, TermBudgetError, evaluate, param, parse_expr, render, substitute,
@@ -160,30 +160,36 @@ class TestPublishedRows:
         assert substitute(g3, {"C_C1": 0, "C_C2": 0}).is_zero()
 
 
+def parameter_counts(forms):
+    """Distinct parameter counts of a node's reliability and cost formulas."""
+    return {"reliability": len(forms.reliability.parameter_names()),
+            "cost": len(forms.cost.parameter_names())}
+
+
 class TestGrowth:
     def test_context_free_ratio(self):
         for n in (2, 4, 6):
             m = chain_model(n, Decomposition.AND)
-            counts = param_growth_report(m)["G"]
+            counts = parameter_counts(compile_model(m)["G"])
             assert counts == {"reliability": 2 * n, "cost": 3 * n}
 
     def test_context_dependent_ratio(self):
         for n in (2, 4):
             m = chain_model(n, Decomposition.OR, leaf_contexts=True)
-            counts = param_growth_report(m)["G"]
+            counts = parameter_counts(compile_model(m)["G"])
             assert counts == {"reliability": 3 * n, "cost": 4 * n}
 
     def test_decision_ratio(self):
         for n in (2, 5):
             m = chain_model(n, Decomposition.OR, leaf_contexts=True, dm=True)
-            counts = param_growth_report(m)["G"]
+            counts = parameter_counts(compile_model(m)["G"])
             assert counts == {"reliability": 3 * n, "cost": 4 * n}
 
     def test_bundled_model_counts(self, bsn):
-        counts = param_growth_report(bsn)
+        forms = compile_model(bsn)
         # Every parameter of the model reaches the root cost formula.
-        assert counts["G1"] == {"reliability": 35, "cost": 49}
-        assert counts["T1.1"] == {"reliability": 6, "cost": 9}
+        assert parameter_counts(forms["G1"]) == {"reliability": 35, "cost": 49}
+        assert parameter_counts(forms["T1.1"]) == {"reliability": 6, "cost": 9}
 
 
 class TestFoldOrder:
@@ -633,7 +639,7 @@ def cone(code, outputs):
 
 
 class CountedSets(dict):
-    """A builder's held polynomials, counting the expansions of each register."""
+    """A replay's held polynomials, counting the expansions of each register."""
 
     def __init__(self):
         super().__init__()
@@ -646,17 +652,17 @@ class CountedSets(dict):
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """``(weak reference to the builder, expansions per register)`` of every
-    builder the compiler makes, in order."""
+    """``(weak reference to the replay, expansions per register)`` of every
+    replay the compiler's deferrals make, in order."""
     made = []
 
-    class Counted(CircuitBuilder):
-        def __init__(self, max_terms=None):
-            super().__init__(max_terms)
+    class Counted(symexpr._Replay):
+        def __init__(self, code, max_terms):
+            super().__init__(code, max_terms)
             self._values = CountedSets()
             made.append((weakref.ref(self), self._values.sets))
 
-    monkeypatch.setattr(compiler, "CircuitBuilder", Counted)
+    monkeypatch.setattr(symexpr, "_Replay", Counted)
     return made
 
 
@@ -705,7 +711,7 @@ class TestDeferredExpansion:
             for order, pairs in read_orders(want, k).items():
                 forms = compile_model(m)
                 assert list(forms) == list(want)
-                builder, sets = expansions[-1]
+                replay, sets = expansions[-1]
                 for n, (nid, field) in enumerate(pairs):
                     got, ref = getattr(forms[nid], field), want[nid][field]
                     FIRST_READS[n % len(FIRST_READS)](got, ref)
@@ -715,9 +721,9 @@ class TestDeferredExpansion:
                     assert render(got) == render(ref)
                     assert max(sets.values()) == 1, (name, order)
                 # A full read expands exactly what the eager replay does, and
-                # then no polynomial holds the builder.
+                # then no polynomial holds the replay.
                 assert sets == Counter(range(len(steps))), (name, order)
-                assert builder() is None, (name, order)
+                assert replay() is None, (name, order)
 
     def test_one_read_expands_only_what_it_depends_on(self, bsn, expansions):
         builder, memo = CircuitBuilder(), {}
@@ -728,6 +734,25 @@ class TestDeferredExpansion:
         forms[bsn.root].reliability.terms
         assert sorted(expansions[-1][1].values()) == [1] * needed
         assert needed < len(builder._code)
+
+    def test_no_polynomial_holds_the_builder(self, bsn, monkeypatch):
+        """Once ``compile_model`` returns, its unread polynomials hold their
+        replay, but not the builder that recorded the fold."""
+        made = []
+
+        class Watched(CircuitBuilder):
+            def __init__(self, max_terms=None):
+                super().__init__(max_terms)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(compiler, "CircuitBuilder", Watched)
+        want, _ = eager_forms(bsn)
+        for max_terms in (None, 10_000):
+            forms = compile_model(bsn, max_terms=max_terms)
+            assert made[-1]() is None, max_terms
+            for nid, f in read_all(forms).items():
+                assert dict(zip(FIELDS, f)) == want[nid]
+        assert len(made) == 2
 
 
 class TestBudgetedCompile:
@@ -813,15 +838,15 @@ class TestInterruptedRead:
             render(root.cost)
         assert err.value is raised
         del err
-        raised.__traceback__ = None  # its frames hold the builder
+        raised.__traceback__ = None  # its frames hold the replay
         monkeypatch.setitem(symexpr._ARITHMETIC, "*", mul)
         assert root.cost == want[bsn.root]["cost"]
         assert render(root.cost) == render(want[bsn.root]["cost"])
         for nid, f in forms.items():
             assert dict(zip(FIELDS, f)) == want[nid]
-        builder, sets = expansions[-1]
+        replay, sets = expansions[-1]
         assert sets == Counter(range(len(steps)))
-        assert builder() is None
+        assert replay() is None
 
 
 def test_one_read_peaks_far_below_the_eager_compile():

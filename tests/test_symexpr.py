@@ -21,7 +21,6 @@ from goalc.symexpr import (
     parse_expr,
     render,
     rename_params,
-    size_bytes,
     substitute,
     sum_exprs,
 )
@@ -297,7 +296,3 @@ class TestTextualForm:
                     "r_a - -r_b", "r_a - + r_b", "- -r_a", "r_a +", "-"):
             with pytest.raises(ExprError):
                 parse_expr(bad)
-
-    def test_size_bytes(self):
-        assert size_bytes(ZERO) == 1
-        assert size_bytes(V("r_a")) == 3
