@@ -80,8 +80,8 @@ class BatterySpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.level <= 1.0:
             raise ConfigError(f"battery level outside [0, 1]: {self.level}")
-        if self.drain < 0 or self.recharge < 0:
-            raise ConfigError("battery drain and recharge must be non-negative")
+        if not (0 <= self.drain < math.inf and 0 <= self.recharge < math.inf):
+            raise ConfigError("battery drain and recharge must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,10 @@ class ScenarioConfig:
     hub_degradation: Tuple[Tuple[float, float], ...] = ()  # (time, delta)
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.tick <= 0:
-            raise ConfigError("duration and tick must be positive")
+        if not (0 < self.duration < math.inf and 0 < self.tick < math.inf):
+            raise ConfigError("duration and tick must be positive and finite")
+        if self.duration / self.tick == math.inf:
+            raise ConfigError("duration / tick is past the float range")
         if self.executions_per_tick < 1:
             raise ConfigError("executions_per_tick must be at least 1")
         for leaf, r in self.true_reliability.items():
@@ -129,6 +131,11 @@ class ScenarioConfig:
             for leaf in spec.leaves:
                 if leaf not in self.true_reliability:
                     raise ConfigError(f"sensor leaf {leaf!r} has no true parameters")
+        for at, delta in self.hub_degradation:
+            # A negative delta would lift the hub's reliability above 1.
+            if not (math.isfinite(at) and 0 <= delta < math.inf):
+                raise ConfigError(f"hub degradation at t={at} needs a finite time and a "
+                                  f"finite, non-negative delta, got {delta}")
         times = [at for at, _ in self.hub_degradation]
         if times != sorted(times):
             raise ConfigError("hub_degradation must be ordered by time")
@@ -370,7 +377,7 @@ class TimeSeries:
         columns = tuple(lines[0].split(","))
         try:
             rows = tuple(
-                tuple(float(cell) for cell in line.split(","))
+                tuple(_finite(cell) for cell in line.split(","))
                 for line in lines[1:]
             )
         except ValueError as exc:
@@ -378,6 +385,13 @@ class TimeSeries:
         if any(len(row) != len(columns) for row in rows):
             raise ConfigError("ragged trace rows")
         return cls(columns, rows)
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
 
 
 def _render_cell(value: float) -> str:

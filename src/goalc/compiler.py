@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .cgm import Decomposition, GoalModel, ModelError, Node, NodeKind, ParamTable
-from .symexpr import CircuitBuilder, Wire
+from .symexpr import CircuitBuilder
 
 
 class NodeForms(NamedTuple):
@@ -53,7 +53,7 @@ class NodeForms(NamedTuple):
 def _fold(
     model: GoalModel, goal_id: str, builder: CircuitBuilder, memo: Dict[str, NodeForms]
 ) -> NodeForms:
-    """The wire triple of the subtree rooted at ``goal_id``, memoized by id.
+    """The register triple of the subtree rooted at ``goal_id``, memoized by id.
 
     Rows, with ``P_i``/``W_i`` the reliability/weight of child ``i`` times its
     context factor (a node's own contexts apply where it joins its parent):
@@ -74,7 +74,7 @@ def _fold(
     order = model.postorder(goal_id)
     read = {c for node_id in order if node_id not in memo for c in model.nodes[node_id].order}
     # child id -> (gated reliability, gated weight, its gate factor or None, its cost)
-    gated: Dict[str, Tuple[Wire, Wire, Optional[Wire], Wire]] = {}
+    gated: Dict[str, Tuple[int, int, Optional[int], int]] = {}
     for node_id in order:
         node = model.nodes[node_id]
         if node_id not in memo:
@@ -83,34 +83,35 @@ def _fold(
             rel, weight, cost = memo[node_id]
             g = _gate(builder, node.contexts)
             if g is not None:
-                rel, weight = g * rel, g * weight
+                rel, weight = builder.mul(g, rel), builder.mul(g, weight)
             gated[node_id] = (rel, weight, g, cost)
     return memo[goal_id]
 
 
-def _gate(builder: CircuitBuilder, contexts: Sequence[str]) -> Optional[Wire]:
+def _gate(builder: CircuitBuilder, contexts: Sequence[str]) -> Optional[int]:
     """The product of ``contexts``' truth parameters, the factor a node's
     formulas are gated by; None if it has no contexts, so that a
     context-free node records nothing and multiplies nothing."""
     factor = None
     for c in contexts:
         p = builder.param(ParamTable.context(c).name)
-        factor = p if factor is None else factor * p
+        factor = p if factor is None else builder.mul(factor, p)
     return factor
 
 
 def _compose(node: Node, builder: CircuitBuilder, gated: Dict[str, tuple]) -> NodeForms:
     """One node's row of :func:`_fold`; takes its children's entries out of
     ``gated``."""
+    add, sub, mul = builder.add, builder.sub, builder.mul
     if node.is_executable:
         r = builder.param(ParamTable.reliability(node.id).name)
-        rf = r * builder.param(ParamTable.frequency(node.id).name)
+        rf = mul(r, builder.param(ParamTable.frequency(node.id).name))
         w = builder.param(ParamTable.cost_weight(node.id).name)
         g = _gate(builder, node.contexts)
-        rel, cost = (rf, w * rf) if g is None else (g * rf, g * (w * rf))
+        rel, cost = (rf, mul(w, rf)) if g is None else (mul(g, rf), mul(g, mul(w, rf)))
         if node.kind == NodeKind.PLACEHOLDER:
             o = builder.param(ParamTable.opt(node.id).name)
-            rel, cost = rel * o, cost * o
+            rel, cost = mul(rel, o), mul(cost, o)
         return NodeForms(rel, w, cost)
 
     if not node.children:
@@ -125,16 +126,16 @@ def _compose(node: Node, builder: CircuitBuilder, gated: Dict[str, tuple]) -> No
         # over one remaining alternative keeps cost = W_1*P_1.
         (rel, weight, g, cost), = kids
         if node.dm_order is not None:
-            cost = weight * rel
+            cost = mul(weight, rel)
         elif g is not None:
-            cost = g * cost
+            cost = mul(g, cost)
     else:
         weight = builder.sum(w for _, w, _, _ in kids)
         rel = kids[0][0]
         for p, _, _, _ in kids[1:]:
             prev = rel
-            rel = prev * p if conjunctive else prev + p - prev * p
-        cost = weight * rel if conjunctive else weight * rel - kids[-1][1] * prev
+            rel = mul(prev, p) if conjunctive else sub(add(prev, p), mul(prev, p))
+        cost = mul(weight, rel) if conjunctive else sub(mul(weight, rel), mul(kids[-1][1], prev))
     return NodeForms(rel, weight, cost)
 
 
@@ -157,7 +158,7 @@ def compile_model(
     builder = CircuitBuilder(max_terms)
     memo: Dict[str, NodeForms] = {}
     _fold(model, goal if goal is not None else model.root, builder, memo)
-    exprs = builder.defer([w for forms in memo.values() for w in forms])
+    exprs = builder.defer([i for forms in memo.values() for i in forms])
     return {nid: NodeForms(*exprs[3 * k:3 * k + 3]) for k, nid in enumerate(memo)}
 
 

@@ -12,9 +12,10 @@ polynomial identities checkable with ``==``.
 
 A :class:`Circuit` is the same formula left unexpanded: the straight-line
 float program of the arithmetic that built it, linear in model size where
-the canonical form can grow exponentially.  Its instructions load
-parameters by name, so a circuit is plain data.  A :class:`CircuitBuilder`
-only records such programs; :meth:`CircuitBuilder.defer` hands out their
+the canonical form can grow exponentially.  An instruction is
+``(op, *operands)``: a load names a parameter, any other op reads int
+registers, so a circuit is plain data.  A :class:`CircuitBuilder` only
+records such programs; :meth:`CircuitBuilder.defer` hands out their
 canonical polynomials deferred, all read through one replay of the program
 recorded before that call: each is expanded, within the builder's term
 budget if it has one, the first time its terms are read, by any accessor,
@@ -337,29 +338,6 @@ def rename_params(expr: SymExpr, mapping: Mapping[str, str]) -> SymExpr:
 # -- circuits -------------------------------------------------------------------
 
 
-class Wire:
-    """One register of a :class:`CircuitBuilder`.
-
-    ``+``, ``-`` and ``*`` between wires of one builder record an
-    instruction and return the wire of its result.
-    """
-
-    __slots__ = ("_builder", "index")
-
-    def __init__(self, builder: "CircuitBuilder", index: int) -> None:
-        self._builder = builder
-        self.index = index
-
-    def __add__(self, other: "Wire") -> "Wire":
-        return self._builder._emit(("+", self.index, other.index))
-
-    def __sub__(self, other: "Wire") -> "Wire":
-        return self._builder._emit(("-", self.index, other.index))
-
-    def __mul__(self, other: "Wire") -> "Wire":
-        return self._builder._emit(("*", self.index, other.index))
-
-
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
@@ -379,19 +357,21 @@ def _cone(code: Sequence[tuple], index: int, held: Container[int] = ()) -> Set[i
         cone.add(i)
         ins = code[i]
         if ins[0] != "load":
-            stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
+            stack.extend(ins[1:])
     return cone
 
 
 class CircuitBuilder:
-    """Records arithmetic on wires as one shared straight-line program.
+    """Records arithmetic on registers as one shared straight-line program.
 
-    :meth:`param` loads a parameter by name (each one once) and :meth:`sum`
-    adds wires n-ary.  :meth:`circuit` cuts out the program of one result,
-    and :meth:`defer` hands out canonical polynomials, each expanded when it
-    is first read.  The builder only records: each :meth:`defer` call gets
-    its own replay of the program recorded before it, so recording more, or
-    deferring again, never disturbs polynomials already handed out.
+    Each method returns its result's register, the ``int`` index of the
+    instruction it records: :meth:`param` loads a parameter by name (each
+    one once), :meth:`add`, :meth:`sub` and :meth:`mul` are binary and
+    :meth:`sum` is n-ary.  :meth:`circuit` cuts out the program of one
+    result, and :meth:`defer` hands out canonical polynomials, each expanded
+    when it is first read.  The builder only records: each :meth:`defer`
+    call gets its own replay of the program recorded before it, so recording
+    more, or deferring again, never disturbs polynomials already handed out.
 
     ``max_terms`` is the builder's term budget: an instruction whose
     operands hold more than ``max_terms`` terms between them before like
@@ -406,26 +386,33 @@ class CircuitBuilder:
     def __init__(self, max_terms: Optional[int] = None) -> None:
         self._max_terms = max_terms
         self._code: List[tuple] = []
-        self._loads: Dict[str, int] = {}  # registers, not wires: no cycle
+        self._loads: Dict[str, int] = {}
 
-    def _emit(self, instruction: tuple) -> Wire:
+    def _emit(self, instruction: tuple) -> int:
         self._code.append(instruction)
-        return Wire(self, len(self._code) - 1)
+        return len(self._code) - 1
 
-    def param(self, name: str) -> Wire:
+    def param(self, name: str) -> int:
         index = self._loads.get(name)
-        if index is not None:
-            return Wire(self, index)
-        wire = self._emit(("load", name))
-        self._loads[name] = wire.index
-        return wire
+        if index is None:
+            index = self._loads[name] = self._emit(("load", name))
+        return index
 
-    def sum(self, wires: Iterable[Wire]) -> Wire:
-        return self._emit(("sum", tuple(w.index for w in wires)))
+    def add(self, a: int, b: int) -> int:
+        return self._emit(("+", a, b))
 
-    def defer(self, outputs: Sequence[Wire]) -> List[SymExpr]:
-        """The canonical polynomials of ``outputs``, each expanded when its
-        terms are first read.
+    def sub(self, a: int, b: int) -> int:
+        return self._emit(("-", a, b))
+
+    def mul(self, a: int, b: int) -> int:
+        return self._emit(("*", a, b))
+
+    def sum(self, registers: Iterable[int]) -> int:
+        return self._emit(("sum", *registers))
+
+    def defer(self, outputs: Sequence[int]) -> List[SymExpr]:
+        """The canonical polynomials of the registers ``outputs``, each
+        expanded when its terms are first read.
 
         All of them are read through one :class:`_Replay` of the program
         recorded so far, so what one read expanded, the next one reuses.
@@ -433,25 +420,17 @@ class CircuitBuilder:
         A polynomial holds its replay, not the builder, until it is read.
         """
         replay = _Replay(self._code, self._max_terms)
-        exprs: Dict[int, SymExpr] = {}
-        for w in outputs:
-            if w.index not in exprs:
-                exprs[w.index] = replay.output(w.index)
-        return [exprs[w.index] for w in outputs]
+        exprs = {i: replay.output(i) for i in dict.fromkeys(outputs)}
+        return [exprs[i] for i in outputs]
 
-    def circuit(self, out: Wire) -> "Circuit":
-        """The instructions ``out`` depends on, renumbered, as a circuit."""
-        order = sorted(_cone(self._code, out.index))
+    def circuit(self, out: int) -> "Circuit":
+        """The instructions register ``out`` depends on, renumbered, as a circuit."""
+        order = sorted(_cone(self._code, out))
         new = {old: k for k, old in enumerate(order)}
         code = []
         for old in order:
-            op, *args = self._code[old]
-            if op == "load":
-                code.append((op, args[0]))
-            elif op == "sum":
-                code.append((op, tuple(new[i] for i in args[0])))
-            else:
-                code.append((op, new[args[0]], new[args[1]]))
+            ins = self._code[old]
+            code.append(ins if ins[0] == "load" else (ins[0], *[new[j] for j in ins[1:]]))
         return Circuit(code)
 
 
@@ -468,7 +447,7 @@ class _Replay:
         readers = [0] * len(code)
         for ins in code:
             if ins[0] != "load":
-                for j in ins[1] if ins[0] == "sum" else ins[1:]:
+                for j in ins[1:]:
                     readers[j] += 1
         self._readers = readers
 
@@ -494,7 +473,7 @@ class _Replay:
 
         Each instruction is dispatched on its op: a load builds its one-term
         polynomial from the name alone, ``+``, ``-`` and ``*`` read their two
-        registers, and ``sum`` reads its list.
+        registers directly, and only ``sum`` gathers its operands in a list.
         """
         code, values, readers = self._code, self._values, self._readers
         max_terms = self._max_terms
@@ -507,15 +486,13 @@ class _Replay:
                 values[i] = param(ins[1])
                 continue
             if op == "sum":
-                regs = ins[1]
-                args = [values[j] for j in regs]
+                args = [values[j] for j in ins[1:]]
                 if max_terms is not None:
                     need = sum(len(a._terms) for a in args)
                     if need > max_terms:
                         raise _over_budget(max_terms, op, need)
                 values[i] = sum_exprs(args)
             else:
-                regs = ins[1:]
                 a, b = values[ins[1]], values[ins[2]]
                 if max_terms is not None:
                     m, n = len(a._terms), len(b._terms)
@@ -523,7 +500,7 @@ class _Replay:
                     if need > max_terms:
                         raise _over_budget(max_terms, op, need)
                 values[i] = _ARITHMETIC[op](a, b)
-            for j in regs:
+            for j in ins[1:]:
                 readers[j] -= 1
                 if not readers[j]:
                     del values[j]
@@ -533,11 +510,11 @@ class _Replay:
 class Circuit:
     """A formula as a straight-line float program.
 
-    Instruction ``i`` sets register ``i`` and is one of ``("load",
-    name)``, ``("*", a, b)``, ``("+", a, b)``, ``("-", a, b)`` or
-    ``("sum", (a, b, ...))`` over earlier registers; the last register is
-    the result.  The code is plain strings and integers, so it survives a
-    JSON round trip: lists are read back as tuples, and a rebuilt circuit
+    Instruction ``i`` sets register ``i`` and is ``("load", name)`` or an
+    op followed by the earlier registers it reads: ``("*", a, b)``,
+    ``("+", a, b)``, ``("-", a, b)`` or ``("sum", a, b, ...)``.  The last
+    register is the result.  The code is plain strings and integers, so it survives
+    a JSON round trip: lists are read back as tuples, and a rebuilt circuit
     equals the original.  Binary parameters evaluate at 0 or 1, where
     repeated factors are already idempotent, so nothing needs collapsing.
     The program is compiled to a Python function on first evaluation, once
@@ -552,8 +529,7 @@ class Circuit:
             raise ExprError("a circuit needs at least one instruction")
         for i, ins in enumerate(code):
             _check_instruction(i, ins)
-        self.code: Tuple[tuple, ...] = tuple(
-            ("sum", tuple(ins[1])) if ins[0] == "sum" else tuple(ins) for ins in code)
+        self.code: Tuple[tuple, ...] = tuple(tuple(ins) for ins in code)
         self._names = frozenset(ins[1] for ins in self.code if ins[0] == "load")
         self._binary = tuple(n for n in sorted(self._names) if is_binary(n))
         self._compiled: Optional[Callable[[Mapping[str, Number]], Number]] = None
@@ -579,16 +555,14 @@ def _check_instruction(i: int, ins: object) -> None:
         if len(ins) != 2 or not isinstance(ins[1], str):
             raise ExprError(f"instruction {i}: a load names its parameter by a string")
         return
+    if op not in ("+", "-", "*", "sum"):  # a tuple, since ``op`` may be unhashable
+        raise ExprError(f"instruction {i}: unknown circuit instruction {op!r}")
+    registers = ins[1:]
     if op == "sum":
-        registers = ins[1] if len(ins) == 2 and isinstance(ins[1], (list, tuple)) else ()
         if not registers:
             raise ExprError(f"instruction {i}: a sum adds a non-empty list of registers")
-    elif op in ("+", "-", "*"):
-        registers = ins[1:]
-        if len(registers) != 2:
-            raise ExprError(f"instruction {i}: {op!r} takes two registers, got {len(registers)}")
-    else:
-        raise ExprError(f"instruction {i}: unknown circuit instruction {op!r}")
+    elif len(registers) != 2:
+        raise ExprError(f"instruction {i}: {op!r} takes two registers, got {len(registers)}")
     for reg in registers:
         if isinstance(reg, bool) or not isinstance(reg, int) or not 0 <= reg < i:
             raise ExprError(f"instruction {i}: {reg!r} is not an earlier register")
@@ -734,10 +708,10 @@ def _compile_program(
                 level.append(min(k, depth))
                 rhs = f"a{k}" if k else f"b[{ins[1]!r}]"
             elif op == "sum":
-                level.append(max((level[j] for j in ins[1]), default=0))
+                level.append(max(level[j] for j in ins[1:]))
                 # Left to right, in chunks: Python's compiler recurses once per
                 # operator of a chained expression.
-                terms = [f"x{base + j}" for j in ins[1]]
+                terms = [f"x{base + j}" for j in ins[1:]]
                 for k in range(0, len(terms), _SUM_CHUNK):
                     head = [reg] if k else []
                     blocks[level[i]].append(

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -163,6 +164,31 @@ class TestScenarioConfig:
         doc = json.loads(tiny_scenario())
         doc["sensors"][0]["leaves"] = ["Z"]
         with pytest.raises(ConfigError, match="true parameters"):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"duration": math.nan}, "positive and finite"),
+        ({"duration": math.inf}, "positive and finite"),
+        ({"tick": math.nan}, "positive and finite"),
+        ({"tick": math.inf}, "positive and finite"),
+        ({"duration": 1e300, "tick": 1e-300}, "past the float range"),
+        ({"hub_degradation": [{"t": math.nan, "delta": 0.1}]}, "finite time"),
+        ({"hub_degradation": [{"t": math.inf, "delta": 0.1}]}, "finite time"),
+        ({"hub_degradation": [{"t": 5, "delta": math.nan}]}, "non-negative delta"),
+        ({"hub_degradation": [{"t": 5, "delta": math.inf}]}, "non-negative delta"),
+        ({"hub_degradation": [{"t": 5, "delta": -0.1}]}, "non-negative delta"),
+    ])
+    def test_non_finite_or_negative_numbers_rejected(self, overrides, message):
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(tiny_scenario(scenario="SystemItself", **overrides))
+
+    @pytest.mark.parametrize("key", ["drain", "recharge"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_battery_rates_must_be_finite_and_non_negative(self, key, value):
+        doc = json.loads(tiny_scenario())
+        doc["sensors"][0]["battery"][key] = value
+        with pytest.raises(ConfigError, match="non-negative and finite"):
             load_scenario(json.dumps(doc))
 
 
@@ -416,6 +442,11 @@ class TestTimeSeries:
             TimeSeries.from_csv("")
         with pytest.raises(ConfigError, match="ragged"):
             TimeSeries.from_csv("a,b\n1,2\n3\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(ConfigError, match=f"bad trace cell: '{cell}' is not a finite"):
+            TimeSeries.from_csv(f"t,reliability\n0,0.9\n1,{cell}\n")
 
 
 class TestMetrics:

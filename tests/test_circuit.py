@@ -118,13 +118,13 @@ class TestCircuit:
         b = CircuitBuilder()
         x = b.param("r_a")
         y = b.param("r_b")
-        x * y  # recorded, but the result below does not use it
-        out = b.sum([x, b.param("r_a"), y]) - x
+        b.mul(x, y)  # recorded, but the result below does not use it
+        out = b.sub(b.sum([x, b.param("r_a"), y]), x)
         c = b.circuit(out)
         assert c.code == (
             ("load", "r_a"),
             ("load", "r_b"),
-            ("sum", (0, 0, 1)),
+            ("sum", 0, 0, 1),
             ("-", 2, 0),
         )
         assert symexpr.evaluate(c, {"r_a": 2, "r_b": 5}) == 7.0
@@ -152,23 +152,23 @@ class TestCircuit:
         b = CircuitBuilder()
         x, y = (b.param(n) for n in ("r_a", "r_b"))
         k = b.param("C_k")
-        out = b.sum([x, y, k * x]) * (x - y) + k * k
+        out = b.add(b.mul(b.sum([x, y, b.mul(k, x)]), b.sub(x, y)), b.mul(k, k))
         px, py, pk = (symexpr.parse_expr(n) for n in ("r_a", "r_b", "C_k"))
         assert b.defer([out, x, k]) == [(px + py + pk * px) * (px - py) + pk, px, pk]
 
     def test_expand_keeps_its_outputs_and_drops_the_rest(self):
         b = CircuitBuilder()
         x, y = (b.param(n) for n in ("r_a", "r_b"))
-        i, k = x * y, x + y
-        out = k * k
+        i, k = b.mul(x, y), b.add(x, y)
+        out = b.mul(k, k)
         square, product = b.defer([out, i])
         replay = product._source[0]
-        want, _ = eager_expand(b._code, [out.index, i.index, k.index, x.index])
+        want, _ = eager_expand(b._code, [out, i, k, x])
         assert square == want[0]
         # out is held; k is dropped; x and y are held for i, not yet read.
-        assert set(replay._values) == {out.index, x.index, y.index}
+        assert set(replay._values) == {out, x, y}
         assert product == want[1]
-        assert set(replay._values) == {out.index, i.index}
+        assert set(replay._values) == {out, i}
         # A second deferral replays, on its own, what the first one dropped.
         assert b.defer([i, k, x]) == want[1:]
 
@@ -178,7 +178,7 @@ class TestCircuit:
         b = CircuitBuilder(max_terms)
         x, y = (b.param(n) for n in ("r_a", "r_b"))
         s = b.sum([x, y, x])  # needs 3 terms, merges to 2
-        return b.defer([s * s])[0]  # needs 2 * 2 = 4, merges to 3
+        return b.defer([b.mul(s, s)])[0]  # needs 2 * 2 = 4, merges to 3
 
     def test_budget_counts_terms_before_they_merge(self):
         assert len(self.squared_sum(4).terms) == 3
@@ -193,9 +193,9 @@ class TestCircuit:
     #: (2 and 3 terms), and the terms its operands hold before they merge.
     OPS = {
         "load": (lambda b, two, three: b.param("r_a"), 1),
-        "+": (lambda b, two, three: three + two, 5),
-        "-": (lambda b, two, three: three - two, 5),
-        "*": (lambda b, two, three: three * two, 6),
+        "+": (lambda b, two, three: b.add(three, two), 5),
+        "-": (lambda b, two, three: b.sub(three, two), 5),
+        "*": (lambda b, two, three: b.mul(three, two), 6),
         "sum": (lambda b, two, three: b.sum([two, three, two]), 7),
     }
 
@@ -218,12 +218,12 @@ class TestCircuit:
     def test_a_later_deferral_reads_what_an_earlier_read_dropped(self):
         b = CircuitBuilder()
         x, y = (b.param(n) for n in ("r_a", "r_b"))
-        k = x + y
-        square = k * k
+        k = b.add(x, y)
+        square = b.mul(k, k)
         first, = b.defer([square])
         first.terms  # its replay drops k, x and y
-        late = k * x  # recorded after that read
-        want, _ = eager_expand(b._code, [late.index, square.index])
+        late = b.mul(k, x)  # recorded after that read
+        want, _ = eager_expand(b._code, [late, square])
         for _ in range(2):
             assert b.defer([late, square]) == want
         assert first == want[1]
@@ -232,7 +232,7 @@ class TestCircuit:
         b = CircuitBuilder(3)
         x, y = (b.param(n) for n in ("r_a", "r_b"))
         s = b.sum([x, y, x])
-        small, big = b.defer([s, s * b.sum([y, x])])
+        small, big = b.defer([s, b.mul(s, b.sum([y, x]))])
         for _ in range(2):  # the failed step is checked again on the next read
             with pytest.raises(symexpr.TermBudgetError) as err:
                 big.terms
@@ -260,11 +260,13 @@ class TestCircuit:
         ([["+", 0, 1], ["load", "r_a"]], "instruction 0: 0 is not an earlier register"),
         ([["load", "r_a"], ["*", 0, 5]], "instruction 1: 5 is not an earlier register"),
         ([["load", "r_a"], ["*", 0]], "instruction 1: '\\*' takes two registers, got 1"),
-        ([["load", "r_a"], ["sum", [0, 3]]], "instruction 1: 3 is not an earlier register"),
+        ([["load", "r_a"], ["sum", 0, 3]], "instruction 1: 3 is not an earlier register"),
         ([["load", "r_a"], ["*", 0, -1]], "instruction 1: -1 is not an earlier register"),
-        ([["load", "r_a"], ["sum", []]], "instruction 1: a sum adds a non-empty list"),
+        ([["load", "r_a"], ["sum"]], "instruction 1: a sum adds a non-empty list"),
         ([["load", "r_a"], ["+", 0, True]], "instruction 1: True is not an earlier register"),
         ([["load", "r_a"], [["+"], 0, 0]], "instruction 1: unknown circuit instruction"),
+        # A sum's operands are its registers, not one list of them.
+        ([["load", "r_a"], ["sum", [0, 0]]], "instruction 1: \\[0, 0\\] is not an earlier"),
     ])
     def test_malformed_code_rejected(self, code, message):
         with pytest.raises(ExprError, match=message):
@@ -323,9 +325,9 @@ class TestProgramCache:
         ([], "a circuit needs at least one instruction"),
         ([["+", 0, 1], ["load", "r_a"]], "instruction 0: 0 is not an earlier register"),
         ([["load", "r_a"], ["*", 0]], "instruction 1: '*' takes two registers, got 1"),
-        ([["load", "r_a"], ["sum", [0, 3]]], "instruction 1: 3 is not an earlier register"),
-        ([["load", "r_a"], ["sum", []]], "instruction 1: a sum adds a non-empty list of registers"),
-        ([["load", "r_a"], ["sum", 0]], "instruction 1: a sum adds a non-empty list of registers"),
+        ([["load", "r_a"], ["sum", 0, 3]], "instruction 1: 3 is not an earlier register"),
+        ([["load", "r_a"], ["sum"]], "instruction 1: a sum adds a non-empty list of registers"),
+        ([["load", "r_a"], ["sum", [0]]], "instruction 1: [0] is not an earlier register"),
         ([["load", "r_a"], ["+", 0, 0.0]], "instruction 1: 0.0 is not an earlier register"),
         ([["load", "r_a"], [["+"], 0, 0]], "instruction 1: unknown circuit instruction ['+']"),
         ([["load", "r_a"], "x"], "instruction 1: unknown circuit instruction None"),

@@ -445,6 +445,21 @@ class TestSimulate:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("duration", "NaN"), ("duration", "Infinity"), ("tick", "NaN"), ("tick", "Infinity"),
+    ])
+    def test_non_finite_scenario_number(self, capsys, model_file, policy_file, tmp_path,
+                                        key, value):
+        doc = json.loads(bundled.data_text("scenario_nominal.json"))
+        doc[key] = float(value)  # json.dumps writes it back as the token NaN or Infinity
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", model_file,
+                                 "--policy", policy_file, "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_non_numeric_setpoint(self, capsys, model_file, scenario_file, tmp_path):
         doc = json.loads(bundled.data_text("policy.json"))
         doc["properties"][0]["setpoint"] = "abc"
@@ -576,6 +591,15 @@ class TestReport:
         assert code == 0
         doc = json.loads(out)
         assert doc["e_r"] == "inf" and doc["e_c"] == "inf"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell(self, capsys, tmp_path, cell):
+        tamed, untamed = tmp_path / "tamed.csv", tmp_path / "untamed.csv"
+        self.write_csv(tamed, [(0.9, 0.47), (cell, 0.47)])
+        self.write_csv(untamed, [(0.8, 0.40), (0.8, 0.40)])
+        code, out, err = run_cli(capsys, "report", str(tamed), str(untamed))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad trace cell: '{cell}' is not a finite number\n"
 
     def test_unequal_lengths(self, capsys, tmp_path):
         tamed, untamed = tmp_path / "tamed.csv", tmp_path / "untamed.csv"

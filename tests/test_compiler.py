@@ -480,18 +480,18 @@ def recursive_fold(model, node_id, builder, memo):
         factor = None
         for c in contexts:
             p = builder.param(ParamTable.context(c).name)
-            factor = p if factor is None else factor * p
-        return (lambda x: x) if factor is None else (lambda x: factor * x)
+            factor = p if factor is None else builder.mul(factor, p)
+        return (lambda x: x) if factor is None else (lambda x: builder.mul(factor, x))
 
     if node.is_executable:
         r = builder.param(ParamTable.reliability(node_id).name)
-        rf = r * builder.param(ParamTable.frequency(node_id).name)
+        rf = builder.mul(r, builder.param(ParamTable.frequency(node_id).name))
         w = builder.param(ParamTable.cost_weight(node_id).name)
         own = gate(node.contexts)
-        rel, cost = own(rf), own(w * rf)
+        rel, cost = own(rf), own(builder.mul(w, rf))
         if node.kind == NodeKind.PLACEHOLDER:
             o = builder.param(ParamTable.opt(node_id).name)
-            rel, cost = rel * o, cost * o
+            rel, cost = builder.mul(rel, o), builder.mul(cost, o)
         memo[node_id] = NodeForms(rel, w, cost)
         return memo[node_id]
     dm = node.dm_order is not None
@@ -503,14 +503,17 @@ def recursive_fold(model, node_id, builder, memo):
         gated.append((g(child.reliability), g(child.weight)))
     if len(gated) == 1:
         (rel, weight), = gated
-        cost = weight * rel if dm else g(child.cost)
+        cost = builder.mul(weight, rel) if dm else g(child.cost)
     else:
         weight = builder.sum(w for _, w in gated)
         rel = gated[0][0]
         for p, _ in gated[1:]:
             prev = rel
-            rel = prev * p if conjunctive else prev + p - prev * p
-        cost = weight * rel if conjunctive else weight * rel - gated[-1][1] * prev
+            rel = (builder.mul(prev, p) if conjunctive
+                   else builder.sub(builder.add(prev, p), builder.mul(prev, p)))
+        cost = builder.mul(weight, rel)
+        if not conjunctive:
+            cost = builder.sub(cost, builder.mul(gated[-1][1], prev))
     memo[node_id] = NodeForms(rel, weight, cost)
     return memo[node_id]
 
@@ -585,7 +588,7 @@ def eager_expand(code, outputs):
     last = list(range(len(code)))
     for i, ins in enumerate(code):
         if ins[0] != "load":
-            for j in ins[1] if ins[0] == "sum" else ins[1:]:
+            for j in ins[1:]:
                 last[j] = i
     for i in outputs:
         last[i] = len(code)
@@ -596,7 +599,7 @@ def eager_expand(code, outputs):
             values.append(param(ins[1]))
             steps.append((op, 1))
             continue
-        regs = ins[1] if op == "sum" else ins[1:]
+        regs = ins[1:]
         args = [values[j] for j in regs]
         sizes = [len(a.terms) for a in args]
         steps.append((op, sizes[0] * sizes[1] if op == "*" else sum(sizes)))
@@ -612,7 +615,7 @@ def eager_forms(m):
     :func:`eager_expand` over the compiler's fold."""
     builder, memo = CircuitBuilder(), {}
     compiler._fold(m, m.root, builder, memo)
-    exprs, steps = eager_expand(builder._code, [w.index for f in memo.values() for w in f])
+    exprs, steps = eager_expand(builder._code, [i for f in memo.values() for i in f])
     exprs = iter(exprs)
     return {nid: dict(zip(FIELDS, exprs)) for nid in memo}, steps
 
@@ -634,7 +637,7 @@ def cone(code, outputs):
             seen.add(i)
             ins = code[i]
             if ins[0] != "load":
-                stack.extend(ins[1] if ins[0] == "sum" else ins[1:])
+                stack.extend(ins[1:])
     return seen
 
 
@@ -808,7 +811,7 @@ def test_verify_expands_only_what_it_reports(bsn, expansions, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["failures"] == 0
     builder, memo = CircuitBuilder(), {}
     g1 = compiler._fold(bsn, "G1", builder, memo)
-    read = cone(builder._code, [g1.reliability.index, g1.cost.index])
+    read = cone(builder._code, [g1.reliability, g1.cost])
     ((_, sets),) = expansions
     assert sets == Counter(read)
     assert len(read) < len(builder._code)

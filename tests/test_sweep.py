@@ -103,7 +103,7 @@ class TestAgainstEvaluate:
         b = CircuitBuilder()
         r = b.param("r_a")
         f = b.param("f_a")
-        c = b.circuit(r * f)
+        c = b.circuit(b.mul(r, f))
         axes = [(["f_a"], [0.5, 0.25]), (["f_a", "r_a"], [2.0, 3.0])]
         got = list(symexpr.sweep([c], {"r_a": 7.0, "f_a": 1.0}, axes))
         assert got == [(4.0,), (9.0,), (4.0,), (9.0,)]
@@ -112,7 +112,7 @@ class TestAgainstEvaluate:
         n = 3000
         b = CircuitBuilder()
         loads = [b.param(f"w_{i}") for i in range(n)]
-        c = b.circuit(b.sum(loads) * loads[7])
+        c = b.circuit(b.mul(b.sum(loads), loads[7]))
         rng = random.Random(5)
         binding = {f"w_{i}": rng.random() for i in range(n)}
         axes = [(["w_7", "w_2999"], [0.5, 0.75]), (["w_1500"], [rng.random()] * 3)]
@@ -125,7 +125,7 @@ class TestAgainstEvaluate:
         loads = [b.param(f"f_{i}") for i in range(24)]
         out = loads[0]
         for w in loads[1:]:
-            out = out * w + w
+            out = b.add(b.mul(out, w), w)
         c = b.circuit(out)
         binding = {f"f_{i}": 0.5 for i in range(24)}
         axes = [([f"f_{i}"], [0.25, 0.75] if i % 7 == 0 else [0.125]) for i in range(24)]
@@ -167,7 +167,7 @@ class TestErrors:
 
         reads = {}
         b = CircuitBuilder()
-        c = b.circuit(b.param("C_k") * b.param("r_a") * b.param("f_a"))
+        c = b.circuit(b.mul(b.mul(b.param("C_k"), b.param("r_a")), b.param("f_a")))
         binding = CountingDict({"C_k": 1, "r_a": 0.5, "f_a": 0.5})
         points = list(symexpr.sweep([c], binding, [(["f_a"], [0.1 * i for i in range(9)])]))
         assert len(points) == 9
@@ -176,13 +176,13 @@ class TestErrors:
     @pytest.mark.parametrize("name", ["C_k", "OPT_A_X", "C_odd"])
     def test_binary_axis_rejected(self, name):
         b = CircuitBuilder()
-        c = b.circuit(b.param("C_odd") * b.param("f_a"))
+        c = b.circuit(b.mul(b.param("C_odd"), b.param("f_a")))
         with pytest.raises(ExprError, match="binary"):
             symexpr.sweep([c], {"C_odd": 1, "f_a": 0.5, "C_k": 1}, [([name], [0, 1])])
 
     def test_missing_name_text(self):
         b = CircuitBuilder()
-        c = b.circuit(b.param("r_b") * b.param("f_a"))
+        c = b.circuit(b.mul(b.param("r_b"), b.param("f_a")))
         assert first_error(lambda: symexpr.sweep([c], {}, [(["f_a"], [1.0])])) == \
             error_of(c, {"f_a": 1.0})
 
@@ -447,7 +447,7 @@ def test_search_is_min_over_the_sweep():
     that nothing beats included."""
     b = CircuitBuilder()
     x, y = b.param("r_x"), b.param("r_y")
-    circuits = [b.circuit(x), b.circuit(y), b.circuit(x * y)]
+    circuits = [b.circuit(x), b.circuit(y), b.circuit(b.mul(x, y))]
     pool = [math.nan, math.inf, 2.0, 1.0, 0.5, 0.5, 0.0, -0.0]
     ranks = [(first, key)
              for first in ("y0 <= 1.0", "y1 > 0.6", "True", "False", "y2 == y2")
