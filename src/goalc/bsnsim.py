@@ -117,6 +117,8 @@ class ScenarioConfig:
             raise ConfigError("duration and tick must be positive and finite")
         if self.duration / self.tick == math.inf:
             raise ConfigError("duration / tick is past the float range")
+        if round(self.duration / self.tick) < 1:  # the run's tick count
+            raise ConfigError(f"duration {self.duration} is under half a tick of {self.tick}")
         if self.executions_per_tick < 1:
             raise ConfigError("executions_per_tick must be at least 1")
         for leaf, r in self.true_reliability.items():
@@ -151,6 +153,11 @@ def load_scenario(text: str, mode: Optional[str] = None) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario syntax error: {exc.msg} (line {exc.lineno})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("scenario document must be a JSON object")
+    for key in ("contexts", "opt_flags"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"scenario {key!r} must be an object, got {doc[key]!r}")
     try:
         sensors = tuple(
             SensorSpec(

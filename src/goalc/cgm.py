@@ -137,17 +137,17 @@ class GoalModel:
 
     The walks :meth:`preorder`, :meth:`postorder` and :meth:`leaves_under`
     compute each (order, node) once per model object, when first asked
-    for, and return the stored list to every later caller, so callers
-    must not mutate what they return, nor the model's ``nodes`` once it
-    has been walked.  A walk that raises stores nothing.  A model made by
-    :func:`dataclasses.replace` starts with no stored walks.
+    for, and return the stored tuple to every later caller, so the model's
+    ``nodes`` must not change once it has been walked.  A walk that raises
+    stores nothing.  A model made by :func:`dataclasses.replace` starts
+    with no stored walks.
     """
 
     actor: str
     root: str
     nodes: Mapping[str, Node]
     contexts: Mapping[str, ContextDef] = field(default_factory=dict)
-    _orders: Dict[Tuple[str, str], List[str]] = field(
+    _orders: Dict[Tuple[str, str], Tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> Node:
@@ -178,31 +178,28 @@ class GoalModel:
                 stack.extend(pushed(node))
         return out
 
-    def _stored(self, key: Tuple[str, str], walk: Callable[[], List[str]]) -> List[str]:
+    def _stored(self, key: Tuple[str, str], walk: Callable[[], List[str]]) -> Tuple[str, ...]:
         """The order stored under ``key``, made by ``walk()`` on first request."""
         out = self._orders.get(key)
         if out is None:
-            out = self._orders[key] = walk()
+            out = self._orders[key] = tuple(walk())
         return out
 
-    def preorder(self, node_id: str) -> List[str]:
+    def preorder(self, node_id: str) -> Tuple[str, ...]:
         """Ids of the subtree of ``node_id``, each node before its children,
-        children in evaluation order (:attr:`Node.order`).  Shared: do not
-        mutate."""
+        children in evaluation order (:attr:`Node.order`)."""
         return self._stored(("pre", node_id),
                             lambda: self._walk(node_id, lambda node: node.order[::-1]))
 
-    def postorder(self, node_id: str) -> List[str]:
+    def postorder(self, node_id: str) -> Tuple[str, ...]:
         """Ids of the subtree of ``node_id``, each node after its children,
-        children in evaluation order (:attr:`Node.order`).  Shared: do not
-        mutate."""
+        children in evaluation order (:attr:`Node.order`)."""
         return self._stored(("post", node_id),
                             lambda: self._walk(node_id, lambda node: node.order)[::-1])
 
-    def leaves_under(self, node_id: str) -> List[str]:
+    def leaves_under(self, node_id: str) -> Tuple[str, ...]:
         """Executable leaves in the subtree of ``node_id``, depth-first in
-        ``children`` order, whatever the ``dm`` order.  Shared: do not
-        mutate."""
+        ``children`` order, whatever the ``dm`` order."""
         return self._stored(("leaves", node_id), lambda: [
             nid for nid in self._walk(node_id, lambda node: node.children[::-1])
             if self.nodes[nid].kind in _EXECUTABLE])
@@ -325,6 +322,9 @@ def parse_model(text: str) -> GoalModel:
     for key in ("actor", "root", "nodes"):
         if key not in doc:
             raise ParseError(f"missing required key: {key!r}")
+    for key in ("contexts", "nodes"):
+        if not isinstance(doc.get(key, []), list):
+            raise ParseError(f"{key!r} must be a list of objects, got {doc[key]!r}")
 
     contexts: Dict[str, ContextDef] = {}
     for raw in doc.get("contexts", []):
@@ -337,7 +337,11 @@ def parse_model(text: str) -> GoalModel:
             c = raw["condition"]
             if not isinstance(c, dict) or not {"var", "op", "value"} <= set(c):
                 raise ParseError(f"context {cid!r}: condition must have var/op/value")
-            cond = Condition(str(c["var"]), str(c["op"]), float(c["value"]))
+            try:
+                value = float(c["value"])
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"context {cid!r}: condition value is not a number") from None
+            cond = Condition(str(c["var"]), str(c["op"]), value)
         contexts[cid] = ContextDef(cid, str(raw.get("description", "")), kind, cond)
 
     nodes: Dict[str, Node] = {}
@@ -354,10 +358,9 @@ def parse_model(text: str) -> GoalModel:
             if decomp_raw in (None, "None")
             else _parse_enum(decomp_raw, Decomposition, nid)
         )
-        children = tuple(str(c) for c in raw.get("children", []) or [])
-        dm = raw.get("dm")
-        dm_order = tuple(str(c) for c in dm) if dm else None
-        ctx_refs = tuple(str(c) for c in raw.get("contexts", []) or [])
+        children = _ids(raw, "children", nid)
+        dm_order = _ids(raw, "dm", nid) or None
+        ctx_refs = _ids(raw, "contexts", nid)
         if kind == NodeKind.TASK and not children and not dm_order:
             kind = NodeKind.LEAF_TASK  # a childless task is executable
         nodes[nid] = Node(nid, str(raw.get("label", "")), kind, decomp, children,
@@ -374,6 +377,14 @@ def _require_str(raw: dict, key: str, what: str) -> str:
     if not isinstance(raw, dict) or key not in raw:
         raise ParseError(f"{what} entry missing {key!r}")
     return str(raw[key])
+
+
+def _ids(raw: dict, key: str, nid: str) -> Tuple[str, ...]:
+    """A node's ``key`` list (absent, null or empty: none), with ``str`` of each item."""
+    value = raw.get(key) or []
+    if not isinstance(value, list):
+        raise ParseError(f"node {nid!r}: {key!r} must be a list of ids, got {value!r}")
+    return tuple(str(x) for x in value)
 
 
 def _parse_enum(value, enum_cls, owner: str):

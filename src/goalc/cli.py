@@ -90,15 +90,11 @@ def _write_manifest(
     _write(f"{outputs[0]}.manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_model(path: str):
-    return parse_model(_read(path))
-
-
 # -- compile --------------------------------------------------------------------
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_model(_read(args.model))
     forms = compile_model(model, args.goal, MAX_TERMS)
     for f in forms.values():
         # About the order the fold recorded them in (weight first), so a
@@ -130,7 +126,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_prism(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_model(_read(args.model))
     goal = args.goal or model.root
     mdp = prismgen.emit_model(model, goal)
     queries = prismgen.emit_properties(model, goal)
@@ -197,7 +193,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_model(_read(args.model))
     goal = args.goal or model.root
     forms = compile_model(model, goal, MAX_TERMS)[goal]
     # Expanded before the first trial, so a formula past the budget fails
@@ -239,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_model(_read(args.model))
     policy = runtime.load_policy(_read(args.policy), model)
     mode = {"tamed": "Tamed", "untamed": "Untamed"}.get(args.mode)
     config = bsnsim.load_scenario(_read(args.scenario), mode=mode)
@@ -284,8 +280,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from . import bundled
 
     policy_text = _read(args.policy) if args.policy else bundled.data_text("policy.json")
-    model = _load_model(args.model) if args.model \
-        else parse_model(bundled.data_text("bsn.json"))
+    model = parse_model(_read(args.model) if args.model else bundled.data_text("bsn.json"))
     policy = runtime.load_policy(policy_text, model)
     tamed = bsnsim.TimeSeries.from_csv(_read(args.tamed))
     untamed = bsnsim.TimeSeries.from_csv(_read(args.untamed))

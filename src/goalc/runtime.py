@@ -9,9 +9,9 @@ tasks") and no two knobs share a leaf: each grid point binds the knob's value
 to the frequency of every leaf it drives.  The search is one generated
 function, :func:`symexpr.search`: the arithmetic no knob reaches runs once
 per search, each grid point runs only the part its innermost knob drives,
-and the policy's scoring (:attr:`Policy.rank`, the in-margin tests, their
-combination and the objective, compiled once per policy) runs in the
-innermost loop, with no Python call per grid point.
+and the policy's scoring (:attr:`Policy.rank`: the in-margin tests, their
+combination and the objective, the one definition of what a policy means)
+runs in the innermost loop, with no Python call per grid point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import symexpr
 from .cgm import GoalModel, ParamTable
@@ -134,7 +134,7 @@ class Policy:
                     raise PolicyError(
                         f"knobs {owner[leaf]!r} and {knob.id!r} both drive leaf {leaf!r}"
                     )
-        _check_combination(self.combination, len(self.properties))
+        self._scorer  # builds :attr:`rank`, which checks the combination
 
     def circuits(self, formulae: Mapping[str, NodeForms]) -> List[symexpr.Circuit]:
         """Each property's circuit: its goal's reliability or cost."""
@@ -148,30 +148,25 @@ class Policy:
         return out
 
     def satisfied(self, values: Sequence[float]) -> bool:
-        """Whether the combination holds over the properties' in-margin flags."""
-        return combination_satisfied(
-            self.combination, [p.in_margin(v) for p, v in zip(self.properties, values)]
-        )
-
-    def objective(self, values: Sequence[float]) -> float:
-        """The sum of setpoint-normalized absolute errors; lower is better.
-        The planner runs it, with :meth:`satisfied`, as :attr:`rank`."""
-        total = 0.0
-        for prop, value in zip(self.properties, values):
-            scale = abs(prop.setpoint) or 1.0
-            total += abs(value - prop.setpoint) / scale
-        return total
+        """Whether the combination holds over the in-margin flags: ``rank``'s first part."""
+        return self._scorer(*values)[0]
 
     @functools.cached_property
     def rank(self) -> symexpr.Rank:
-        """:meth:`satisfied` and :meth:`objective` as the ranking of
-        :func:`symexpr.search`: Python expressions over the property values
-        ``y0, y1, ...`` that run the same float operations in the same order.
-        Only float literals and those names enter the source."""
+        """The ranking of :func:`symexpr.search`, as Python expressions over
+        the property values ``y0, y1, ...``: the combination of the in-margin
+        tests, and the sum of setpoint-normalized absolute errors (lower is
+        better).  Only float literals and those names enter the source."""
         errors = [f"abs(y{i} - {p.setpoint!r})" for i, p in enumerate(self.properties)]
         flags = [f"{e} <= {p.margin * p.setpoint!r}" for e, p in zip(errors, self.properties)]
         terms = [f"{e} / {abs(p.setpoint) or 1.0!r}" for e, p in zip(errors, self.properties)]
         return _combination_source(self.combination, flags), " + ".join(["0.0"] + terms)
+
+    @functools.cached_property
+    def _scorer(self) -> Callable[..., Tuple[bool, float]]:
+        """:attr:`rank` compiled once: ``(first, key)`` of the values."""
+        params = ", ".join(f"y{i}" for i in range(len(self.properties)))
+        return eval(f"lambda {params}: ({self.rank[0]}, {self.rank[1]})", {})
 
     def reported(self, values: Sequence[float]) -> Dict[str, float]:
         """The value of each metric's first property, keyed by the lower-case
@@ -188,45 +183,26 @@ class Policy:
 MAX_CLAUSE_DEPTH = 100
 
 
-def _check_combination(comb: object, n_properties: int, depth: int = 0) -> None:
+def _combination_source(comb: object, flags: Sequence[str], depth: int = 0) -> str:
+    """The combination as a Python expression over ``flags``, each property's
+    in-margin test, or a :class:`PolicyError` for its first malformed clause."""
     if isinstance(comb, str):
         if comb.lower() not in ("and", "or"):
             raise PolicyError(f"unknown combination {comb!r}")
-        return
-    if isinstance(comb, int) and not isinstance(comb, bool):
-        if not 0 <= comb < n_properties:
+        op, args = comb.lower(), list(flags)
+    elif isinstance(comb, int) and not isinstance(comb, bool):
+        # Checked, since ``flags[-1]`` would name the last property.
+        if not 0 <= comb < len(flags):
             raise PolicyError(f"combination references property {comb}")
-        return
-    if isinstance(comb, (list, tuple)) and comb and comb[0] in ("and", "or"):
+        return flags[comb]
+    elif isinstance(comb, (list, tuple)) and comb and comb[0] in ("and", "or"):
         if len(comb) < 2:
             raise PolicyError("empty combination clause")
         if depth == MAX_CLAUSE_DEPTH:
             raise PolicyError(f"combination clauses nest deeper than {MAX_CLAUSE_DEPTH}")
-        for sub in comb[1:]:
-            _check_combination(sub, n_properties, depth + 1)
-        return
-    raise PolicyError(f"malformed combination clause: {comb!r}")
-
-
-def combination_satisfied(comb: object, flags: Sequence[bool]) -> bool:
-    """Evaluate the policy's propositional combination over in-margin flags."""
-    if isinstance(comb, str):
-        return all(flags) if comb.lower() == "and" else any(flags)
-    if isinstance(comb, int) and not isinstance(comb, bool):
-        return flags[comb]
-    op, args = comb[0], comb[1:]
-    results = (combination_satisfied(sub, flags) for sub in args)
-    return all(results) if op == "and" else any(results)
-
-
-def _combination_source(comb: object, flags: Sequence[str]) -> str:
-    """:func:`combination_satisfied` as a Python expression over ``flags``."""
-    if isinstance(comb, str):
-        op, args = comb.lower(), list(flags)
-    elif isinstance(comb, int):
-        return flags[comb]
+        op, args = comb[0], [_combination_source(sub, flags, depth + 1) for sub in comb[1:]]
     else:
-        op, args = comb[0], [_combination_source(sub, flags) for sub in comb[1:]]
+        raise PolicyError(f"malformed combination clause: {comb!r}")
     return "(" + (" and " if op == "and" else " or ").join(args) + ")"
 
 
@@ -273,7 +249,7 @@ def load_policy(text: str, model: GoalModel) -> Policy:
                 raise PolicyError(f"knob {kid!r}: 'leaves' must be a list of node ids")
             leaves = tuple(str(x) for x in raw["leaves"])
         else:
-            leaves = tuple(model.leaves_under(kid))
+            leaves = model.leaves_under(kid)
         for leaf in leaves:
             if not model.node(leaf).is_executable:
                 raise PolicyError(f"knob {kid!r}: {leaf!r} is not an executable leaf")

@@ -367,11 +367,13 @@ class CircuitBuilder:
     Each method returns its result's register, the ``int`` index of the
     instruction it records: :meth:`param` loads a parameter by name (each
     one once), :meth:`add`, :meth:`sub` and :meth:`mul` are binary and
-    :meth:`sum` is n-ary.  :meth:`circuit` cuts out the program of one
-    result, and :meth:`defer` hands out canonical polynomials, each expanded
-    when it is first read.  The builder only records: each :meth:`defer`
-    call gets its own replay of the program recorded before it, so recording
-    more, or deferring again, never disturbs polynomials already handed out.
+    :meth:`sum` is n-ary; an operand that is not an earlier register, or an
+    empty sum, raises :class:`ExprError` before it is recorded.
+    :meth:`circuit` cuts out the program of one result, and :meth:`defer`
+    hands out canonical polynomials, each expanded when it is first read.
+    The builder only records: each :meth:`defer` call gets its own replay
+    of the program recorded before it, so recording more, or deferring
+    again, never disturbs polynomials already handed out.
 
     ``max_terms`` is the builder's term budget: an instruction whose
     operands hold more than ``max_terms`` terms between them before like
@@ -388,27 +390,36 @@ class CircuitBuilder:
         self._code: List[tuple] = []
         self._loads: Dict[str, int] = {}
 
-    def _emit(self, instruction: tuple) -> int:
-        self._code.append(instruction)
-        return len(self._code) - 1
-
     def param(self, name: str) -> int:
         index = self._loads.get(name)
         if index is None:
-            index = self._loads[name] = self._emit(("load", name))
+            index = self._loads[name] = len(self._code)
+            self._code.append(("load", name))
         return index
 
     def add(self, a: int, b: int) -> int:
-        return self._emit(("+", a, b))
+        return self._binary("+", a, b)
 
     def sub(self, a: int, b: int) -> int:
-        return self._emit(("-", a, b))
+        return self._binary("-", a, b)
 
     def mul(self, a: int, b: int) -> int:
-        return self._emit(("*", a, b))
+        return self._binary("*", a, b)
+
+    def _binary(self, op: str, a: int, b: int) -> int:
+        code = self._code
+        i = len(code)
+        # A cheap test first; the full check names the fault of any other operand.
+        if not (type(a) is int and type(b) is int and 0 <= a < i and 0 <= b < i):
+            _check_instruction(i, (op, a, b))
+        code.append((op, a, b))
+        return i
 
     def sum(self, registers: Iterable[int]) -> int:
-        return self._emit(("sum", *registers))
+        ins = ("sum", *registers)
+        _check_instruction(len(self._code), ins)
+        self._code.append(ins)
+        return len(self._code) - 1
 
     def defer(self, outputs: Sequence[int]) -> List[SymExpr]:
         """The canonical polynomials of the registers ``outputs``, each

@@ -183,6 +183,34 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=message):
             load_scenario(tiny_scenario(scenario="SystemItself", **overrides))
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "scenario document must be a JSON object"),
+        ("5", "scenario document must be a JSON object"),
+        ("null", "scenario document must be a JSON object"),
+        (tiny_scenario(contexts=[["CX", 1]]), "scenario 'contexts' must be an object, got [['CX', 1]]"),
+        (tiny_scenario(contexts=None), "scenario 'contexts' must be an object, got None"),
+        (tiny_scenario(opt_flags=5), "scenario 'opt_flags' must be an object, got 5"),
+        (tiny_scenario(opt_flags="x"), "scenario 'opt_flags' must be an object, got 'x'"),
+    ], ids=["list", "number", "null", "contexts-list", "contexts-null", "opt-flags-number",
+            "opt-flags-string"])
+    def test_non_object_document_or_table(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            load_scenario(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("duration,tick", [(0.4, 1.0), (0.5, 1.0), (0.04, 0.1), (1e-9, 1.0)])
+    def test_a_run_of_no_ticks_is_rejected(self, duration, tick):
+        with pytest.raises(ConfigError) as info:
+            load_scenario(tiny_scenario(duration=duration, tick=tick))
+        assert str(info.value) == f"duration {duration} is under half a tick of {tick}"
+
+    @pytest.mark.parametrize("duration,tick", [(0.6, 1.0), (1.5, 1.0), (0.06, 0.1)])
+    def test_a_run_rounded_up_to_a_tick_runs(self, duration, tick):
+        config = load_scenario(tiny_scenario(duration=duration, tick=tick))
+        policy = load_policy(TINY_POLICY, parse_model(TINY))
+        ticks = round(duration / tick)
+        assert len(run(config, policy, parse_model(TINY)).rows) == ticks >= 1
+
     @pytest.mark.parametrize("key", ["drain", "recharge"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
     def test_battery_rates_must_be_finite_and_non_negative(self, key, value):

@@ -139,6 +139,59 @@ class TestParse:
         with pytest.raises(ParseError, match="condition must have var/op/value"):
             parse_model(json.dumps(doc))
 
+    @staticmethod
+    def shaped(key, value, node=None):
+        """A valid model with ``key`` of the document, or of ``node``, set to ``value``."""
+        doc = {"actor": "a", "root": "G",
+               "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",
+                          "children": ["A", "B"]},
+                         {"id": "A", "kind": "LeafTask", "contexts": ["C1"]},
+                         {"id": "B", "kind": "LeafTask"}],
+               "contexts": [{"id": "C1", "kind": "Double",
+                             "condition": {"var": "hr", "op": ">=", "value": 85}}]}
+        if node == "C1":
+            doc["contexts"][0]["condition"][key] = value
+        elif node is not None:
+            next(n for n in doc["nodes"] if n["id"] == node)[key] = value
+        else:
+            doc[key] = value
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("key,value,node,message", [
+        ("nodes", 5, None, "'nodes' must be a list of objects, got 5"),
+        ("nodes", None, None, "'nodes' must be a list of objects, got None"),
+        ("nodes", True, None, "'nodes' must be a list of objects, got True"),
+        ("contexts", 5, None, "'contexts' must be a list of objects, got 5"),
+        ("contexts", None, None, "'contexts' must be a list of objects, got None"),
+        ("contexts", {"id": "C1"}, None, "'contexts' must be a list of objects, got {'id': 'C1'}"),
+        ("children", 5, "G", "node 'G': 'children' must be a list of ids, got 5"),
+        ("children", "AB", "G", "node 'G': 'children' must be a list of ids, got 'AB'"),
+        ("dm", 5, "G", "node 'G': 'dm' must be a list of ids, got 5"),
+        ("dm", "BA", "G", "node 'G': 'dm' must be a list of ids, got 'BA'"),
+        ("contexts", 3, "A", "node 'A': 'contexts' must be a list of ids, got 3"),
+        ("contexts", "C1", "A", "node 'A': 'contexts' must be a list of ids, got 'C1'"),
+        ("value", "abc", "C1", "context 'C1': condition value is not a number"),
+        ("value", None, "C1", "context 'C1': condition value is not a number"),
+        ("value", 10**400, "C1", "context 'C1': condition value is not a number"),
+    ])
+    def test_malformed_shape_names_the_key(self, key, value, node, message):
+        with pytest.raises(ParseError) as info:
+            parse_model(self.shaped(key, value, node))
+        assert str(info.value) == message
+
+    def test_id_items_keep_their_string_form(self):
+        doc = {"actor": "a", "root": "G",
+               "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",
+                          "children": [1, 2], "contexts": None},
+                         {"id": 1, "kind": "LeafTask", "children": None},
+                         {"id": 2, "kind": "LeafTask", "dm": []}]}
+        m = parse_model(json.dumps(doc))
+        assert m.node("G").children == ("1", "2") and m.node("G").contexts == ()
+        assert m.node("1").children == () and m.node("2").dm_order is None
+        with pytest.raises(ValidationError) as err:
+            parse_model(self.shaped("children", ["A", 7], "G"))
+        assert "child '7' is not defined" in str(err.value)
+
     def test_validation_failure_raises(self):
         doc = {"actor": "a", "root": "G",
                "nodes": [{"id": "G", "kind": "Goal", "decomposition": "And",

@@ -272,6 +272,40 @@ class TestCircuit:
         with pytest.raises(ExprError, match=message):
             Circuit(code)
 
+    @pytest.mark.parametrize("record,message", [
+        (lambda b, x: b.mul(x, 5), "instruction 1: 5 is not an earlier register"),
+        (lambda b, x: b.mul(x, 1), "instruction 1: 1 is not an earlier register"),
+        (lambda b, x: b.mul(x, -1), "instruction 1: -1 is not an earlier register"),
+        (lambda b, x: b.add(x, 1.0), "instruction 1: 1.0 is not an earlier register"),
+        (lambda b, x: b.sub(True, x), "instruction 1: True is not an earlier register"),
+        (lambda b, x: b.sum([]), "instruction 1: a sum adds a non-empty list of registers"),
+        (lambda b, x: b.sum([x, 2]), "instruction 1: 2 is not an earlier register"),
+        (lambda b, x: b.sum([x, False]), "instruction 1: False is not an earlier register"),
+    ], ids=["past-the-end", "itself", "negative", "float", "bool", "empty-sum",
+            "sum-past-the-end", "sum-bool"])
+    def test_builder_records_only_earlier_registers(self, record, message):
+        """The builder raises :class:`Circuit`'s own text at the call, and
+        records nothing, so reads and circuits agree on what it holds."""
+        b = CircuitBuilder()
+        x = b.param("r_a")
+        with pytest.raises(ExprError) as info:
+            record(b, x)
+        assert str(info.value) == message
+        assert b._code == [("load", "r_a")]
+        y = b.mul(x, x)
+        assert b.defer([y])[0] == symexpr.parse_expr("r_a*r_a")
+        assert b.circuit(y).code == (("load", "r_a"), ("*", 0, 0))
+
+    def test_builder_takes_an_int_subclass_register(self):
+        class Register(int):
+            pass
+
+        b = CircuitBuilder()
+        x = b.param("r_a")
+        y = b.add(Register(x), x)
+        s = b.sum([Register(y), x])
+        assert b.defer([s])[0] == symexpr.parse_expr("3*r_a")
+
     def test_unknown_instruction_rejected(self):
         with pytest.raises(ExprError, match="unknown circuit instruction"):
             symexpr.evaluate(Circuit([("load", "r_a"),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,15 @@ class TestCompile:
         assert err == "error: invalid goal model: G: dangling-child: " \
             "child 'nope' is not defined\n"
 
+    def test_malformed_shape_is_one_error_line(self, capsys, model_file, tmp_path):
+        doc = json.loads(bundled.data_text("bsn.json"))
+        next(n for n in doc["nodes"] if n["id"] == "G1")["children"] = 5
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "compile", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: node 'G1': 'children' must be a list of ids, got 5\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compile", str(tmp_path / "nope.json"))
         assert code == 2
@@ -103,7 +113,7 @@ class TestCompile:
         assert manifest["inputs"] == [model_file]
         assert manifest["outputs"] == [str(out_path)]
         assert manifest["version"]
-        expected = hashlib.sha256(open(model_file, "rb").read()).hexdigest()
+        expected = hashlib.sha256(Path(model_file).read_bytes()).hexdigest()
         assert manifest["config_hash"] == expected
 
     def test_deterministic_output(self, capsys, model_file, tmp_path):
@@ -120,8 +130,8 @@ class TestEmitPrism:
                                "--goal", "T1", "--out-dir", str(out_dir))
         assert code == 0
         pm, pctl = out.strip().splitlines()
-        assert open(pm).read() == prismgen.emit_model(bsn, "T1")
-        assert open(pctl).read() == prismgen.emit_properties(bsn, "T1")
+        assert Path(pm).read_text() == prismgen.emit_model(bsn, "T1")
+        assert Path(pctl).read_text() == prismgen.emit_properties(bsn, "T1")
 
     def test_oversized_decision_rejected(self, capsys, tmp_path):
         children = [{"id": f"N{i}", "kind": "Task", "contexts": [f"K{i}"]}
@@ -152,7 +162,7 @@ class TestEval:
 
     @staticmethod
     def unit_binding(formulas_file, tmp_path):
-        doc = json.loads(open(formulas_file).read())
+        doc = json.loads(Path(formulas_file).read_text())
         names = set()
         for part in doc["formulas"]["G1"].values():
             names.update(n for n in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", part))
@@ -214,9 +224,9 @@ class TestEval:
 
     def test_non_numeric_binding(self, capsys, formulas_file, tmp_path):
         bind = self.unit_binding(formulas_file, tmp_path)
-        values = json.loads(open(bind).read())
+        values = json.loads(Path(bind).read_text())
         values["f_T2"] = "abc"
-        open(bind, "w").write(json.dumps(values))
+        Path(bind).write_text(json.dumps(values))
         code, _, err = run_cli(capsys, "eval", formulas_file, "--bind", bind)
         assert code == 1
         assert "f_T2" in err and err.startswith("error: ")
@@ -226,18 +236,18 @@ class TestEval:
                              ids=["NaN", "Infinity", "-Infinity", "true", "huge-int"])
     def test_non_finite_or_boolean_binding(self, capsys, formulas_file, tmp_path, value):
         bind = self.unit_binding(formulas_file, tmp_path)
-        values = json.loads(open(bind).read())
+        values = json.loads(Path(bind).read_text())
         values["f_T2"] = value
-        open(bind, "w").write(json.dumps(values))
+        Path(bind).write_text(json.dumps(values))
         code, out, err = run_cli(capsys, "eval", formulas_file, "--bind", bind)
         assert (code, out) == (1, "")
         assert err.startswith("error: binding of 'f_T2' is not a finite number")
 
     def test_overflowing_result(self, capsys, formulas_file, tmp_path):
         bind = self.unit_binding(formulas_file, tmp_path)
-        values = json.loads(open(bind).read())
+        values = json.loads(Path(bind).read_text())
         values.update({n: 1e308 for n in values if n.startswith("w_")})
-        open(bind, "w").write(json.dumps(values))
+        Path(bind).write_text(json.dumps(values))
         code, out, err = run_cli(capsys, "eval", formulas_file, "--bind", bind)
         assert (code, out) == (1, "")
         assert err == "error: cost of 'G1' is not finite under this binding: inf\n"
@@ -444,6 +454,19 @@ class TestSimulate:
                                "--policy", policy_file, "--scenario", str(path))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda doc: [1, 2], "scenario document must be a JSON object"),
+        (lambda doc: dict(doc, duration=0.4), "duration 0.4 is under half a tick of 1.0"),
+    ], ids=["not-an-object", "no-ticks"])
+    def test_unusable_scenario_is_one_error_line(self, capsys, model_file, policy_file,
+                                                 tmp_path, make, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(make(json.loads(bundled.data_text("scenario_nominal.json")))))
+        code, out, err = run_cli(capsys, "simulate", model_file,
+                                 "--policy", policy_file, "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("key,value", [
         ("duration", "NaN"), ("duration", "Infinity"), ("tick", "NaN"), ("tick", "Infinity"),

@@ -19,7 +19,6 @@ from goalc.runtime import (
     PropertyTarget,
     StateError,
     analyze,
-    combination_satisfied,
     execute,
     expand_assignments,
     initial_state,
@@ -187,6 +186,27 @@ class TestPolicy:
         with pytest.raises(PolicyError, match="malformed"):
             Policy(props, (), combination={"op": "and"})
 
+    @pytest.mark.parametrize("combination,message", [
+        (True, "malformed combination clause: True"),
+        (["and", 0, False], "malformed combination clause: False"),
+        (-1, "combination references property -1"),
+        (["or", 0, -2], "combination references property -2"),
+        (2, "combination references property 2"),
+        ("xor", "unknown combination 'xor'"),
+        (["and"], "empty combination clause"),
+        (["and", 0, ["or"], 5], "empty combination clause"),
+        (["and", 5, ["or"]], "combination references property 5"),
+        ([], "malformed combination clause: []"),
+        (["xor", 0], "malformed combination clause: ['xor', 0]"),
+        (1.0, "malformed combination clause: 1.0"),
+    ])
+    def test_combination_is_checked_at_construction(self, combination, message):
+        props = (PropertyTarget(Metric.COST, "G", 1.0, 0.1),
+                 PropertyTarget(Metric.RELIABILITY, "G", 0.9, 0.1))
+        with pytest.raises(PolicyError) as info:
+            Policy(props, (), combination)
+        assert str(info.value) == message
+
     def test_combination_depth_bound(self):
         """The deepest combination accepted still compiles into the plan's
         search; one clause deeper, or far deeper, is a policy error."""
@@ -206,11 +226,16 @@ class TestPolicy:
             assert str(info.value) == "combination clauses nest deeper than 100"
 
     def test_combination_evaluation(self):
-        assert combination_satisfied("and", [True, True])
-        assert not combination_satisfied("and", [True, False])
-        assert combination_satisfied("or", [True, False])
-        assert combination_satisfied(["or", ["and", 0, 1], 2], [False, True, True])
-        assert not combination_satisfied(["or", ["and", 0, 1], 2], [False, True, False])
+        def satisfied(combination, flags):
+            # Each value in margin (the setpoint) or out of it, as flagged.
+            props = tuple(PropertyTarget(Metric.COST, "G", 1.0, 0.1) for _ in flags)
+            return Policy(props, (), combination).satisfied([1.0 if f else 2.0 for f in flags])
+
+        assert satisfied("and", [True, True]) is True
+        assert satisfied("and", [True, False]) is False
+        assert satisfied("or", [True, False]) is True
+        assert satisfied(["or", ["and", 0, 1], 2], [False, True, True]) is True
+        assert satisfied(["or", ["and", 0, 1], 2], [False, True, False]) is False
 
 
 class TestKnowledge:

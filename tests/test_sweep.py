@@ -29,7 +29,6 @@ from goalc.runtime import (
     PolicyError,
     PropertyTarget,
     analyze,
-    combination_satisfied,
     expand_assignments,
     initial_state,
     load_policy,
@@ -37,6 +36,7 @@ from goalc.runtime import (
 )
 from goalc.symexpr import CircuitBuilder, ExprError
 
+from policy_reference import combination_satisfied, objective, satisfied
 from test_circuit import error_of
 from test_compiler import chain_model
 
@@ -301,12 +301,12 @@ def min_key_plan(state, policy):
                            list(zip(driven, grids)))
     values, currents = min(
         zip(itertools.product(*grids), points),
-        key=lambda point: (not policy.satisfied(point[1]), policy.objective(point[1])),
+        key=lambda point: (not satisfied(policy, point[1]), objective(policy, point[1])),
     )
     return Actuation(
         assignments={knob.id: v for knob, v in zip(knobs, values)},
         predicted=policy.reported(currents),
-        feasible=policy.satisfied(currents),
+        feasible=satisfied(policy, currents),
     )
 
 
@@ -315,7 +315,7 @@ def winning_key_count(state, policy):
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     axes = [([ParamTable.frequency(leaf).name for leaf in knob.leaves], knob.values())
             for knob in knobs]
-    keys = [(not policy.satisfied(v), policy.objective(v))
+    keys = [(not satisfied(policy, v), objective(policy, v))
             for v in symexpr.sweep(policy.circuits(state.formulae), state.bindings, axes)]
     return keys.count(min(keys))
 
@@ -493,8 +493,9 @@ def boundary_values(setpoint, margin):
 
 
 def test_rank_agrees_with_satisfied_and_objective_at_margin_edges():
-    """The generated ranking is :meth:`Policy.satisfied` and
-    :meth:`Policy.objective`, bit for bit, where the margin test flips."""
+    """The generated ranking, and :meth:`Policy.satisfied` that runs it, are
+    the interpreted reference's satisfaction and objective, bit for bit, where
+    the margin test flips."""
     edges = set()
     cases = [(0.9, 0.02), (0.47, 0.02), (0.5, 0.25), (1.0, 1e-3), (0.3, 0.1), (0.0, 0.02),
              (1e-300, 0.5), (0.1, 3.0)]
@@ -509,8 +510,10 @@ def test_rank_agrees_with_satisfied_and_objective_at_margin_edges():
             for _ in range(60):
                 values = [rng.choice(column) for column in columns]
                 y = {f"y{i}": v for i, v in enumerate(values)}
-                assert eval(first, {}, y) is policy.satisfied(values), values
-                want = policy.objective(values)
+                want = satisfied(policy, values)
+                assert eval(first, {}, y) is want, values
+                assert policy.satisfied(values) is want, values
+                want = objective(policy, values)
                 got = eval(key, {}, y)
                 assert got == want or (math.isnan(got) and math.isnan(want)), values
                 for prop, v in zip(policy.properties, values):

@@ -54,18 +54,18 @@ class TestOrders:
               contexts=("K",))
 
     def test_postorder_follows_the_evaluation_order(self):
-        assert self.M.postorder("G") == ["B", "A1", "A2", "A", "G"]
-        assert self.M.postorder("A") == ["A1", "A2", "A"]
+        assert self.M.postorder("G") == ("B", "A1", "A2", "A", "G")
+        assert self.M.postorder("A") == ("A1", "A2", "A")
 
     def test_preorder_follows_the_evaluation_order(self):
-        assert self.M.preorder("G") == ["G", "B", "A", "A1", "A2"]
+        assert self.M.preorder("G") == ("G", "B", "A", "A1", "A2")
 
     def test_leaves_keep_children_order(self):
-        assert self.M.leaves_under("G") == ["A1", "A2", "B"]
+        assert self.M.leaves_under("G") == ("A1", "A2", "B")
 
     def test_a_leaf_is_its_own_subtree(self):
-        assert self.M.postorder("B") == self.M.preorder("B") == ["B"]
-        assert self.M.leaves_under("B") == ["B"]
+        assert self.M.postorder("B") == self.M.preorder("B") == ("B",)
+        assert self.M.leaves_under("B") == ("B",)
 
     def test_unknown_node(self):
         with pytest.raises(ModelError, match="unknown node id: 'nope'"):
@@ -132,10 +132,10 @@ class TestStoredOrders:
         first = m.postorder("G")
         assert walks == ["G"]
         for _ in range(3):
-            assert m.postorder("G") == ["B", "A1", "A2", "A", "G"]
-            assert m.preorder("G") == ["G", "B", "A", "A1", "A2"]
-            assert m.leaves_under("G") == ["A1", "A2", "B"]
-            assert m.postorder("A") == ["A1", "A2", "A"]
+            assert m.postorder("G") == ("B", "A1", "A2", "A", "G")
+            assert m.preorder("G") == ("G", "B", "A", "A1", "A2")
+            assert m.leaves_under("G") == ("A1", "A2", "B")
+            assert m.postorder("A") == ("A1", "A2", "A")
         assert walks == ["G", "G", "G", "A"]
         assert m.postorder("G") is first
 
@@ -149,15 +149,15 @@ class TestStoredOrders:
 
     def test_a_replaced_model_walks_its_new_tree(self):
         m = orders_model()
-        assert m.leaves_under("G") == ["A1", "A2", "B"]
-        assert m.postorder("A") == ["A1", "A2", "A"]
+        assert m.leaves_under("G") == ("A1", "A2", "B")
+        assert m.postorder("A") == ("A1", "A2", "A")
         nodes = dict(m.nodes, A=goal("A", Decomposition.OR, ("A2", "A1")))
         new = dataclasses.replace(m, nodes=nodes)
-        assert new.leaves_under("G") == ["A2", "A1", "B"]
-        assert new.postorder("A") == ["A2", "A1", "A"]
-        assert new.preorder("G") == ["G", "B", "A", "A2", "A1"]
-        assert m.leaves_under("G") == ["A1", "A2", "B"]
-        assert m.postorder("A") == ["A1", "A2", "A"]
+        assert new.leaves_under("G") == ("A2", "A1", "B")
+        assert new.postorder("A") == ("A2", "A1", "A")
+        assert new.preorder("G") == ("G", "B", "A", "A2", "A1")
+        assert m.leaves_under("G") == ("A1", "A2", "B")
+        assert m.postorder("A") == ("A1", "A2", "A")
         assert new == dataclasses.replace(new) and new != m
 
 
