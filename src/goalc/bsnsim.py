@@ -143,61 +143,100 @@ class ScenarioConfig:
             raise ConfigError("hub_degradation must be ordered by time")
 
 
-def _floats(raw: object) -> Dict[str, float]:
-    return {k: float(v) for k, v in dict(raw).items()}
+def _field(table: Mapping, key: str, at: str = "") -> Tuple[object, str]:
+    """``table[key]`` and its path in the document, ``at + key``, which errors name."""
+    if key not in table:
+        raise ConfigError(f"scenario missing {at + key!r}")
+    return table[key], at + key
+
+
+def _number(value: object, name: str, integral: bool = False) -> float:
+    """A JSON number or a numeric string, integral if asked (an exact ``int``
+    then); a boolean is not a number."""
+    if integral and type(value) is int:
+        return value
+    try:
+        number = float(value)
+        if not isinstance(value, bool) and (number.is_integer() or not integral):
+            return int(number) if integral else number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    shape = "an integer" if integral else "a number"
+    raise ConfigError(f"scenario {name!r} must be {shape}, got {value!r}")
+
+
+def _object(value: object, name: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise ConfigError(f"scenario {name!r} must be an object, got {value!r}")
+    return value
+
+
+def _objects(value: object, name: str) -> List[Tuple[Mapping, str]]:
+    """Each object of the list ``value``, with the prefix of its keys' paths."""
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise ConfigError(f"scenario {name!r} must be a list of objects, got {value!r}")
+    return [(item, f"{name}[{i}].") for i, item in enumerate(value)]
+
+
+def _numbers(value: object, name: str, integral: bool = False) -> Dict[str, float]:
+    """The object ``value``, a number for each key (a leaf, a knob, a context)."""
+    return {k: _number(v, f"{name}.{k}", integral) for k, v in _object(value, name).items()}
+
+
+def _member(enum: type, value: object, name: str) -> Enum:
+    values = [member.value for member in enum]
+    if value not in values:
+        raise ConfigError(f"scenario {name!r} must be one of {values}, got {value!r}")
+    return enum(value)
 
 
 def load_scenario(text: str, mode: Optional[str] = None) -> ScenarioConfig:
-    """Parse a scenario JSON document; ``mode`` overrides the document's."""
+    """Parse a scenario JSON document; ``mode`` overrides the document's.  A
+    missing key or a value of the wrong shape is a :class:`ConfigError` that
+    names the key by its path, e.g. ``'sensors[0].battery.level'``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario syntax error: {exc.msg} (line {exc.lineno})") from None
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
-    for key in ("contexts", "opt_flags"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ConfigError(f"scenario {key!r} must be an object, got {doc[key]!r}")
-    try:
-        sensors = tuple(
-            SensorSpec(
-                id=str(raw["id"]),
-                context=str(raw["context"]),
-                leaves=tuple(str(x) for x in raw["leaves"]),
-                battery=BatterySpec(
-                    level=float(raw["battery"]["level"]),
-                    drain=float(raw["battery"]["drain"]),
-                    recharge=float(raw["battery"]["recharge"]),
-                ),
-            )
-            for raw in doc.get("sensors", [])
-        )
-        return ScenarioConfig(
-            scenario=Scenario(doc.get("scenario", "None")),
-            mode=Mode(mode if mode is not None else doc.get("mode", "Tamed")),
-            seed=int(doc["seed"]),
-            duration=float(doc["duration"]),
-            tick=float(doc.get("tick", 1.0)),
-            executions_per_tick=int(doc.get("executions_per_tick", 10)),
-            window_size=int(doc.get("window_size", 100)),
-            true_reliability=_floats(doc["true"]["reliability"]),
-            true_cost=_floats(doc["true"]["cost"]),
-            initial_frequency=_floats(doc["initial_frequency"]),
-            estimate_reliability=_floats(doc["estimates"]["reliability"]),
-            estimate_cost=_floats(doc["estimates"]["cost"]),
-            sensors=sensors,
-            contexts={k: int(v) for k, v in doc.get("contexts", {}).items()},
-            opt_flags={k: int(v) for k, v in doc.get("opt_flags", {}).items()},
-            hub_leaf=str(doc.get("hub_leaf", "")),
-            hub_degradation=tuple(
-                (float(e["t"]), float(e["delta"]))
-                for e in doc.get("hub_degradation", [])
-            ),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario document: {exc!r}") from None
+    sensors = []
+    for raw, at in _objects(doc.get("sensors", []), "sensors"):
+        leaves, name = _field(raw, "leaves", at)
+        if not isinstance(leaves, list):
+            raise ConfigError(f"scenario {name!r} must be a list of ids, got {leaves!r}")
+        battery = _object(*_field(raw, "battery", at))
+        sensors.append(SensorSpec(
+            id=str(_field(raw, "id", at)[0]),
+            context=str(_field(raw, "context", at)[0]),
+            leaves=tuple(str(x) for x in leaves),
+            battery=BatterySpec(*(_number(*_field(battery, key, at + "battery."))
+                                  for key in ("level", "drain", "recharge"))),
+        ))
+    true, estimates = _object(*_field(doc, "true")), _object(*_field(doc, "estimates"))
+    return ScenarioConfig(
+        scenario=_member(Scenario, doc.get("scenario", "None"), "scenario"),
+        mode=_member(Mode, mode if mode is not None else doc.get("mode", "Tamed"), "mode"),
+        seed=_number(*_field(doc, "seed"), integral=True),
+        duration=_number(*_field(doc, "duration")),
+        tick=_number(doc.get("tick", 1.0), "tick"),
+        executions_per_tick=_number(doc.get("executions_per_tick", 10), "executions_per_tick",
+                                    integral=True),
+        window_size=_number(doc.get("window_size", 100), "window_size", integral=True),
+        true_reliability=_numbers(*_field(true, "reliability", "true.")),
+        true_cost=_numbers(*_field(true, "cost", "true.")),
+        initial_frequency=_numbers(*_field(doc, "initial_frequency")),
+        estimate_reliability=_numbers(*_field(estimates, "reliability", "estimates.")),
+        estimate_cost=_numbers(*_field(estimates, "cost", "estimates.")),
+        sensors=tuple(sensors),
+        contexts=_numbers(doc.get("contexts", {}), "contexts", integral=True),
+        opt_flags=_numbers(doc.get("opt_flags", {}), "opt_flags", integral=True),
+        hub_leaf=str(doc.get("hub_leaf", "")),
+        hub_degradation=tuple(
+            (_number(*_field(event, "t", at)), _number(*_field(event, "delta", at)))
+            for event, at in _objects(doc.get("hub_degradation", []), "hub_degradation")
+        ),
+    )
 
 
 # -- the world ------------------------------------------------------------------

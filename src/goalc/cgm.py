@@ -13,6 +13,7 @@ existence flag).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -341,6 +342,9 @@ def parse_model(text: str) -> GoalModel:
                 value = float(c["value"])
             except (TypeError, ValueError, OverflowError):
                 raise ParseError(f"context {cid!r}: condition value is not a number") from None
+            if isinstance(c["value"], bool) or not math.isfinite(value):
+                raise ParseError(f"context {cid!r}: condition value is not a finite number, "
+                                 f"got {c['value']!r}")
             cond = Condition(str(c["var"]), str(c["op"]), value)
         contexts[cid] = ContextDef(cid, str(raw.get("description", "")), kind, cond)
 

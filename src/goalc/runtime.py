@@ -3,15 +3,17 @@
 The knowledge state is the binding the goals' formula circuits read, updated
 in place: windowed per-leaf estimates (success rate, mean cost sample),
 commanded frequencies, context truths and placeholder flags, by parameter
-name.  The planner is an exhaustive, deterministic grid search over frequency
-knobs, where one knob fans out to a whole group of leaves (e.g. "all sensor
-tasks") and no two knobs share a leaf: each grid point binds the knob's value
-to the frequency of every leaf it drives.  The search is one generated
-function, :func:`symexpr.search`: the arithmetic no knob reaches runs once
-per search, each grid point runs only the part its innermost knob drives,
-and the policy's scoring (:attr:`Policy.rank`: the in-margin tests, their
-combination and the objective, the one definition of what a policy means)
-runs in the innermost loop, with no Python call per grid point.
+name.  Analysis reports what the planner reads: each property's value and
+whether the values satisfy the policy.  The planner is an exhaustive,
+deterministic grid search over frequency knobs, where one knob fans out to a
+whole group of leaves (e.g. "all sensor tasks") and no two knobs share a leaf:
+each grid point binds the knob's value to the frequency of every leaf it
+drives.  The search is one generated function, :func:`symexpr.search`: the
+arithmetic no knob reaches runs once per search, each grid point runs only the
+part its innermost knob drives, and the policy's scoring (:attr:`Policy.rank`:
+the in-margin tests, their combination and the objective, the one definition
+of what a policy means) runs in the innermost loop, with no Python call per
+grid point.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
-from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import symexpr
 from .cgm import GoalModel, ParamTable
@@ -263,8 +266,10 @@ def _numbers(raw: Mapping, keys: Sequence[str], owner: str) -> List[float]:
     out = []
     for key in keys:
         try:
+            if isinstance(raw[key], bool):  # float(True) is 1.0
+                raise TypeError(key)
             out.append(float(raw[key]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise PolicyError(f"{owner}: {key!r} must be a number, got {raw[key]!r}") from None
     return out
 
@@ -432,30 +437,17 @@ def monitor_ingest(
 # -- analyze ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyReading:
-    metric: Metric
-    goal: str
-    current: float
-    error: float  # current - setpoint
-    in_margin: bool
+class AnalysisReport(NamedTuple):
+    """Each property's value, in policy order, and the policy's verdict on them."""
 
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    readings: Tuple[PropertyReading, ...]
+    values: Tuple[float, ...]
     satisfied: bool
 
 
 def analyze(state: KnowledgeState, policy: Policy) -> AnalysisReport:
-    """Evaluate every controlled property against the current beliefs."""
-    values = [symexpr.evaluate(c, state.bindings) for c in policy.circuits(state.formulae)]
-    readings = tuple(
-        PropertyReading(prop.metric, prop.goal, value, value - prop.setpoint,
-                        prop.in_margin(value))
-        for prop, value in zip(policy.properties, values)
-    )
-    return AnalysisReport(readings, policy.satisfied(values))
+    """Evaluate each property's circuit on the current beliefs, and rank the values."""
+    values = tuple(symexpr.evaluate(c, state.bindings) for c in policy.circuits(state.formulae))
+    return AnalysisReport(values, policy.satisfied(values))
 
 
 # -- plan ---------------------------------------------------------------------
@@ -488,7 +480,7 @@ def plan(state: KnowledgeState, policy: Policy) -> Actuation:
     current = {knob.id: state.bindings[ParamTable.frequency(knob.leaves[0]).name]
                for knob in policy.knobs}
     if report.satisfied or not policy.knobs:
-        predicted = policy.reported([reading.current for reading in report.readings])
+        predicted = policy.reported(report.values)
         return Actuation(current, predicted, feasible=report.satisfied)
 
     knobs = sorted(policy.knobs, key=lambda k: k.id)

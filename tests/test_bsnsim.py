@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -197,6 +198,81 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as info:
             load_scenario(text)
         assert str(info.value) == message
+
+    @staticmethod
+    def nominal_with(path, value):
+        """The bundled nominal scenario with the entry at ``path`` set to
+        ``value``, or deleted if ``value`` is ``KeyError``."""
+        doc = json.loads(bundled.data_text("scenario_nominal.json"))
+        table = doc
+        for key in path[:-1]:
+            table = table[key]
+        if value is KeyError:
+            del table[path[-1]]
+        else:
+            table[path[-1]] = value
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("sensors",), 5, "scenario 'sensors' must be a list of objects, got 5"),
+        (("sensors",), [5], "scenario 'sensors' must be a list of objects, got [5]"),
+        (("true",), KeyError, "scenario missing 'true'"),
+        (("true", "cost"), KeyError, "scenario missing 'true.cost'"),
+        (("sensors", 0, "battery", "level"), KeyError,
+         "scenario missing 'sensors[0].battery.level'"),
+        (("sensors", 1, "leaves"), "T1.21", "scenario 'sensors[1].leaves' must be a list of ids, "
+         "got 'T1.21'"),
+        (("hub_degradation",), {"t": 1},
+         "scenario 'hub_degradation' must be a list of objects, got {'t': 1}"),
+        (("true", "reliability"), [["T1.11", 0.9]],
+         "scenario 'true.reliability' must be an object, got [['T1.11', 0.9]]"),
+        (("estimates", "cost", "T2"), True,
+         "scenario 'estimates.cost.T2' must be a number, got True"),
+        (("tick",), True, "scenario 'tick' must be a number, got True"),
+        (("sensors", 2, "battery", "drain"), "x",
+         "scenario 'sensors[2].battery.drain' must be a number, got 'x'"),
+        (("seed",), 7.9, "scenario 'seed' must be an integer, got 7.9"),
+        (("seed",), True, "scenario 'seed' must be an integer, got True"),
+        (("seed",), "7.5", "scenario 'seed' must be an integer, got '7.5'"),
+        (("executions_per_tick",), 2.7,
+         "scenario 'executions_per_tick' must be an integer, got 2.7"),
+        (("window_size",), None, "scenario 'window_size' must be an integer, got None"),
+        (("contexts", "C5"), True, "scenario 'contexts.C5' must be an integer, got True"),
+        (("opt_flags", "T1.X"), 0.5, "scenario 'opt_flags.T1.X' must be an integer, got 0.5"),
+        (("scenario",), "Meteor", "scenario 'scenario' must be one of "
+         "['SystemItself', 'SystemGoals', 'Environment', 'None'], got 'Meteor'"),
+        (("mode",), 5, "scenario 'mode' must be one of ['Tamed', 'Untamed'], got 5"),
+    ])
+    def test_shape_errors_name_the_key(self, path, value, message):
+        with pytest.raises(ConfigError) as info:
+            load_scenario(self.nominal_with(path, value))
+        assert str(info.value) == message
+
+    def test_integral_numbers_read_as_integers(self):
+        for value, seed in [(7, 7), (7.0, 7), ("7", 7), ("7.0", 7), (2**60 + 1, 2**60 + 1)]:
+            config = load_scenario(self.nominal_with(("seed",), value))
+            assert config.seed == seed and type(config.seed) is int
+
+    @staticmethod
+    def key_paths(value, path=()):
+        """Every key path into ``value``, list positions included."""
+        items = value.items() if isinstance(value, dict) else \
+            enumerate(value) if isinstance(value, list) else ()
+        for key, sub in items:
+            yield path + (key,)
+            yield from TestScenarioConfig.key_paths(sub, path + (key,))
+
+    @pytest.mark.parametrize("value", [5, None, "x", [], {}, True, 7.9])
+    def test_any_value_at_any_key_loads_or_is_a_config_error(self, value):
+        nominal = json.loads(bundled.data_text("scenario_nominal.json"))
+        paths = list(self.key_paths(nominal))
+        assert len(paths) > 100
+        for path in paths:
+            try:
+                load_scenario(self.nominal_with(path, value))
+            except ConfigError as exc:
+                assert not re.search(r"[A-Za-z]+(Error|Exception)\(", str(exc)), (path, exc)
+                assert "bad scenario document" not in str(exc)
 
     @pytest.mark.parametrize("duration,tick", [(0.4, 1.0), (0.5, 1.0), (0.04, 0.1), (1e-9, 1.0)])
     def test_a_run_of_no_ticks_is_rejected(self, duration, tick):

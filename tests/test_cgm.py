@@ -1,6 +1,7 @@
 """Goal-model parsing, validation, and parameter-naming tests."""
 
 import json
+import math
 
 import pytest
 
@@ -173,6 +174,13 @@ class TestParse:
         ("value", "abc", "C1", "context 'C1': condition value is not a number"),
         ("value", None, "C1", "context 'C1': condition value is not a number"),
         ("value", 10**400, "C1", "context 'C1': condition value is not a number"),
+        ("value", math.nan, "C1", "context 'C1': condition value is not a finite number, got nan"),
+        ("value", math.inf, "C1", "context 'C1': condition value is not a finite number, got inf"),
+        ("value", -math.inf, "C1",
+         "context 'C1': condition value is not a finite number, got -inf"),
+        ("value", "nan", "C1", "context 'C1': condition value is not a finite number, got 'nan'"),
+        ("value", True, "C1", "context 'C1': condition value is not a finite number, got True"),
+        ("value", False, "C1", "context 'C1': condition value is not a finite number, got False"),
     ])
     def test_malformed_shape_names_the_key(self, key, value, node, message):
         with pytest.raises(ParseError) as info:

@@ -98,6 +98,18 @@ class TestCompile:
         assert (code, out) == (1, "")
         assert err == "error: node 'G1': 'children' must be a list of ids, got 5\n"
 
+    @pytest.mark.parametrize("value,shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (True, "True"),
+    ])
+    def test_non_finite_condition_value_is_one_error_line(self, capsys, tmp_path, value, shown):
+        doc = json.loads(bundled.data_text("bsn.json"))
+        next(c for c in doc["contexts"] if c["id"] == "C6")["condition"]["value"] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as their JSON tokens
+        code, out, err = run_cli(capsys, "compile", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: context 'C6': condition value is not a finite number, got {shown}\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compile", str(tmp_path / "nope.json"))
         assert code == 2
@@ -458,7 +470,10 @@ class TestSimulate:
     @pytest.mark.parametrize("make,message", [
         (lambda doc: [1, 2], "scenario document must be a JSON object"),
         (lambda doc: dict(doc, duration=0.4), "duration 0.4 is under half a tick of 1.0"),
-    ], ids=["not-an-object", "no-ticks"])
+        (lambda doc: dict(doc, sensors=5), "scenario 'sensors' must be a list of objects, got 5"),
+        (lambda doc: dict(doc, seed=7.9), "scenario 'seed' must be an integer, got 7.9"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "true"}, "scenario missing 'true'"),
+    ], ids=["not-an-object", "no-ticks", "sensors-number", "fractional-seed", "missing-true"])
     def test_unusable_scenario_is_one_error_line(self, capsys, model_file, policy_file,
                                                  tmp_path, make, message):
         path = tmp_path / "scenario.json"
@@ -467,6 +482,17 @@ class TestSimulate:
                                  "--policy", policy_file, "--scenario", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    def test_boolean_policy_number_is_one_error_line(self, capsys, model_file, scenario_file,
+                                                     tmp_path):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["properties"][0]["margin"] = True
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", model_file,
+                                 "--policy", str(path), "--scenario", scenario_file)
+        assert (code, out) == (1, "")
+        assert err == "error: property: 'margin' must be a number, got True\n"
 
     @pytest.mark.parametrize("key,value", [
         ("duration", "NaN"), ("duration", "Infinity"), ("tick", "NaN"), ("tick", "Infinity"),

@@ -174,6 +174,27 @@ class TestPolicy:
         with pytest.raises(PolicyError, match=message):
             load_policy(json.dumps(doc), bsn)
 
+    @pytest.mark.parametrize("owner,key,value,message", [
+        ("properties", "margin", True, "property: 'margin' must be a number, got True"),
+        ("properties", "setpoint", False, "property: 'setpoint' must be a number, got False"),
+        ("knobs", "max", True, "knob 'T1': 'max' must be a number, got True"),
+        ("knobs", "step", False, "knob 'T1': 'step' must be a number, got False"),
+        ("knobs", "min", 10**400, f"knob 'T1': 'min' must be a number, got {10**400}"),
+    ], ids=["margin-true", "setpoint-false", "max-true", "step-false", "min-overflow"])
+    def test_policy_numbers_reject_booleans_and_overflow(self, bsn, owner, key, value, message):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc[owner][0][key] = value
+        with pytest.raises(PolicyError) as info:
+            load_policy(json.dumps(doc), bsn)
+        assert str(info.value) == message
+
+    def test_policy_numbers_may_be_numeric_strings(self, bsn):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["properties"][0]["margin"] = str(doc["properties"][0]["margin"])
+        doc["knobs"][0]["max"] = "1.0"
+        bundled_policy = load_policy(bundled.data_text("policy.json"), bsn)
+        assert load_policy(json.dumps(doc), bsn) == bundled_policy
+
     def test_knob_grid_is_inclusive_and_float_safe(self):
         knob = Knob("k", ("T",), 0.1, 0.3, 0.1)
         assert knob.values() == [0.1, 0.2, 0.3]
@@ -522,10 +543,10 @@ class TestMonitor:
 class TestAnalyze:
     def test_tight_miss_stays_in_margin(self):
         _, state = single_state(r=0.89)
-        report = analyze(state, reliability_policy(0.90))
-        reading = report.readings[0]
-        assert reading.in_margin  # |0.89 - 0.90| = 0.01 <= 0.018
-        assert reading.error == pytest.approx(-0.01)
+        policy = reliability_policy(0.90)
+        report = analyze(state, policy)
+        assert policy.properties[0].in_margin(report.values[0])  # |0.89 - 0.90| = 0.01 <= 0.018
+        assert report.values[0] - 0.90 == pytest.approx(-0.01)
         assert report.satisfied
 
     def test_cost_overshoot_misses_margin(self):
@@ -535,7 +556,7 @@ class TestAnalyze:
             knobs=(),
         )
         report = analyze(state, policy)
-        assert not report.readings[0].in_margin  # 0.03 > 0.0094
+        assert not policy.properties[0].in_margin(report.values[0])  # 0.03 > 0.0094
         assert not report.satisfied
 
     def test_perfect_parts_make_perfect_whole(self, bsn):
@@ -553,7 +574,7 @@ class TestAnalyze:
             properties=(PropertyTarget(Metric.RELIABILITY, "G1", 1.0, 0.01),),
             knobs=(),
         )
-        assert analyze(state, policy).readings[0].current == 1.0
+        assert analyze(state, policy).values == (1.0,)
 
     def test_missing_goal_formulae(self):
         _, state = single_state()
@@ -570,7 +591,8 @@ class TestAnalyze:
         direct = symexpr.evaluate(
             state.formulae["T"].reliability, state.bindings
         )
-        assert abs(report.readings[0].current - direct) <= 1e-12
+        # The same compiled program, so the same float.
+        assert report.values == (direct,)
 
 
 def test_analyze_and_plan_leave_the_state_alone(bsn):
@@ -663,7 +685,7 @@ class TestPlan:
         assert frequencies == {"A": 0.5, "B": 0.5}
         state.set_frequencies(frequencies)
         after = analyze(state, policy)
-        assert after.readings[0].current == pytest.approx(0.2025)
+        assert after.values[0] == pytest.approx(0.2025)
 
     def test_no_regression_when_feasible(self):
         _, state = single_state(r=0.9, f=0.5)

@@ -199,8 +199,8 @@ def per_point_plan(state, policy):
                for knob in policy.knobs}
     if report.satisfied or not policy.knobs:
         predicted = {}
-        for reading in report.readings:
-            predicted.setdefault(reading.metric.value.lower(), reading.current)
+        for p, value in zip(policy.properties, report.values):
+            predicted.setdefault(p.metric.value.lower(), value)
         return Actuation(current, predicted, feasible=report.satisfied)
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
@@ -292,7 +292,7 @@ def min_key_plan(state, policy):
     current = {knob.id: state.bindings[ParamTable.frequency(knob.leaves[0]).name]
                for knob in policy.knobs}
     if report.satisfied or not policy.knobs:
-        predicted = policy.reported([reading.current for reading in report.readings])
+        predicted = policy.reported(report.values)
         return Actuation(current, predicted, feasible=report.satisfied)
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     grids = [knob.values() for knob in knobs]
