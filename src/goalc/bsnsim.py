@@ -92,6 +92,11 @@ class SensorSpec:
     battery: BatterySpec
 
 
+#: The most executions a run may attempt per leaf, ``round(duration / tick) *
+#: executions_per_tick``; the bundled runs attempt 300 * 20 = 6,000.
+MAX_EXECUTIONS_PER_LEAF = 10_000_000
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: Scenario
@@ -121,6 +126,10 @@ class ScenarioConfig:
             raise ConfigError(f"duration {self.duration} is under half a tick of {self.tick}")
         if self.executions_per_tick < 1:
             raise ConfigError("executions_per_tick must be at least 1")
+        if round(self.duration / self.tick) * self.executions_per_tick > MAX_EXECUTIONS_PER_LEAF:
+            raise ConfigError(f"duration / tick * executions_per_tick must be at most "
+                              f"{MAX_EXECUTIONS_PER_LEAF:,} executions per leaf, got "
+                              f"{self.duration} / {self.tick} * {self.executions_per_tick}")
         for leaf, r in self.true_reliability.items():
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"true reliability of {leaf!r} outside [0, 1]: {r}")
@@ -477,6 +486,15 @@ def run(
     unknown = sorted(set(config.initial_frequency) - set(knob_ids))
     if unknown:
         raise ConfigError(f"initial_frequency names knobs the policy lacks: {unknown}")
+    for i, spec in enumerate(config.sensors):
+        if spec.context not in model.contexts:
+            raise ConfigError(f"scenario 'sensors[{i}].context' names no context of the "
+                              f"model, got {spec.context!r}")
+    for key, ids, kind in (("contexts", model.contexts, "context"),
+                           ("opt_flags", model.placeholders(), "placeholder")):
+        for name in getattr(config, key):
+            if name not in ids:
+                raise ConfigError(f"scenario {key + '.' + name!r} names no {kind} of the model")
 
     world = World.from_config(config, policy, conditioned)
     state = runtime.initial_state(
@@ -515,7 +533,7 @@ def run(
             + tuple(float(knob_values[k]) for k in knob_ids)
         )
         if config.mode is Mode.TAMED:
-            state = runtime.monitor_ingest(state, events, now=t)
+            state = runtime.monitor_ingest(state, events)
         actuation = runtime.plan(state, policy)
         pending = runtime.execute(actuation, knob_values)
     return TimeSeries(columns, tuple(rows))
@@ -528,7 +546,12 @@ def setpoint_distance(values: Sequence[float], setpoint: float) -> float:
     """Mean absolute distance of a series from its setpoint."""
     if not values:
         raise ConfigError("empty series")
-    return sum(abs(v - setpoint) for v in values) / len(values)
+    # Left to right, as the built-in sum adds floats before Python 3.12, so
+    # every interpreter prints the same report.
+    total = 0.0
+    for v in values:
+        total += abs(v - setpoint)
+    return total / len(values)
 
 
 def metrics(

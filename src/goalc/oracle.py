@@ -118,9 +118,9 @@ def leaf_outcomes(
     """Outcome trios for every leaf under ``goal_id``, in depth-first order.
 
     The execution gate of a leaf multiplies the context truths of every
-    node on the path from (and excluding) the goal down to the leaf itself,
-    and the OPT flag for placeholders; the trio of each leaf sums to 1
-    exactly under rational arithmetic.
+    node on the path from the goal down to the leaf itself, excluding a
+    composite goal's own, and the OPT flag for placeholders; the trio of
+    each leaf sums to 1 exactly under rational arithmetic.
     """
     out: List[LeafOutcome] = []
     # Exact arithmetic when every bound value is exact, floats otherwise.
@@ -131,7 +131,7 @@ def leaf_outcomes(
     for node_id in model.preorder(goal_id):
         node = model.nodes[node_id]
         gate = gates[node_id]
-        if node_id != goal_id:
+        if node_id != goal_id or node.is_executable:
             for ctx in node.contexts:
                 gate = gate * binding.context_truth(ctx)
         if node.kind == NodeKind.PLACEHOLDER:
@@ -445,8 +445,8 @@ def random_model(rng: random.Random, max_leaves: int = 6) -> GoalModel:
         return nid, used
 
     root, _ = build(max_leaves, 0, False)
-    # The root's own contexts never enter its compiled formula; drop them so
-    # oracle and formula agree on the same quantity.
+    # A composite root's own contexts never enter its compiled formula; drop
+    # them so oracle and formula agree on the same quantity.
     r = nodes[root]
     nodes[root] = Node(r.id, r.label, r.kind, r.decomposition, r.children, r.dm_order, ())
     return GoalModel("verifier", root, nodes, contexts)

@@ -285,15 +285,15 @@ class KnowledgeState:
     entry is its prior until its sliding window holds a sample, and the
     window's mean after; a controller that never ingests telemetry acts on
     its static priors forever.  ``successes`` counts the successes in each
-    exec window, so the ``r_`` mean needs no sum over the window.  The
-    monitor and :meth:`set_frequencies` update the state in place.
+    exec window, so the ``r_`` mean needs no sum over the window, and
+    ``dropped`` the telemetry records the monitor rejected.  No clock is kept.
+    The monitor and :meth:`set_frequencies` update the state in place.
     """
 
     formulae: Mapping[str, NodeForms]  # goal id -> circuit triple
     bindings: Dict[str, float]
     exec_windows: Dict[str, Deque[int]]
     cost_windows: Dict[str, Deque[float]]
-    timestamp: float = 0.0
     dropped: int = 0
     successes: Dict[str, int] = field(init=False)
 
@@ -370,11 +370,7 @@ def initial_state(
 # -- monitor ------------------------------------------------------------------
 
 
-def monitor_ingest(
-    state: KnowledgeState,
-    events: Iterable[Mapping],
-    now: Optional[float] = None,
-) -> KnowledgeState:
+def monitor_ingest(state: KnowledgeState, events: Iterable[Mapping]) -> KnowledgeState:
     """Fold a telemetry batch into the windowed estimates, in place.
 
     Record shapes:
@@ -388,15 +384,14 @@ def monitor_ingest(
     A malformed record (a missing or unreadable ``t``, an unknown ``kind`` or
     leaf, ``outcomes`` not a list of booleans, a ``cost`` that is negative
     or not finite) is counted in ``dropped`` and rejected whole: it reaches
-    no window, binding or clock.  An exec record without outcomes, like an
-    empty batch, only moves the clock.  Returns ``state``.
+    no window or binding; ``t`` is only validated.  An exec record without
+    outcomes, like an empty batch, changes nothing.  Returns ``state``.
     """
     bindings, successes = state.bindings, state.successes
     exec_windows, cost_windows = state.exec_windows, state.cost_windows
-    timestamp, dropped = state.timestamp, state.dropped
     for event in events:
         try:
-            t = float(event["t"])
+            float(event["t"])
             kind = event["kind"]
             if kind == "exec":
                 leaf, outcomes, cost = event["leaf"], event["outcomes"], float(event["cost"])
@@ -424,13 +419,7 @@ def monitor_ingest(
             else:
                 raise ValueError(kind)
         except (KeyError, TypeError, ValueError):
-            dropped += 1
-            continue
-        if t > timestamp:  # max(timestamp, t), NaN included, without the call
-            timestamp = t
-    if now is not None:
-        timestamp = max(timestamp, now)
-    state.timestamp, state.dropped = timestamp, dropped
+            state.dropped += 1
     return state
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from goalc import bundled
 from goalc.bsnsim import (
+    MAX_EXECUTIONS_PER_LEAF,
     BatterySpec,
     ConfigError,
     Mode,
@@ -34,6 +35,7 @@ TINY = json.dumps({
         {"id": "A", "kind": "LeafTask"},
         {"id": "B", "kind": "LeafTask"},
     ],
+    "contexts": [{"id": "CX"}],  # sensor S1's availability
 })
 
 TINY_POLICY = json.dumps({
@@ -286,6 +288,22 @@ class TestScenarioConfig:
         policy = load_policy(TINY_POLICY, parse_model(TINY))
         ticks = round(duration / tick)
         assert len(run(config, policy, parse_model(TINY)).rows) == ticks >= 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"executions_per_tick": 10**30}, {"duration": 1e12},
+        {"duration": 500_001, "executions_per_tick": 20},
+    ], ids=["executions", "duration", "one-tick-over"])
+    def test_a_run_past_the_execution_cap_is_rejected(self, overrides):
+        with pytest.raises(ConfigError) as info:
+            load_scenario(tiny_scenario(**overrides))
+        message = str(info.value)
+        assert message.startswith("duration / tick * executions_per_tick must be at most "
+                                  "10,000,000 executions per leaf, got ")
+
+    def test_a_run_at_the_execution_cap_loads(self):
+        config = load_scenario(tiny_scenario(duration=500_000, executions_per_tick=20))
+        ticks = round(config.duration / config.tick)
+        assert ticks * config.executions_per_tick == MAX_EXECUTIONS_PER_LEAF  # not run
 
     @pytest.mark.parametrize("key", ["drain", "recharge"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
@@ -647,3 +665,20 @@ class TestClosedLoop:
         config = dataclasses.replace(config, initial_frequency={"T1": 0.8})
         with pytest.raises(ConfigError, match="misses knobs"):
             run(config, bsn_policy, bsn, bsn_forms)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda c: {"contexts": {**c.contexts, "C99": 1}},
+         "scenario 'contexts.C99' names no context of the model"),
+        (lambda c: {"opt_flags": {"T1.X": 0, "T9": 1}},
+         "scenario 'opt_flags.T9' names no placeholder of the model"),
+        (lambda c: {"opt_flags": {"T1.X": 0, "T2": 1}},
+         "scenario 'opt_flags.T2' names no placeholder of the model"),
+        (lambda c: {"sensors": (dataclasses.replace(c.sensors[0], context="C99"),)
+                    + c.sensors[1:]},
+         "scenario 'sensors[0].context' names no context of the model, got 'C99'"),
+    ], ids=["context", "opt-flag", "opt-flag-on-a-leaf", "sensor-context"])
+    def test_ids_the_model_lacks_are_rejected(self, bsn, bsn_policy, change, message):
+        config = bundled_config("scenario_nominal.json", "Tamed", duration=3)
+        with pytest.raises(ConfigError) as info:
+            run(dataclasses.replace(config, **change(config)), bsn_policy, bsn)
+        assert str(info.value) == message

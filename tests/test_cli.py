@@ -473,7 +473,11 @@ class TestSimulate:
         (lambda doc: dict(doc, sensors=5), "scenario 'sensors' must be a list of objects, got 5"),
         (lambda doc: dict(doc, seed=7.9), "scenario 'seed' must be an integer, got 7.9"),
         (lambda doc: {k: v for k, v in doc.items() if k != "true"}, "scenario missing 'true'"),
-    ], ids=["not-an-object", "no-ticks", "sensors-number", "fractional-seed", "missing-true"])
+        (lambda doc: dict(doc, duration=1e12),
+         "duration / tick * executions_per_tick must be at most 10,000,000 executions "
+         "per leaf, got 1000000000000.0 / 1.0 * 20"),
+    ], ids=["not-an-object", "no-ticks", "sensors-number", "fractional-seed", "missing-true",
+            "past-the-execution-cap"])
     def test_unusable_scenario_is_one_error_line(self, capsys, model_file, policy_file,
                                                  tmp_path, make, message):
         path = tmp_path / "scenario.json"
@@ -537,7 +541,10 @@ class TestSimulate:
         (("true", "cost", "T2"), -1, "true cost of 'T2' is negative or not finite: -1.0"),
         (("true", "cost", "T2"), float("inf"),
          "true cost of 'T2' is negative or not finite: inf"),
-    ], ids=["unknown-knob", "reliability-7", "negative-cost", "infinite-cost"])
+        (("sensors", 0, "context"), "C99",
+         "scenario 'sensors[0].context' names no context of the model, got 'C99'"),
+    ], ids=["unknown-knob", "reliability-7", "negative-cost", "infinite-cost",
+            "unknown-sensor-context"])
     def test_scenario_checked_against_policy_and_range(self, capsys, model_file,
                                                        policy_file, tmp_path,
                                                        path, value, message):
@@ -657,6 +664,35 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(tamed), str(untamed))
         assert code == 1
         assert "length" in err
+
+    # The README's hub pair.  The distances are added left to right, so the
+    # same bytes come out on every supported Python, 3.12's compensated
+    # built-in sum included.
+    HUB_REPORT = """{
+  "d_tamed": {
+    "reliability": 0.010833745227412182,
+    "cost": 0.0056564057538121566
+  },
+  "d_untamed": {
+    "reliability": 0.04863073740928842,
+    "cost": 0.02540540540540565
+  },
+  "e_r": 4.488820476065845,
+  "e_c": 4.49143970767719
+}
+"""
+
+    def test_bundled_hub_pair_report_bytes_are_pinned(self, capsys, model_file,
+                                                       policy_file, tmp_path):
+        scenario = tmp_path / "hub.json"
+        scenario.write_text(bundled.data_text("scenario_hub_degradation.json"))
+        traces = [str(tmp_path / f"{mode}.csv") for mode in ("tamed", "untamed")]
+        for mode, trace in zip(("tamed", "untamed"), traces):
+            code, _, _ = run_cli(capsys, "simulate", model_file, "--policy", policy_file,
+                                 "--scenario", str(scenario), "--mode", mode, "--out", trace)
+            assert code == 0
+        code, out, _ = run_cli(capsys, "report", *traces, "--policy", policy_file)
+        assert (code, out) == (0, self.HUB_REPORT)
 
     def test_missing_trace_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "x.csv"),

@@ -116,6 +116,21 @@ class TestLeafOutcomes:
         # The gate starts below the compile target, so K1 does not apply.
         assert leaf_outcomes(m, "G", b)[0].success == H
 
+    def test_leaf_goal_own_contexts_gate_it(self):
+        # An executable goal runs with probability c*f (times OPT for a
+        # placeholder), as its compiled row C*r*f says.
+        p = Node("T.X", "", NodeKind.PLACEHOLDER, contexts=("K1",))
+        root = Node("G", "", NodeKind.GOAL, Decomposition.AND, ("T", "T.X"))
+        m = model("G", root, leaf("T", ["K1"]), p, contexts=[ContextDef("K1", "")])
+        f, w = Fraction(2, 3), Fraction(3)
+        for c, opt in itertools.product((0, 1), repeat=2):
+            b = uniform_binding(m, f=f, w=w, contexts={"K1": c}, opt_flags={"T.X": opt})
+            for goal, gate in (("T", c), ("T.X", c * opt)):
+                assert prob_reach(m, goal, b) == gate * f * H
+                assert cost_reach(m, goal, b) == gate * f * H * w
+                result = check_formula(m, goal, compile_model(m, goal)[goal], b)
+                assert result.cost_applicable and result.ok(0.0)
+
     def test_missing_value_reported(self):
         m = and_of(1)
         with pytest.raises(ModelError, match="missing value for 'r_N1'"):
@@ -488,6 +503,14 @@ class TestCostComparable:
 
 
 class TestCheckFormula:
+    def test_every_bundled_node_verifies(self, bsn):
+        rng = random.Random(5)
+        for goal in bsn.nodes:
+            forms = compile_model(bsn, goal)[goal]
+            for _ in range(20):
+                result = check_formula(bsn, goal, forms, random_binding(rng, bsn))
+                assert result.ok(), (goal, result)
+
     def test_and_tree_matches_closed_form(self):
         m = and_of(3)
         forms = compile_model(m)["G"]

@@ -329,7 +329,7 @@ class TestMonitor:
     def snapshot(state):
         return ({leaf: (tuple(state.exec_windows[leaf]), tuple(state.cost_windows[leaf]))
                  for leaf in state.exec_windows},
-                dict(state.successes), dict(state.bindings), state.timestamp)
+                dict(state.successes), dict(state.bindings))
 
     def test_success_ratio(self):
         _, state = single_state(r=0.5)  # a prior no ingested sample reproduces
@@ -381,14 +381,12 @@ class TestMonitor:
         assert state.bindings["C_C1"] == 0
         assert state.bindings["C_C2"] == 1
 
-    def test_empty_batch_only_moves_clock(self):
+    def test_empty_batch_changes_nothing(self):
         _, state = single_state()
-        bindings = dict(state.bindings)
-        windows = [tuple(state.exec_windows["T"]), tuple(state.cost_windows["T"])]
-        after = monitor_ingest(state, [], now=7.5)
-        assert after.timestamp == 7.5
-        assert [tuple(after.exec_windows["T"]), tuple(after.cost_windows["T"])] == windows
-        assert after.bindings == bindings
+        before = self.snapshot(state)
+        assert monitor_ingest(state, []) is state
+        assert self.snapshot(state) == before
+        assert state.dropped == 0
 
     def test_malformed_events_counted_and_skipped(self):
         _, state = single_state()
@@ -416,7 +414,7 @@ class TestMonitor:
     ], ids=lambda v: "missing" if v is MISSING else repr(v))
     def test_malformed_record_is_rejected_whole(self, key, value):
         """A malformed record adds 1 to ``dropped`` and reaches no window,
-        running count, binding or clock.  The former per-execution shapes
+        running count or binding.  The former per-execution shapes
         (kind ``"cost"``; an ``exec`` record without ``outcomes``) are
         malformed too."""
         _, state = single_state(r=0.5, w=0.5)
@@ -430,14 +428,14 @@ class TestMonitor:
         assert state.dropped == 1
         assert self.snapshot(state) == before
 
-    def test_empty_outcomes_only_move_the_clock(self):
+    def test_empty_outcomes_change_nothing(self):
         for filled in (False, True):
             _, state = single_state(r=0.5, w=0.5)
             if filled:
                 monitor_ingest(state, [record([True, False], t=1, cost=2.0)])
-            windows, successes, bindings = self.snapshot(state)[:3]
+            before = self.snapshot(state)
             monitor_ingest(state, [record([], t=4, cost=3.0)])
-            assert self.snapshot(state) == (windows, successes, bindings, 4.0)
+            assert self.snapshot(state) == before
             assert state.dropped == 0
 
     def test_running_count_is_the_window_sum(self):
@@ -468,33 +466,34 @@ class TestMonitor:
                          if len(outcomes) > size else "fills")
         assert seen == {"longer", "evicts", "fills"}
 
-    def test_timestamp_is_the_running_max_of_event_times(self):
-        """The clock moves as ``max(timestamp, float(t))`` per event would
-        move it, NaN included, and an unreadable ``t`` drops the event."""
-        stamps = [0.0, -0.0, 1.5, 7, "2.5", "-inf", float("nan"), float("inf"),
-                  float("-inf"), "nan", None, "soon", [1]]
+    def test_a_record_is_ingested_when_float_reads_its_t(self):
+        """A ``t`` that ``float()`` reads (NaN, infinities and numeric strings
+        included) lets the record in; ``None``, ``"soon"``, ``[1]`` and a
+        missing ``t`` drop it."""
+        readable = [0.0, -0.0, 1.5, 7, "2.5", "-inf", float("nan"), float("inf"),
+                    float("-inf"), "nan"]
+        stamps = [(t, True) for t in readable] + [
+            (t, False) for t in (None, "soon", [1], MISSING)]
         rng = random.Random(4)
         seen = set()
         for _ in range(300):
             _, state = single_state()
-            state.timestamp = rng.choice([0.0, -0.0, 3.0, float("nan"), float("-inf")])
-            want, dropped = state.timestamp, 0
+            ingested = dropped = 0
             events = []
             for _ in range(rng.randint(0, 6)):
+                stamp, ok = rng.choice(stamps)
                 event = record([True])
-                del event["t"]
-                if rng.random() < 0.9:
-                    event["t"] = rng.choice(stamps)
+                if stamp is MISSING:
+                    del event["t"]
+                else:
+                    event["t"] = stamp
                 events.append(event)
-                try:
-                    want = max(want, float(event["t"]))
-                except (KeyError, TypeError, ValueError):
-                    dropped += 1
+                ingested, dropped = ingested + ok, dropped + (not ok)
             monitor_ingest(state, events)
-            assert repr(state.timestamp) == repr(want)
+            assert tuple(state.exec_windows["T"]) == (1,) * ingested
             assert state.dropped == dropped
-            seen.add("nan" if want != want else "dropped" if dropped else "ok")
-        assert seen == {"nan", "dropped", "ok"}
+            seen.add("mixed" if ingested and dropped else "dropped" if dropped else "ok")
+        assert seen == {"mixed", "dropped", "ok"}
 
     def test_beliefs_are_window_means_of_the_event_stream(self, bsn):
         """Over 300 nominal ticks every leaf's ``r_``/``w_`` binding is, bit
@@ -513,7 +512,7 @@ class TestMonitor:
                         1 if success else 0 for success in e["outcomes"])
                     samples["cost"].setdefault(e["leaf"], []).extend(
                         e["cost"] for _ in e["outcomes"])
-            assert monitor_ingest(state, events, now=t) is state
+            assert monitor_ingest(state, events) is state
             for kind, prefix in (("exec", "r_"), ("cost", "w_")):
                 for leaf in world.config.estimate_reliability:
                     name = prefix + leaf.replace(".", "_")
@@ -522,7 +521,7 @@ class TestMonitor:
                     assert state.bindings[name] == want, (t, name)
             for ctx, truth in world.contexts.items():
                 assert state.bindings["C_" + ctx.replace(".", "_")] == truth
-        assert state.dropped == 0 and state.timestamp == 299
+        assert state.dropped == 0
         assert max(len(s) for s in samples["exec"].values()) > n  # windows wrapped
         assert len(samples["cost"]) < len(world.config.estimate_reliability)  # priors kept
 
@@ -600,7 +599,7 @@ def test_analyze_and_plan_leave_the_state_alone(bsn):
     policy, world, state = nominal_state(bsn, frequencies=dict.fromkeys(leaves, 0.5))
     for t in range(5):
         world.inject(t)
-        monitor_ingest(state, world.step(t), now=t)
+        monitor_ingest(state, world.step(t))
     before = (dict(state.bindings),
               {leaf: tuple(w) for leaf, w in state.exec_windows.items()},
               {leaf: tuple(w) for leaf, w in state.cost_windows.items()})
