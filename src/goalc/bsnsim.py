@@ -486,13 +486,24 @@ def run(
     unknown = sorted(set(config.initial_frequency) - set(knob_ids))
     if unknown:
         raise ConfigError(f"initial_frequency names knobs the policy lacks: {unknown}")
+    # Sensor and hub leaves come first, since each is also a key of ``true.reliability``.
+    leaves, leaf = {n.id for n in model.nodes.values() if n.is_executable}, "executable leaf"
+    named = []
     for i, spec in enumerate(config.sensors):
-        if spec.context not in model.contexts:
-            raise ConfigError(f"scenario 'sensors[{i}].context' names no context of the "
-                              f"model, got {spec.context!r}")
-    for key, ids, kind in (("contexts", model.contexts, "context"),
-                           ("opt_flags", model.placeholders(), "placeholder")):
-        for name in getattr(config, key):
+        named.append((f"sensors[{i}].context", spec.context, model.contexts, "context"))
+        named += [(f"sensors[{i}].leaves", name, leaves, leaf) for name in spec.leaves]
+    named += [("hub_leaf", config.hub_leaf, leaves, leaf)] if config.hub_leaf else []
+    for key, name, ids, kind in named:
+        if name not in ids:
+            raise ConfigError(f"scenario {key!r} names no {kind} of the model, got {name!r}")
+    for key, table, ids, kind in (
+            ("true.reliability", config.true_reliability, leaves, leaf),
+            ("true.cost", config.true_cost, leaves, leaf),
+            ("estimates.reliability", config.estimate_reliability, leaves, leaf),
+            ("estimates.cost", config.estimate_cost, leaves, leaf),
+            ("contexts", config.contexts, model.contexts, "context"),
+            ("opt_flags", config.opt_flags, model.placeholders(), "placeholder")):
+        for name in table:
             if name not in ids:
                 raise ConfigError(f"scenario {key + '.' + name!r} names no {kind} of the model")
 

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .symexpr import Parameter
+from .symexpr import Parameter, _is_name
 
 
 class ModelError(ValueError):
@@ -491,12 +491,16 @@ def validate(model: GoalModel) -> List[Violation]:
 
     # Distinct ids must own distinct parameters: ``T.1`` and ``T_1`` would
     # otherwise share ``r_T_1``/``f_T_1``/``w_T_1`` and compile as one leaf.
+    # Formula text must read each name back as one: ``r_T-2`` parses as ``r_T - 2``.
     table = ParamTable(model)
     leaf_ids = [n.id for n in model.nodes.values() if n.is_executable]
     for ids, name_of in ((leaf_ids, table.reliability), (model.contexts, table.context)):
         owners: Dict[str, List[str]] = {}
         for i in ids:
-            owners.setdefault(name_of(i).name, []).append(i)
+            name = name_of(i).name
+            if not _is_name(name):
+                bad(i, "param-name-syntax", f"formula text cannot read {name!r} as one name")
+            owners.setdefault(name, []).append(i)
         for name, group in owners.items():
             if len(group) > 1:
                 for i in group:

@@ -84,12 +84,15 @@ def plan_emission(model: GoalModel, goal_id: Optional[str] = None) -> EmissionPl
     for node_id in order:
         node = model.nodes[node_id]
         inherited, enables, own_consumed = passed.pop(node_id)
-        if node_id != goal:
+        # A composite goal's own contexts stay out; an executable goal is
+        # gated by its own, as the oracle gates it.
+        counted = node_id != goal or node.is_executable
+        if counted:
             for ctx in node.contexts:
                 if ctx not in seen_ctx:
                     seen_ctx.add(ctx)
                     plan.context_order.append(ctx)
-        own = () if (node_id == goal or own_consumed) else tuple(node.contexts)
+        own = tuple(node.contexts) if counted and not own_consumed else ()
         gated = inherited + own
         if node.is_executable:
             plan.guard_contexts[node_id] = gated

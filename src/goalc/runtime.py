@@ -103,6 +103,9 @@ class Knob:
             )
         if not self.step > 0:
             raise PolicyError(f"knob {self.id!r}: step must be positive")
+        if not math.isfinite((self.maximum - self.minimum) / self.step):
+            raise PolicyError(f"knob {self.id!r}: step {self.step} is too small to count "
+                              f"the grid of [{self.minimum}, {self.maximum}]")
 
     @property
     def grid_size(self) -> int:

@@ -20,13 +20,13 @@ canonical polynomials deferred, all read through one replay of the program
 recorded before that call: each is expanded, within the builder's term
 budget if it has one, the first time its terms are read, by any accessor,
 ``==``, ``hash``, :func:`render` or :func:`evaluate`, and is then an
-ordinary polynomial.  :func:`evaluate` takes either form; :func:`sweep`
-evaluates circuits over a whole grid of bindings at once, and
-:func:`search` runs a caller's ranking inside that grid's innermost loop
-and returns the best point.  All three run Python functions generated by
-one emitter, :func:`_compile_program`, and compiled once per content (the
-circuits' code, the axis names and the ranking) in a cache of fixed size,
-so circuits built again from the same model reuse them.
+ordinary polynomial.  :func:`evaluate` takes either form, and
+:func:`search` runs a caller's ranking over a whole grid of bindings and
+returns the best point.  Both run Python functions generated by one
+emitter, :func:`_compile_program`, which makes two programs, a value and a
+search, and keeps them in one cache of fixed size keyed on content (the
+circuits' code, the axis names and the ranking), so circuits built again
+from the same model reuse them.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import (
-    Callable, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
-    Tuple, Union,
+    Callable, Container, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
 )
 
 Number = Union[int, float, Fraction]
@@ -283,7 +282,9 @@ def evaluate(expr: Union[SymExpr, "Circuit"], binding: Mapping[str, Number]) -> 
             for name in expr._binary:
                 if binding[name] not in (0, 1):
                     _check_binary(name, binding[name])
-            return float(expr._program(binding))
+            if expr._compiled is None:
+                expr._compiled = _compile_program((expr.code,), None, None)
+            return float(expr._compiled(binding))
         except KeyError:
             missing = expr._names - binding.keys()
             if not missing:
@@ -529,7 +530,7 @@ class Circuit:
     equals the original.  Binary parameters evaluate at 0 or 1, where
     repeated factors are already idempotent, so nothing needs collapsing.
     The program is compiled to a Python function on first evaluation, once
-    per code content (see :func:`_program`).
+    per code content (see :func:`_compile_program`).
     """
 
     __slots__ = ("code", "_names", "_binary", "_compiled")
@@ -552,12 +553,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.code)
 
-    @property
-    def _program(self) -> Callable[[Mapping[str, Number]], Number]:
-        if self._compiled is None:
-            self._compiled = _program((self.code,), None, None)
-        return self._compiled
-
 
 def _check_instruction(i: int, ins: object) -> None:
     """Raise :class:`ExprError` unless ``ins`` is well-formed as instruction ``i``."""
@@ -579,33 +574,8 @@ def _check_instruction(i: int, ins: object) -> None:
             raise ExprError(f"instruction {i}: {reg!r} is not an earlier register")
 
 
-#: One grid dimension of :func:`sweep`: parameter names and their values.
+#: One grid dimension of :func:`search`: parameter names and their values.
 Axis = Tuple[Iterable[str], Iterable[Number]]
-
-
-def sweep(
-    circuits: Sequence[Circuit],
-    binding: Mapping[str, Number],
-    axes: Sequence[Axis],
-) -> Iterator[Tuple[float, ...]]:
-    """The values of ``circuits`` at every point of a grid over ``binding``.
-
-    ``axes`` holds one ``(names, values)`` pair per grid dimension.  A point
-    binds each axis's value to all of its names on top of ``binding``; where
-    axes share a name, the later one wins.  Points come in
-    :func:`itertools.product` order (the last axis changes fastest), and
-    each yields the tuple of what :func:`evaluate` returns for each circuit
-    on that binding, bit for bit.  No instruction is re-associated; each
-    one only reruns when an axis it depends on moves, so a grid point costs
-    just the instructions the last axis drives.
-
-    The binding is checked once, up front, and raises the
-    :class:`ExprError` :func:`evaluate` would for a missing name or a binary
-    parameter outside {0, 1}; an axis naming a binary parameter raises one
-    too.  The program is compiled once per circuit code and axis names.
-    """
-    codes, names = _check_grid(circuits, binding, axes)
-    return _program(codes, names, None)(binding, *(tuple(values) for _, values in axes))
 
 
 #: How :func:`search` ranks grid points: two Python expressions over the
@@ -620,20 +590,34 @@ def search(
     axes: Sequence[Axis],
     rank: Rank,
 ) -> Optional[Tuple[tuple, Tuple[float, ...]]]:
-    """The best point of the :func:`sweep` grid, and its circuit values.
+    """The best point of a grid of bindings, and its circuit values.
+
+    ``axes`` holds one ``(names, values)`` pair per grid dimension.  A point
+    binds each axis's value to all of its names on top of ``binding``; where
+    axes share a name, the later one wins.  Points come in
+    :func:`itertools.product` order (the last axis changes fastest), and a
+    point's values are what :func:`evaluate` returns for each circuit on
+    that binding, bit for bit.  No instruction is re-associated; each one
+    only reruns when an axis it depends on moves, so a grid point costs just
+    the instructions the last axis drives.
 
     With ``rank = (first, key)``, a point is better than another when its
     ``(not first, key)`` compares less: points where ``first`` holds rank
     before all others, then lower ``key`` wins.  Of equal points the one
-    earliest in :func:`itertools.product` order wins, so the choice is the
-    one ``min`` makes over the sweep with that key.  Returns the winning
-    point's axis values and the tuple the sweep yields there, or None for
-    an empty grid.  The ranking runs inside the sweep's innermost loop as
-    generated code, so it must be built from numeric literals and the
-    ``y`` names alone.  Checks and errors are :func:`sweep`'s.
+    earliest in product order wins, so the choice is the one ``min`` makes
+    over the grid with that key.  Returns the winning point's axis values
+    and the tuple of its circuit values, or None for an empty grid.  The
+    ranking runs inside the grid's innermost loop as generated code, so it
+    must be built from numeric literals and the ``y`` names alone.
+
+    The binding is checked once, up front, and raises the
+    :class:`ExprError` :func:`evaluate` would for a missing name or a binary
+    parameter outside {0, 1}; an axis naming a binary parameter raises one
+    too.
     """
     codes, names = _check_grid(circuits, binding, axes)
-    return _program(codes, names, tuple(rank))(binding, *(tuple(values) for _, values in axes))
+    program = _compile_program(codes, names, tuple(rank))
+    return program(binding, *(tuple(values) for _, values in axes))
 
 
 def _check_grid(
@@ -642,7 +626,7 @@ def _check_grid(
     """Check a grid's binding once; return the circuits' codes and axis names."""
     circuits = tuple(circuits)
     if not circuits:
-        raise ExprError("a sweep needs at least one circuit")
+        raise ExprError("a search needs at least one circuit")
     names = tuple(tuple(axis_names) for axis_names, _ in axes)
     swept = set().union(*names)
     for name in sorted(swept):
@@ -661,7 +645,7 @@ def _check_grid(
 
 _SUM_CHUNK = 256
 
-#: Loops a sweep program nests at most (Python allows 20 nested blocks);
+#: Loops a search program nests at most (Python allows 20 nested blocks);
 #: the innermost one runs every further axis through ``itertools.product``.
 _MAX_LOOPS = 16
 
@@ -670,34 +654,26 @@ _PROGRAM_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
-def _program(
+def _compile_program(
     codes: Tuple[Tuple[tuple, ...], ...],
     axes: Optional[Tuple[Tuple[str, ...], ...]],
     rank: Optional[Rank],
 ) -> Callable:
-    """:func:`_compile_program`, memoized on the circuits' code, the axis
-    names and the ranking, so circuits built again from the same model (or
-    read back from JSON) run the function already compiled.  Always called
-    with all three arguments positionally, so one content is one key."""
-    return _compile_program(codes, axes, rank)
-
-
-def _compile_program(
-    codes: Sequence[Tuple[tuple, ...]],
-    axes: Optional[Sequence[Sequence[str]]],
-    rank: Optional[Rank],
-) -> Callable:
     """Python function of circuit programs: one assignment per instruction.
 
-    With ``axes`` None, ``program(b)`` returns the value of the one circuit
-    in ``codes``.  Otherwise ``program(b, v1, v2, ...)`` loops over the
-    value lists nested in axis order.  Each instruction sits in the loop of
-    the innermost axis it depends on, or before the loops if it depends on
-    none (loop-invariant code motion); a parameter that axes name reads the
-    loop variable of the last such axis.  The innermost loop's body is, with
-    ``rank`` None, a ``yield`` of every circuit's value as a float (the
-    function is :func:`sweep`'s generator), and otherwise :func:`search`'s
-    ranking, with the function returning the winner.
+    It makes two programs.  With ``axes`` and ``rank`` None, ``program(b)``
+    returns the value of the one circuit in ``codes`` (:func:`evaluate`).
+    Otherwise ``program(b, v1, v2, ...)`` is :func:`search`: it loops over
+    the value lists nested in axis order, ranks every point in the innermost
+    loop and returns the winner.  Each instruction sits in the loop of the
+    innermost axis it depends on, or before the loops if it depends on none
+    (loop-invariant code motion); a parameter that axes name reads the loop
+    variable of the last such axis.
+
+    Memoized on the circuits' code, the axis names and the ranking, so
+    circuits built again from the same model (or read back from JSON) run
+    the function already compiled.  Callers pass all three arguments
+    positionally, so one content is one key.
 
     Parameter names enter the source only as ``repr`` string literals and
     registers as generated identifiers, so no name can inject code.
@@ -737,7 +713,7 @@ def _compile_program(
 
     params = ["b"] + [f"v{k}" for k in range(1, n_axes + 1)]
     lines = [f"def program({', '.join(params)}):"]
-    if rank is not None:
+    if axes is not None:
         # The best point so far, its key, and whether it ranks first.
         lines.append("    best, best_key, best_first = None, 0.0, False")
     for lv, block in enumerate(blocks):
@@ -747,17 +723,14 @@ def _compile_program(
             source = values if len(ks) == 1 else f"product({values})"
             lines.append(f"{'    ' * lv}for {', '.join(f'a{k}' for k in ks)} in {source}:")
         lines.extend(f"{'    ' * (lv + 1)}{stmt}" for stmt in block)
-    indent = "    " * (depth + 1)
     if axes is None:
         lines.append(f"    return {outs[0]}")
-    elif rank is None:
-        floats = "".join(f"float({o}), " for o in outs)
-        lines.append(f"{indent}yield ({floats})")
     else:
         # (not first, key) < best's, as tuples compare: a first-ranked point
         # beats any other, and between equals of ``first`` only a strictly
         # lower key wins.  The first point of the grid is taken whatever its
         # key (NaN included), as ``min`` takes it.
+        indent = "    " * (depth + 1)
         first, key = rank
         ys = [f"y{j}" for j in range(len(outs))]
         winner = (f"({''.join(f'a{k}, ' for k in range(1, n_axes + 1))}), "

@@ -676,7 +676,26 @@ class TestClosedLoop:
         (lambda c: {"sensors": (dataclasses.replace(c.sensors[0], context="C99"),)
                     + c.sensors[1:]},
          "scenario 'sensors[0].context' names no context of the model, got 'C99'"),
-    ], ids=["context", "opt-flag", "opt-flag-on-a-leaf", "sensor-context"])
+        (lambda c: {"true_reliability": {**c.true_reliability, "T9": 0.9}},
+         "scenario 'true.reliability.T9' names no executable leaf of the model"),
+        (lambda c: {"true_cost": {**c.true_cost, "T9": 0.1}},
+         "scenario 'true.cost.T9' names no executable leaf of the model"),
+        (lambda c: {"estimate_reliability": {**c.estimate_reliability, "T9": 0.9}},
+         "scenario 'estimates.reliability.T9' names no executable leaf of the model"),
+        (lambda c: {"estimate_cost": {**c.estimate_cost, "T9": 0.1}},
+         "scenario 'estimates.cost.T9' names no executable leaf of the model"),
+        (lambda c: {"true_reliability": {**c.true_reliability, "T9": 0.9},
+                    "sensors": (dataclasses.replace(c.sensors[0],
+                                                    leaves=c.sensors[0].leaves + ("T9",)),)
+                    + c.sensors[1:]},
+         "scenario 'sensors[0].leaves' names no executable leaf of the model, got 'T9'"),
+        (lambda c: {"true_reliability": {**c.true_reliability, "T9": 0.9}, "hub_leaf": "T9"},
+         "scenario 'hub_leaf' names no executable leaf of the model, got 'T9'"),
+        (lambda c: {"true_reliability": {**c.true_reliability, "G1": 0.9}},
+         "scenario 'true.reliability.G1' names no executable leaf of the model"),
+    ], ids=["context", "opt-flag", "opt-flag-on-a-leaf", "sensor-context", "true-reliability",
+            "true-cost", "estimated-reliability", "estimated-cost", "sensor-leaf", "hub-leaf",
+            "a-goal-as-a-leaf"])
     def test_ids_the_model_lacks_are_rejected(self, bsn, bsn_policy, change, message):
         config = bundled_config("scenario_nominal.json", "Tamed", duration=3)
         with pytest.raises(ConfigError) as info:

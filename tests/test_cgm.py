@@ -322,6 +322,20 @@ class TestValidate:
         assert "param-name-collision" not in self.rules(m)
         assert "param-name-collision" not in self.rules(bsn)
 
+    @pytest.mark.parametrize("ids,context,culprit,name", [
+        (("T-2", "U"), "K", "T-2", "r_T-2"),
+        (("T 2", "U"), "K", "T 2", "r_T 2"),
+        (("T", "U.X"), "K+1", "K+1", "C_K+1"),
+    ], ids=["hyphen", "space", "context-plus"])
+    def test_ids_make_names_formula_text_reads_as_one(self, bsn, ids, context, culprit, name):
+        g = Node("G", "", NodeKind.GOAL, Decomposition.AND, ids)
+        m = model("G", g, leaf(ids[0], [context]), leaf(ids[1]),
+                  contexts=[ContextDef(context, "")])
+        hits = [v for v in validate(m) if v.rule == "param-name-syntax"]
+        assert hits == [Violation(culprit, "param-name-syntax",
+                                  f"formula text cannot read {name!r} as one name")]
+        assert "param-name-syntax" not in self.rules(bsn)
+
     def test_pure_and_ordered(self, bsn):
         g = Node("G", "", NodeKind.GOAL, Decomposition.NONE, ())
         m = model("Z", g, leaf("T"))

@@ -315,16 +315,8 @@ class TestCircuit:
 class TestProgramCache:
     """Compiled programs are keyed on content, not on circuit objects."""
 
-    def test_a_model_compiled_twice_compiles_each_program_once(self, bsn, monkeypatch):
-        compiled = []
-        compile_program = symexpr._compile_program
-
-        def counting(codes, axes=None, rank=None):
-            compiled.append((codes, axes, rank))
-            return compile_program(codes, axes, rank)
-
-        monkeypatch.setattr(symexpr, "_compile_program", counting)
-        symexpr._program.cache_clear()
+    def test_a_model_compiled_twice_compiles_each_program_once(self, bsn):
+        symexpr._compile_program.cache_clear()
         policy = load_policy(bundled.data_text("policy.json"), bsn)
         binding = param_map(bsn, random_binding(random.Random(2), bsn))
         axes = [([ParamTable.frequency(leaf).name for leaf in knob.leaves], knob.values())
@@ -333,27 +325,29 @@ class TestProgramCache:
         for _ in range(2):
             forms = compile_circuits(bsn, ["G1"])["G1"]
             values = [symexpr.evaluate(c, binding) for c in forms]
-            points = list(symexpr.sweep(list(forms), binding, axes))
             best = symexpr.search([forms.reliability, forms.cost], binding, axes, policy.rank)
-            results.append((values, points, best))
+            results.append((values, best))
             if len(results) == 1:
-                first_round = len(compiled)
+                first_round = symexpr._compile_program.cache_info().misses
+        info = symexpr._compile_program.cache_info()
         assert results[0] == results[1]
-        assert first_round == len(compiled) == len({c.code for c in forms}) + 2
-        assert len(set(compiled)) == len(compiled)
+        assert first_round == info.misses == len({c.code for c in forms}) + 1
+        assert info.currsize == info.misses  # each compile kept under its own key
 
     def test_a_circuit_read_back_from_json_shares_its_program(self, bsn):
         for c in compile_circuits(bsn, ["G1"])["G1"]:
             rebuilt = Circuit(json.loads(json.dumps(c.code)))
             assert rebuilt.code == c.code
-            assert rebuilt._program is c._program
+            binding = dict.fromkeys(c.parameter_names(), 1)
+            assert symexpr.evaluate(rebuilt, binding) == symexpr.evaluate(c, binding)
+            assert rebuilt._compiled is c._compiled
 
     def test_the_cache_is_bounded(self):
         size = symexpr._PROGRAM_CACHE_SIZE
-        assert symexpr._program.cache_info().maxsize == size
+        assert symexpr._compile_program.cache_info().maxsize == size
         for i in range(size + 5):
             symexpr.evaluate(Circuit([("load", f"r_{i}")]), {f"r_{i}": 0.5})
-            assert symexpr._program.cache_info().currsize <= size
+            assert symexpr._compile_program.cache_info().currsize <= size
 
     @pytest.mark.parametrize("code,message", [
         ([], "a circuit needs at least one instruction"),

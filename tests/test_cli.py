@@ -194,6 +194,35 @@ class TestEval:
         assert doc["cost"] == pytest.approx(14.0, abs=1e-12)
         assert doc["wall_ms"] >= 0
 
+    def test_ids_of_dots_underscores_and_digits_round_trip(self, capsys, tmp_path):
+        doc = {"actor": "a", "root": "G.0", "contexts": [{"id": "K_1.2"}],
+               "nodes": [{"id": "G.0", "kind": "Goal", "decomposition": "And",
+                          "children": ["T_1.2", "T.3_4", "P_9.X"]},
+                         {"id": "T_1.2", "kind": "LeafTask", "contexts": ["K_1.2"]},
+                         {"id": "T.3_4", "kind": "LeafTask"},
+                         {"id": "P_9.X", "kind": "Task", "placeholder": True}]}
+        model, formulas = tmp_path / "model.json", tmp_path / "formulas.json"
+        model.write_text(json.dumps(doc))
+        assert run_cli(capsys, "compile", str(model), "-o", str(formulas))[0] == 0
+        names = ["C_K_1_2", "OPT_P_9_X"] + [f"{kind}_{leaf}" for kind in "rfw"
+                                            for leaf in ("T_1_2", "T_3_4", "P_9_X")]
+        bind = tmp_path / "bind.json"
+        bind.write_text(json.dumps(dict.fromkeys(names, 1.0)))
+        code, out, err = run_cli(capsys, "eval", str(formulas), "--bind", str(bind))
+        assert (code, err) == (0, "")
+        values = json.loads(out)
+        assert (values["reliability"], values["cost"]) == (1.0, 3.0)
+
+    def test_id_that_formula_text_cannot_hold_is_rejected(self, capsys, tmp_path):
+        doc = json.loads(bundled.data_text("bsn.json"))
+        text = json.dumps(doc).replace('"T2"', '"T-2"')
+        assert text.count('"T-2"') >= 2
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        code, out, err = run_cli(capsys, "compile", str(model))
+        assert (code, out) == (1, "")
+        assert "param-name-syntax" in err and "'r_T-2'" in err
+
     def test_missing_binding(self, capsys, formulas_file, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"r_T2": 1.0}))
@@ -498,6 +527,22 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: property: 'margin' must be a number, got True\n"
 
+    @pytest.mark.parametrize("step,message", [
+        (1e-320, "knob 'T2': step 1e-320 is too small to count the grid of [0.8, 1.0]"),
+        (1e-12, "knob grid holds 4000000000000 candidates (cap 1000000)"),
+    ], ids=["uncountable", "past-the-cap"])
+    def test_tiny_knob_step_is_one_error_line(self, capsys, model_file, tmp_path, step, message):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["knobs"][1]["step"] = step
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(bundled.data_text("scenario_hub_degradation.json"))
+        code, out, err = run_cli(capsys, "simulate", model_file,
+                                 "--policy", str(path), "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("key,value", [
         ("duration", "NaN"), ("duration", "Infinity"), ("tick", "NaN"), ("tick", "Infinity"),
     ])
@@ -543,8 +588,10 @@ class TestSimulate:
          "true cost of 'T2' is negative or not finite: inf"),
         (("sensors", 0, "context"), "C99",
          "scenario 'sensors[0].context' names no context of the model, got 'C99'"),
+        (("true", "reliability", "T9"), 0.9,
+         "scenario 'true.reliability.T9' names no executable leaf of the model"),
     ], ids=["unknown-knob", "reliability-7", "negative-cost", "infinite-cost",
-            "unknown-sensor-context"])
+            "unknown-sensor-context", "unknown-true-leaf"])
     def test_scenario_checked_against_policy_and_range(self, capsys, model_file,
                                                        policy_file, tmp_path,
                                                        path, value, message):
@@ -574,7 +621,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("table,edit,message", [
         ("cost", {"T1.11": None}, "priors name different leaves: ['T1.11']"),
-        ("reliability", {"NOPE": 0.9}, "priors name different leaves: ['NOPE']"),
+        ("reliability", {"NOPE": 0.9},
+         "scenario 'estimates.reliability.NOPE' names no executable leaf of the model"),
     ], ids=["cost-lacks-leaf", "reliability-adds-leaf"])
     def test_mismatched_prior_tables(self, capsys, model_file, policy_file, tmp_path,
                                      table, edit, message):

@@ -140,6 +140,30 @@ class TestLeafModule:
             emit_leaf_module(bsn, "G2", plan_emission(bsn))
 
 
+class TestGoalContexts:
+    """A goal's own contexts gate it when it is executable, as in the oracle."""
+
+    def test_an_executable_goal_is_gated_by_its_own_contexts(self):
+        text = emit_model(parse_model(CTX_LEAF), "N1")
+        assert "const int K1; // sensor available\n" in text
+        golden = (GOLDEN / "context_leaf.pm").read_text(encoding="ascii")
+        module = lambda t: t[t.index("module N1"):t.index("endmodule")]  # noqa: E731
+        assert module(text).splitlines() == module(golden).splitlines()
+
+    def test_the_bundled_placeholder_goal_is_gated_by_c5(self, bsn):
+        text = emit_model(bsn, "T1.X")
+        assert "const int C5; // Auxiliary sensor is available\n" in text
+        assert "[next1] s1 = 0 -> C5*f1 : (s1'=1) + (1 - C5*f1) : (s1'=3);" in text
+
+    def test_a_composite_goal_keeps_its_own_contexts_out(self):
+        doc = json.loads(CTX_LEAF)
+        doc["nodes"][0]["contexts"] = ["K1"]
+        doc["nodes"][1].pop("contexts")
+        text = emit_model(parse_model(json.dumps(doc)))
+        assert "K1" not in text
+        assert "[next1] s1 = 0 -> f1 : (s1'=1) + (1 - f1) : (s1'=3);" in text
+
+
 class TestDecisionModule:
     def test_subset_rows(self):
         model = dm_model(3)

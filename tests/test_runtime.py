@@ -188,6 +188,16 @@ class TestPolicy:
             load_policy(json.dumps(doc), bsn)
         assert str(info.value) == message
 
+    def test_a_step_too_small_to_count_the_grid_is_rejected(self, bsn):
+        doc = json.loads(bundled.data_text("policy.json"))
+        doc["knobs"][1]["step"] = 1e-320
+        with pytest.raises(PolicyError) as info:
+            load_policy(json.dumps(doc), bsn)
+        assert str(info.value) == \
+            "knob 'T2': step 1e-320 is too small to count the grid of [0.8, 1.0]"
+        doc["knobs"][1]["step"] = 1e-12  # countable: the planner's grid cap rejects it
+        assert load_policy(json.dumps(doc), bsn).knobs[1].grid_size == 200_000_000_000
+
     def test_policy_numbers_may_be_numeric_strings(self, bsn):
         doc = json.loads(bundled.data_text("policy.json"))
         doc["properties"][0]["margin"] = str(doc["properties"][0]["margin"])

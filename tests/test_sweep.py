@@ -1,14 +1,16 @@
-"""Sweep tests: a grid of circuit evaluations equals evaluating point by point.
+"""Search tests: a grid search equals ranking the grid point by point.
 
-``symexpr.sweep`` hoists every instruction out of the grid loops whose
-variables it does not read.  Each of its values must be the very float
-``symexpr.evaluate`` returns on a copy of the binding with the point's axis
-values written in.  ``runtime.plan`` searches its knob grid through
-``symexpr.search``, the same loops with the policy's scoring generated into
-the innermost one; it must choose what the point-by-point search and the
-Python ``min`` over the sweep chose, bit for bit.
+``symexpr.search`` hoists every instruction out of the grid loops whose
+variables it does not read, and ranks each point in the innermost loop.
+Each value it returns must be the very float ``symexpr.evaluate`` returns on
+a copy of the binding with the point's axis values written in
+(:func:`point_by_point`), and the point it picks must be the one Python's
+``min`` picks over those values.  ``runtime.plan`` searches its knob grid
+through it, so it must choose what the point-by-point search chose, bit for
+bit.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -52,6 +54,35 @@ def point_by_point(circuits, binding, axes):
     return out
 
 
+def grid_points(circuits, binding, axes):
+    """Each grid point's axis values beside its :func:`point_by_point` values."""
+    return list(zip(itertools.product(*(list(v) for _, v in axes)),
+                    point_by_point(circuits, binding, axes)))
+
+
+def min_by_rank(points, rank):
+    """What ``search`` returns: the ``min`` over :func:`grid_points` with the
+    key ``(not first, key)``, or None for an empty grid."""
+    first, key = rank
+    scope = lambda v: {f"y{j}": y for j, y in enumerate(v)}  # noqa: E731
+    return min(points, default=None,
+               key=lambda p: (not eval(first, {}, scope(p[1])), eval(key, {}, scope(p[1]))))
+
+
+def assert_search_matches(circuits, binding, axes):
+    """``search`` against :func:`min_by_rank` for rankings that pick the first
+    point and each circuit's lowest and highest value; returns the winners."""
+    points = grid_points(circuits, binding, axes)
+    ranks = [("True", "0.0")] + [("True", f"{sign}y{j}")
+                                 for j in range(len(circuits)) for sign in ("", "-")]
+    winners = []
+    for rank in ranks:
+        got = symexpr.search(circuits, binding, axes, rank)
+        assert repr(got) == repr(min_by_rank(points, rank)), rank
+        winners.append(got)
+    return winners
+
+
 def first_error(run):
     with pytest.raises(ExprError) as info:
         run()
@@ -85,9 +116,8 @@ class TestAgainstEvaluate:
             binding = param_map(m, random_binding(rng, m))
             names = sorted(n for n in binding if not n.startswith(("C_", "OPT_")))
             axes = random_axes(rng, names, rng.randint(0, 3))
-            got = list(symexpr.sweep(circuits, binding, axes))
-            assert got == point_by_point(circuits, binding, axes), seed
-            assert all(type(v) is float for point in got for v in point)
+            winners = assert_search_matches(circuits, binding, axes)
+            assert all(type(v) is float for w in winners if w for v in w[1]), seed
             flat = [n for axis_names, _ in axes for n in set(axis_names)]
             seen.add(len(axes))
             if len(flat) > len(set(flat)):
@@ -95,7 +125,7 @@ class TestAgainstEvaluate:
             if any(n.startswith("f_absent") for n in flat):
                 seen.add("absent")
             if any(not values for _, values in axes):
-                assert got == []
+                assert winners == [None] * len(winners)
                 seen.add("empty")
         assert seen == {0, 1, 2, 3, "overlap", "absent", "empty"}
 
@@ -105,8 +135,10 @@ class TestAgainstEvaluate:
         f = b.param("f_a")
         c = b.circuit(b.mul(r, f))
         axes = [(["f_a"], [0.5, 0.25]), (["f_a", "r_a"], [2.0, 3.0])]
-        got = list(symexpr.sweep([c], {"r_a": 7.0, "f_a": 1.0}, axes))
-        assert got == [(4.0,), (9.0,), (4.0,), (9.0,)]
+        binding = {"r_a": 7.0, "f_a": 1.0}
+        assert point_by_point([c], binding, axes) == [(4.0,), (9.0,), (4.0,), (9.0,)]
+        first, low, high = assert_search_matches([c], binding, axes)
+        assert (first, low, high) == (((0.5, 2.0), (4.0,)),) * 2 + (((0.5, 3.0), (9.0,)),)
 
     def test_wide_sum(self):
         n = 3000
@@ -116,9 +148,8 @@ class TestAgainstEvaluate:
         rng = random.Random(5)
         binding = {f"w_{i}": rng.random() for i in range(n)}
         axes = [(["w_7", "w_2999"], [0.5, 0.75]), (["w_1500"], [rng.random()] * 3)]
-        got = list(symexpr.sweep([c], binding, axes))
-        assert got == point_by_point([c], binding, axes)
-        assert len(got) == 6
+        assert_search_matches([c], binding, axes)
+        assert len(point_by_point([c], binding, axes)) == 6
 
     def test_more_axes_than_nested_loops(self):
         b = CircuitBuilder()
@@ -129,9 +160,12 @@ class TestAgainstEvaluate:
         c = b.circuit(out)
         binding = {f"f_{i}": 0.5 for i in range(24)}
         axes = [([f"f_{i}"], [0.25, 0.75] if i % 7 == 0 else [0.125]) for i in range(24)]
-        got = list(symexpr.sweep([c], binding, axes))
-        assert len(got) == 16
-        assert got == point_by_point([c], binding, axes)
+        assert len(point_by_point([c], binding, axes)) == 16
+        assert_search_matches([c], binding, axes)
+
+
+#: A ranking for tests that only need a search to run: the lowest first value.
+RANK = ("True", "y0")
 
 
 class TestErrors:
@@ -155,7 +189,7 @@ class TestErrors:
                 broken.append(("binary", dict(binding, **{rng.choice(binary): 0.5})))
             for case, bad in broken:
                 want = first_error(lambda: point_by_point(circuits, bad, axes))
-                assert first_error(lambda: symexpr.sweep(circuits, bad, axes)) == want
+                assert first_error(lambda: symexpr.search(circuits, bad, axes, RANK)) == want
                 cases.add(case)
         assert cases == {"missing", "binary"}
 
@@ -169,8 +203,9 @@ class TestErrors:
         b = CircuitBuilder()
         c = b.circuit(b.mul(b.mul(b.param("C_k"), b.param("r_a")), b.param("f_a")))
         binding = CountingDict({"C_k": 1, "r_a": 0.5, "f_a": 0.5})
-        points = list(symexpr.sweep([c], binding, [(["f_a"], [0.1 * i for i in range(9)])]))
-        assert len(points) == 9
+        grid = [(["f_a"], [0.1 * i for i in range(9)])]
+        best = symexpr.search([c], binding, grid, ("True", "-y0"))
+        assert best == ((0.1 * 8,), (0.5 * (0.1 * 8),))  # the 9th point: every one ran
         assert reads == {"C_k": 2, "r_a": 1}  # the 0/1 check, then the load
 
     @pytest.mark.parametrize("name", ["C_k", "OPT_A_X", "C_odd"])
@@ -178,12 +213,12 @@ class TestErrors:
         b = CircuitBuilder()
         c = b.circuit(b.mul(b.param("C_odd"), b.param("f_a")))
         with pytest.raises(ExprError, match="binary"):
-            symexpr.sweep([c], {"C_odd": 1, "f_a": 0.5, "C_k": 1}, [([name], [0, 1])])
+            symexpr.search([c], {"C_odd": 1, "f_a": 0.5, "C_k": 1}, [([name], [0, 1])], RANK)
 
     def test_missing_name_text(self):
         b = CircuitBuilder()
         c = b.circuit(b.mul(b.param("r_b"), b.param("f_a")))
-        assert first_error(lambda: symexpr.sweep([c], {}, [(["f_a"], [1.0])])) == \
+        assert first_error(lambda: symexpr.search([c], {}, [(["f_a"], [1.0])], RANK)) == \
             error_of(c, {"f_a": 1.0})
 
 
@@ -285,8 +320,8 @@ def test_plan_matches_the_per_point_search(bsn):
 
 
 def min_key_plan(state, policy):
-    """The planner as it was before its scoring was generated: the sweep's
-    values ranked in Python by one streaming ``min`` over
+    """The planner as it was before its scoring was generated: the grid's
+    values, point by point, ranked in Python by one streaming ``min`` over
     ``(not satisfied, objective)``."""
     report = analyze(state, policy)
     current = {knob.id: state.bindings[ParamTable.frequency(knob.leaves[0]).name]
@@ -297,8 +332,8 @@ def min_key_plan(state, policy):
     knobs = sorted(policy.knobs, key=lambda k: k.id)
     grids = [knob.values() for knob in knobs]
     driven = [[ParamTable.frequency(leaf).name for leaf in knob.leaves] for knob in knobs]
-    points = symexpr.sweep(policy.circuits(state.formulae), state.bindings,
-                           list(zip(driven, grids)))
+    points = point_by_point(policy.circuits(state.formulae), state.bindings,
+                            list(zip(driven, grids)))
     values, currents = min(
         zip(itertools.product(*grids), points),
         key=lambda point: (not satisfied(policy, point[1]), objective(policy, point[1])),
@@ -316,7 +351,7 @@ def winning_key_count(state, policy):
     axes = [([ParamTable.frequency(leaf).name for leaf in knob.leaves], knob.values())
             for knob in knobs]
     keys = [(not satisfied(policy, v), objective(policy, v))
-            for v in symexpr.sweep(policy.circuits(state.formulae), state.bindings, axes)]
+            for v in point_by_point(policy.circuits(state.formulae), state.bindings, axes)]
     return keys.count(min(keys))
 
 
@@ -416,7 +451,7 @@ class TestGeneratedSearch:
         state = nominal_belief(bsn)
         axes = [([ParamTable.frequency(leaf).name for leaf in knob.leaves], knob.values())
                 for knob in sorted(policy.knobs, key=lambda k: k.id)]
-        values = symexpr.sweep(policy.circuits(state.formulae), state.bindings, axes)
+        values = point_by_point(policy.circuits(state.formulae), state.bindings, axes)
         assert not any(policy.satisfied(v) for v in values)
         assert assert_same_plan(state, policy).feasible is False
 
@@ -431,7 +466,7 @@ class TestGeneratedSearch:
         knobs = tuple(Knob(f"k{i:02d}", (f"N{i + 1}",), 0.5 if i in wide else 1.0, 1.0, 0.25)
                       for i in range(n))
         axes = [([f"f_N{i + 1}"], knob.values()) for i, knob in enumerate(knobs)]
-        costs = sorted(c for c, in symexpr.sweep([state.formulae["G"].cost], bindings, axes))
+        costs = sorted(c for c, in point_by_point([state.formulae["G"].cost], bindings, axes))
         assert len(costs) == 3 ** len(wide)
         outcomes = set()
         for setpoint in (costs[5], costs[-1] * 3):
@@ -442,9 +477,9 @@ class TestGeneratedSearch:
 
 
 def test_search_is_min_over_the_sweep():
-    """``search`` picks what ``min`` picks over the sweep with the key
-    ``(not first, key)``: NaN and infinite keys, ties, and a first point
-    that nothing beats included."""
+    """``search`` picks what ``min`` picks over the point-by-point values
+    with the key ``(not first, key)``: NaN and infinite keys, ties, and a
+    first point that nothing beats included."""
     b = CircuitBuilder()
     x, y = b.param("r_x"), b.param("r_y")
     circuits = [b.circuit(x), b.circuit(y), b.circuit(b.mul(x, y))]
@@ -456,15 +491,42 @@ def test_search_is_min_over_the_sweep():
     for _ in range(400):
         axes = [([name], [rng.choice(pool) for _ in range(rng.randint(1, 4))])
                 for name in rng.sample(["r_x", "r_y"], rng.randint(1, 2))]
-        first, key = rank = rng.choice(ranks)
-        scope = lambda v: {"y0": v[0], "y1": v[1], "y2": v[2]}  # noqa: E731
-        want = min(
-            zip(itertools.product(*(values for _, values in axes)),
-                symexpr.sweep(circuits, {"r_x": 0.75, "r_y": 0.25}, axes)),
-            key=lambda p: (not eval(first, {}, scope(p[1])), eval(key, {}, scope(p[1]))))
+        rank = rng.choice(ranks)
+        want = min_by_rank(grid_points(circuits, {"r_x": 0.75, "r_y": 0.25}, axes), rank)
         got = symexpr.search(circuits, {"r_x": 0.75, "r_y": 0.25}, axes, rank)
         assert repr(got) == repr(want), (axes, rank)
     assert symexpr.search(circuits, {"r_y": 1.0}, [(["r_x"], [])], ranks[0]) is None
+
+
+class TestGeneratedSource:
+    """The emitter's output for the bundled model, byte for byte."""
+
+    # sha256 of each source ``_compile_program`` compiles, in order: G1's
+    # reliability and cost evaluate programs, then the bundled policy's search.
+    DIGESTS = [
+        "ae6206af6f95e2d30064441e1c99d7b9cac6ec9d382dc8e5ad00dff8808e2b19",
+        "d949a73d7267b5111f61be67de7b695a86068ede108c89ce25b2377a2e80398c",
+        "882a855823ca2351af8c4d7d176757c051260d6cb9bc79019b17da4b2c305e60",
+    ]
+
+    def test_bundled_sources_are_pinned(self, bsn, monkeypatch):
+        sources = []
+
+        def capture(source, filename, mode):
+            sources.append(source)
+            return compile(source, filename, mode)
+
+        symexpr._compile_program.cache_clear()
+        monkeypatch.setattr(symexpr, "compile", capture, raising=False)
+        state = nominal_belief(bsn)
+        forms = state.formulae["G1"]
+        for circuit in (forms.reliability, forms.cost):
+            symexpr.evaluate(circuit, state.bindings)
+        policy = load_policy(bundled.data_text("policy.json"), bsn)
+        assert not analyze(state, policy).satisfied
+        plan(state, policy)
+        digests = [hashlib.sha256(s.encode()).hexdigest() for s in sources]
+        assert digests == self.DIGESTS
 
 
 def nominal_belief(model):
